@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import RequestSchedule, make_fixed_L_schedule
+from .core import RequestSchedule, SystemParams, make_fixed_L_schedule
 from .errors import InvalidParams, OutOfRange, TooLarge
 from .partition import eta as partition_eta
 
@@ -29,38 +29,20 @@ BRUTE_FORCE_MAX_K = 20
 
 
 @dataclass(frozen=True)
-class FixedLConfig:
-    """Parameters of the fixed-requests-per-slot special case (K = B*L)."""
+class FixedLConfig(SystemParams):
+    """System parameters of the fixed-requests-per-slot case.
 
-    K: int
-    N: int
-    M: float
-    F: int
-    B: int
+    L      number of requesters in every slot, so K = B*L
+    """
+
     L: int
-    delta_b: int
 
     def __post_init__(self) -> None:
         if self.K != self.B * self.L:
             raise InvalidParams(
-                f"fixed-L analysis needs K = B*L, got K={self.K}, B={self.B}, L={self.L}"
+                f"fixed-L schedules need K = B*L, got K={self.K}, B={self.B}, L={self.L}"
             )
-        if self.N < self.K:
-            raise InvalidParams(f"need N >= K, got N={self.N}, K={self.K}")
-        if not (0 < self.M < self.N):
-            raise InvalidParams(f"need 0 < M < N, got M={self.M}, N={self.N}")
-        if self.B < 2:
-            raise InvalidParams(f"B must be >= 2, got {self.B}")
-        if not (1 <= self.delta_b <= self.B):
-            raise InvalidParams(f"delta_b must be in [1, B], got {self.delta_b}")
-
-    @property
-    def cache_ratio(self) -> float:
-        return self.M / self.N
-
-    def subfile_fraction(self, s: int) -> float:
-        p = self.cache_ratio
-        return (p ** (s - 1)) * ((1.0 - p) ** (self.K - (s - 1)))
+        super().__post_init__()
 
 
 def _comb0(n: int, k: int) -> int:
@@ -68,13 +50,6 @@ def _comb0(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def c_count(g: int, e: int) -> int:
-    """Ways to drop g indistinguishable balls into e distinguishable boxes."""
-    if g < 0 or e < 1:
-        raise OutOfRange(f"need g >= 0 and e >= 1, got g={g}, e={e}")
-    return math.comb(g + e - 1, g)
 
 
 @lru_cache(maxsize=None)
@@ -157,6 +132,16 @@ def y_range(s: int, config: FixedLConfig) -> range:
 def Q_count(s: int, config: FixedLConfig) -> int:
     """Total number of subsets all type-s encoding sets split into."""
     return sum(q_count(s, Y, config) * Y for Y in y_range(s, config))
+
+
+def brute_force_b(Y: int, alpha: int, L: int) -> int:
+    """Oracle for b_count: choose alpha of Y*L items, >= 1 from each group of L."""
+    groups = [set(range(g * L, (g + 1) * L)) for g in range(Y)]
+    return sum(
+        1
+        for picked in combinations(range(Y * L), alpha)
+        if all(not g.isdisjoint(picked) for g in groups)
+    )
 
 
 def brute_force_eta_histogram(

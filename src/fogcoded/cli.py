@@ -56,9 +56,13 @@ class ExperimentConfig:
         return self.L is None
 
     def system_params(self) -> core.SystemParams:
-        return core.SystemParams(
+        """Validated system parameters; a FixedLConfig when L is set."""
+        common = dict(
             K=self.K, N=self.N, M=self.M, F=self.F, B=self.B, delta_b=self.delta_b
         )
+        if self.random_schedule:
+            return core.SystemParams(**common)
+        return FixedLConfig(**common, L=self.L)
 
 
 @dataclass
@@ -105,11 +109,6 @@ def _one_trial(config: ExperimentConfig, trial: int) -> delivery.DeliveryResult:
     if config.mode == "analytic":
         records = core.analytic_subfile_table(params, schedule)
     else:
-        if config.F > BITEXACT_MAX_F:
-            raise InvalidParams(
-                f"bit-exact mode is limited to F <= {BITEXACT_MAX_F}; "
-                "use --mode analytic for larger files"
-            )
         library = core.generate_library(params, lib_seed)
         caches = core.place_caches(library, params, place_seed)
         records = core.partition_into_subfiles(library, caches, schedule)
@@ -122,12 +121,14 @@ def run_single(config: ExperimentConfig) -> ResultRow:
         raise InvalidParams("trials must be >= 1")
     if config.mode not in ("analytic", "bitexact"):
         raise InvalidParams(f"unknown mode {config.mode!r}")
-    if not config.random_schedule and config.K != config.B * config.L:
+    # validate everything before the first trial builds anything
+    params = config.system_params()
+    delivery.check_delivery_size(params.K)
+    if config.mode == "bitexact" and config.F > BITEXACT_MAX_F:
         raise InvalidParams(
-            f"fixed-L schedules need K = B*L, got K={config.K}, "
-            f"B={config.B}, L={config.L}"
+            f"bit-exact mode is limited to F <= {BITEXACT_MAX_F}; "
+            "use --mode analytic for larger files"
         )
-    config.system_params()  # validate early
     loads = []
     worst = None
     for t in range(config.trials):
@@ -147,16 +148,10 @@ def run_single(config: ExperimentConfig) -> ResultRow:
     row.uncoded_load = analytics.uncoded_load(config.M, config.N, config.K)
     row.mn_sync_load = analytics.mn_sync_load(config.M, config.N, config.K)
     if not config.random_schedule:
-        params = config.system_params()
         if config.mode == "bitexact" and params.rounding_error() > 1e-6:
             row.error = "closed-form comparison skipped: M*F/N too far from integer"
         else:
-            row.closed_form_load = analytics.closed_form_load(
-                FixedLConfig(
-                    K=config.K, N=config.N, M=config.M, F=config.F,
-                    B=config.B, L=config.L, delta_b=config.delta_b,
-                )
-            )
+            row.closed_form_load = analytics.closed_form_load(params)
     return row
 
 
@@ -259,23 +254,12 @@ def check_counting_oracle(
     return results
 
 
-def _brute_force_b(Y: int, alpha: int, L: int) -> int:
-    from itertools import combinations as icombinations
-    groups = [list(range(g * L, (g + 1) * L)) for g in range(Y)]
-    count = 0
-    for picked in icombinations(range(Y * L), alpha):
-        ps = set(picked)
-        if all(ps & set(g) for g in groups):
-            count += 1
-    return count
-
-
 def check_b_count(max_y: int = 4, max_l: int = 4) -> CheckResult:
     bad = []
     for y in range(1, max_y + 1):
         for l in range(1, max_l + 1):
             for alpha in range(y, y * l + 1):
-                if analytics.b_count(y, alpha, l) != _brute_force_b(y, alpha, l):
+                if analytics.b_count(y, alpha, l) != analytics.brute_force_b(y, alpha, l):
                     bad.append((y, alpha, l))
     return CheckResult(
         "b-count oracle", not bad,

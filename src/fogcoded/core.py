@@ -68,7 +68,6 @@ class SystemParams:
     B      number of time slots covering the request interval
     delta_b  maximum request delay in slots: a request arriving in slot b
              must be served by the end of slot b + delta_b - 1
-    T      optional wall-clock length of the request interval (informational)
     """
 
     K: int
@@ -77,7 +76,6 @@ class SystemParams:
     F: int
     B: int
     delta_b: int
-    T: float | None = None
 
     def __post_init__(self) -> None:
         if self.K < 1:
@@ -96,10 +94,6 @@ class SystemParams:
             )
 
     @property
-    def delta_t(self) -> float | None:
-        return None if self.T is None else self.T / self.B
-
-    @property
     def cache_ratio(self) -> float:
         return self.M / self.N
 
@@ -111,6 +105,18 @@ class SystemParams:
     def rounding_error(self) -> float:
         """Relative gap |rounded - exact| / F of the per-file cache quota."""
         return abs(self.cached_bits_per_file - self.M * self.F / self.N) / self.F
+
+    def subfile_fraction(self, s: int) -> float:
+        """Expected fraction f(s) of a file's bits in one subfile of type s.
+
+        A type-s subfile is requested by one F-AP and cached at exactly s-1
+        others, so each bit lands in it with probability
+        (M/N)^(s-1) * (1 - M/N)^(K-(s-1)).
+        """
+        if not (1 <= s <= self.K):
+            raise InvalidParams(f"type s must be in [1, K], got {s}")
+        p = self.cache_ratio
+        return (p ** (s - 1)) * ((1.0 - p) ** (self.K - (s - 1)))
 
 
 @dataclass(frozen=True)
@@ -284,16 +290,8 @@ def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
 
 
 def expected_subfile_size(params: SystemParams, s: int) -> float:
-    """Law-of-large-numbers size in bits of one subfile of type s.
-
-    A type-s subfile is requested by one F-AP and cached at exactly s-1
-    others, so each bit lands in it with probability
-    (M/N)^(s-1) * (1 - M/N)^(K-(s-1)).
-    """
-    if not (1 <= s <= params.K):
-        raise InvalidParams(f"type s must be in [1, K], got {s}")
-    p = params.cache_ratio
-    return (p ** (s - 1)) * ((1.0 - p) ** (params.K - (s - 1))) * params.F
+    """Law-of-large-numbers size in bits of one subfile of type s."""
+    return params.subfile_fraction(s) * params.F
 
 
 @dataclass
@@ -309,14 +307,15 @@ class SubfileRecordTable:
 
     mode "bitexact": entries carry concrete bit positions and contents.
     mode "analytic": every class is represented by its expected length,
-    so entries are implicit and only recovered flags are stored.
+    ``expected_lengths[s-1]`` for type s, so entries are implicit and only
+    recovered flags are stored.
     """
 
     mode: str
     K: int
     F: int
     demand: Mapping[int, int]
-    cache_ratio: float | None = None
+    expected_lengths: tuple[float, ...] | None = None
     positions: dict[SubfileKey, np.ndarray] | None = None
     contents: dict[SubfileKey, np.ndarray] | None = None
     locally_held: dict[int, np.ndarray] | None = None
@@ -325,9 +324,7 @@ class SubfileRecordTable:
     def raw_length(self, key: SubfileKey) -> float:
         """Length in bits of the entry, ignoring the recovered flag."""
         if self.mode == "analytic":
-            s = key[1].bit_count() + 1
-            p = self.cache_ratio
-            return (p ** (s - 1)) * ((1.0 - p) ** (self.K - (s - 1))) * self.F
+            return self.expected_lengths[key[1].bit_count()]
         pos = self.positions.get(key)
         return 0 if pos is None else len(pos)
 
@@ -411,5 +408,7 @@ def analytic_subfile_table(
         K=params.K,
         F=params.F,
         demand=dict(schedule.demand),
-        cache_ratio=params.cache_ratio,
+        expected_lengths=tuple(
+            expected_subfile_size(params, s) for s in range(1, params.K + 1)
+        ),
     )

@@ -196,6 +196,15 @@ def _assert_deadline_met(state: DeliveryState) -> None:
                 )
 
 
+def check_delivery_size(K: int) -> None:
+    """Raise TooLarge when K F-APs exceed what the engine can enumerate."""
+    if K > MAX_DELIVERY_K:
+        raise TooLarge(
+            f"delivery enumerates 2^K candidate sets per slot; "
+            f"K must be <= {MAX_DELIVERY_K}, got {K}"
+        )
+
+
 def run_delivery(
     schedule: RequestSchedule, records: SubfileRecordTable, params: SystemParams
 ) -> DeliveryResult:
@@ -209,11 +218,7 @@ def run_delivery(
         raise InvalidParams("schedule shape does not match system parameters")
     if records.K != params.K:
         raise InvalidParams("record table does not match system parameters")
-    if params.K > MAX_DELIVERY_K:
-        raise TooLarge(
-            f"delivery enumerates 2^K candidate sets per slot; "
-            f"K must be <= {MAX_DELIVERY_K}, got {params.K}"
-        )
+    check_delivery_size(params.K)
     B, delta_b = params.B, params.delta_b
     state = DeliveryState(records=records)
     for b in range(1, B + 1):
@@ -231,23 +236,6 @@ def run_delivery(
             state.active_mask = 0
     report = measured_load(state.events, params.F)
     return DeliveryResult(events=state.events, report=report, records=records)
-
-
-def log_lines(events: list[TransmissionRecord]) -> list[str]:
-    """Tab-separated dump, one line per actual transmission."""
-    def fmt(ids) -> str:
-        return "{" + ",".join(str(k) for k in sorted(ids)) + "}"
-
-    lines = ["slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits"]
-    for e in events:
-        if not e.transmitted:
-            continue
-        lines.append("\t".join([
-            str(e.slot), str(e.s), str(e.chi),
-            fmt(set_of(e.s1_mask)), fmt(set_of(e.s2_mask)),
-            fmt(e.collapsed_set), str(e.payload_bits),
-        ]))
-    return lines
 
 
 def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from fogcoded import cli
+from fogcoded import cli, core
 from fogcoded.cli import CSV_COLUMNS, ExperimentConfig
+from fogcoded.errors import TooLarge
 
 
 def read_csv(path):
@@ -51,6 +52,17 @@ class TestSimulate:
         ])
         assert rc == 2
         assert "analytic" in capsys.readouterr().err
+
+    def test_delivery_size_checked_before_placement(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("placement ran before the size check")
+
+        monkeypatch.setattr(core, "place_caches", fail)
+        with pytest.raises(TooLarge):
+            cli.run_single(ExperimentConfig(
+                K=17, N=17, M=4.0, F=200_000, B=5, delta_b=2, L=None,
+                mode="bitexact", trials=1, seed=0,
+            ))
 
     def test_worst_case_at_least_mean(self):
         row = cli.run_single(ExperimentConfig(
@@ -174,6 +186,9 @@ class TestTables:
         sent = [row for row in body if row[7] != "-"]
         assert len(body) == 28
         assert len(sent) == 23
+        assert lines[1] == (
+            "2\t4\t1\t{1}\t{2,3,4}\t{1,2}\t1.0\tW[1,{2,3,4}]^W[2,{1,3,4}]"
+        )
 
     def test_random_schedule_rejected(self, capsys):
         assert cli.main(["tables", "--random"]) == 2

@@ -7,12 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fogcoded
 from fogcoded import core
+from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams
 
 
 def params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
     return core.SystemParams(K=K, N=N, M=M, F=F, B=B, delta_b=delta_b)
+
+
+def fixed_l_params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
+    # L = K // B keeps K = B*L whenever B divides K, so only the named
+    # parameter is invalid
+    return FixedLConfig(K=K, N=N, M=M, F=F, B=B, L=K // B, delta_b=delta_b)
+
+
+def test_all_exports_resolve():
+    for name in fogcoded.__all__:
+        assert hasattr(fogcoded, name), name
 
 
 class TestSystemParams:
@@ -32,16 +45,14 @@ class TestSystemParams:
             dict(delta_b=0),
             dict(delta_b=5),
             dict(F=0),
+            dict(K=0),
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidParams):
             params(**kwargs)
-
-    def test_delta_t(self):
-        assert params().delta_t is None
-        p = core.SystemParams(K=4, N=4, M=2, F=16, B=4, delta_b=2, T=4.0)
-        assert p.delta_t == 1.0
+        with pytest.raises(InvalidParams):
+            fixed_l_params(**kwargs)
 
 
 class TestGenerateLibrary:

@@ -392,10 +392,14 @@ class TestBitExactDelivery:
 class TestLogDump:
     def test_transmissions_only(self):
         result = demo_run()
-        lines = delivery.log_lines(result.events)
-        assert lines[0] == "slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits"
-        assert len(lines) - 1 == 23
-        assert lines[1] == "2\t4\t1\t{1}\t{2,3,4}\t{1,2}\t1.0"
+        sent = [e for e in result.events if e.transmitted]
+        assert len(sent) == 23
+        first = sent[0]
+        assert (first.slot, first.s, first.chi) == (2, 4, 1)
+        assert set(core.set_of(first.s1_mask)) == {1}
+        assert set(core.set_of(first.s2_mask)) == {2, 3, 4}
+        assert set(first.collapsed_set) == {1, 2}
+        assert first.payload_bits == 1.0
 
 
 class TestRunDeliveryValidation:
