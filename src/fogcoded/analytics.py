@@ -17,6 +17,7 @@ All counts are exact integers; loads are floats normalized by F.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -61,10 +62,6 @@ def b_count(Y: int, alpha: int, L: int) -> int:
         raise OutOfRange(f"alpha={alpha} outside [Y, Y*L] = [{Y}, {Y * L}]")
     if Y == 1:
         return math.comb(L, alpha)
-    if alpha == Y:
-        return L**Y
-    if L > 1 and alpha == Y * L:
-        return 1
     # recursive split on how many come from the first slot; branches whose
     # remainder exceeds the remaining capacity contribute nothing
     return sum(
@@ -97,8 +94,6 @@ def q1_count(s: int, Y: int, delta_b_prime: int, delta_b: int, L: int, B: int) -
 
 def q2_count(s: int, Y: int, delta_b: int, L: int, B: int) -> int:
     """Type-s sets with Y full delta_b-slot windows."""
-    if delta_b == 1:
-        return _comb0(B, Y) * _b0(Y, s, L)
     d2 = _comb0(B - Y * (delta_b - 1), Y)
     if d2 == 0:
         return 0
@@ -113,10 +108,6 @@ def q2_count(s: int, Y: int, delta_b: int, L: int, B: int) -> int:
 def q_count(s: int, Y: int, config: FixedLConfig) -> int:
     """Number of type-s encoding sets that split into exactly Y subsets."""
     B, L, delta_b = config.B, config.L, config.delta_b
-    if delta_b == B:
-        return _comb0(config.K, s) if Y == 1 else 0
-    if delta_b == 1:
-        return q2_count(s, Y, delta_b, L, B)
     total = q2_count(s, Y, delta_b, L, B)
     for dbp in range(1, delta_b):
         total += q1_count(s, Y, dbp, delta_b, L, B)
@@ -193,16 +184,47 @@ def brute_force_Q(
     return total
 
 
-def closed_form_load(config: FixedLConfig) -> float:
-    """Normalized fronthaul load of the scheme under fixed-L schedules.
+def schedule_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:
+    """Exact Q(s) for s = 1..K under any schedule, by one scan over the slots.
 
-    Each of the Q(s) subsets carved out of the type-s encoding sets costs
-    one coded content of the type-s subfile size.
+    eta(S) is the number of delta_b-slot windows that the greedy partition
+    lays over the slots S occupies, each window starting at the first
+    occupied slot not yet covered.  The scan's state r is the number of
+    slots, from the current one on, that the open window still covers; for
+    each (r, size) it keeps the number of partial sets and their eta sum.
     """
-    return sum(
-        config.subfile_fraction(s) * Q_count(s, config)
-        for s in range(1, config.K + 1)
-    )
+    if not (1 <= delta_b <= schedule.B):
+        raise InvalidParams(f"delta_b must be in [1, B], got {delta_b}")
+    sets, etas = Counter({(0, 0): 1}), Counter()
+    for slot in schedule.slots:
+        n = len(slot)
+        new_sets, new_etas = Counter(), Counter()
+        for (r, size), count in sets.items():
+            eta_sum = etas[r, size]
+            for j in range(n + 1):
+                # taking members while no window is open opens one
+                opens = j > 0 and r == 0
+                r_next = delta_b - 1 if opens else max(r - 1, 0)
+                ways = math.comb(n, j)
+                new_sets[r_next, size + j] += count * ways
+                new_etas[r_next, size + j] += (eta_sum + opens * count) * ways
+        sets, etas = new_sets, new_etas
+    Q = [0] * (schedule.K + 1)
+    for (_, size), eta_sum in etas.items():
+        Q[size] += eta_sum
+    return Q[1:]
+
+
+def load_of(params: SystemParams, Q: list[int]) -> float:
+    """Normalized fronthaul load sum_s f(s) * Q(s): each of the Q(s) subsets
+    carved out of the type-s encoding sets costs one coded content of the
+    type-s subfile size."""
+    return sum(params.subfile_fraction(s) * Q[s - 1] for s in range(1, params.K + 1))
+
+
+def closed_form_load(config: FixedLConfig) -> float:
+    """Normalized fronthaul load of the scheme under fixed-L schedules."""
+    return load_of(config, [Q_count(s, config) for s in range(1, config.K + 1)])
 
 
 def mn_sync_load(M: float, N: int, K: int) -> float:

@@ -99,7 +99,8 @@ def _trial_seeds(seed: int, trial: int) -> tuple[int, int, int]:
     return lib, place, sched
 
 
-def _one_trial(config: ExperimentConfig, trial: int) -> delivery.DeliveryResult:
+def _one_trial(config: ExperimentConfig, trial: int) -> tuple[float, int]:
+    """(normalized load, transmission count) of one seeded trial."""
     params = config.system_params()
     lib_seed, place_seed, sched_seed = _trial_seeds(config.seed, trial)
     if config.random_schedule:
@@ -107,21 +108,20 @@ def _one_trial(config: ExperimentConfig, trial: int) -> delivery.DeliveryResult:
     else:
         schedule = core.make_fixed_L_schedule(config.K, config.B, config.L, sched_seed)
     if config.mode == "analytic":
-        records = core.analytic_subfile_table(params, schedule)
-    else:
-        library = core.generate_library(params, lib_seed)
-        caches = core.place_caches(library, params, place_seed)
-        records = core.partition_into_subfiles(library, caches, schedule)
-    return delivery.run_delivery(schedule, records, params)
+        Q = analytics.schedule_Q(schedule, params.delta_b)
+        return analytics.load_of(params, Q), sum(Q)
+    library = core.generate_library(params, lib_seed)
+    caches = core.place_caches(library, params, place_seed)
+    records = core.partition_into_subfiles(library, caches, schedule)
+    report = delivery.run_delivery(schedule, records, params).report
+    return report.normalized_load, report.transmission_count
 
 
-def run_single(config: ExperimentConfig) -> ResultRow:
-    """Full cycle; with trials > 1 the measured load is the worst case."""
-    if config.trials < 1:
-        raise InvalidParams("trials must be >= 1")
+def _checked_params(config: ExperimentConfig) -> core.SystemParams:
+    """Validated system parameters, checked against the delivery engine's
+    K cap and the bit-exact file-size cap before anything is built."""
     if config.mode not in ("analytic", "bitexact"):
         raise InvalidParams(f"unknown mode {config.mode!r}")
-    # validate everything before the first trial builds anything
     params = config.system_params()
     delivery.check_delivery_size(params.K)
     if config.mode == "bitexact" and config.F > BITEXACT_MAX_F:
@@ -129,17 +129,19 @@ def run_single(config: ExperimentConfig) -> ResultRow:
             f"bit-exact mode is limited to F <= {BITEXACT_MAX_F}; "
             "use --mode analytic for larger files"
         )
-    loads = []
-    worst = None
-    for t in range(config.trials):
-        result = _one_trial(config, t)
-        loads.append(result.report.normalized_load)
-        if worst is None or result.report.normalized_load > worst.report.normalized_load:
-            worst = result
+    return params
+
+
+def run_single(config: ExperimentConfig) -> ResultRow:
+    """Full cycle; with trials > 1 the measured load is the worst case."""
+    if config.trials < 1:
+        raise InvalidParams("trials must be >= 1")
+    params = _checked_params(config)
+    trials = [_one_trial(config, t) for t in range(config.trials)]
     row = ResultRow(config)
-    row.measured_load = worst.report.normalized_load
-    row.mean_load = float(np.mean(loads))
-    row.transmission_count = worst.report.transmission_count
+    # max() keeps the first of several equal worst loads
+    row.measured_load, row.transmission_count = max(trials, key=lambda lc: lc[0])
+    row.mean_load = float(np.mean([load for load, _ in trials]))
     lower, upper = analytics.load_bounds(
         config.M, config.N, config.K, config.B, config.delta_b
     )
@@ -401,7 +403,7 @@ def render_tables(config: ExperimentConfig) -> list[str]:
     """Tab-separated transmission table, one line per enumerated candidate."""
     if config.random_schedule:
         raise InvalidParams("tables need a fixed-L schedule (--l)")
-    params = config.system_params()
+    params = _checked_params(config)
     schedule = core.make_fixed_L_schedule(config.K, config.B, config.L)
     if config.mode == "bitexact":
         lib_seed, place_seed, _ = _trial_seeds(config.seed, 0)

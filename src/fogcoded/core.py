@@ -15,11 +15,22 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, TooLarge
 
 FapSet = frozenset[int]
 
 SubfileKey = tuple[int, int]  # (requester, exclusivity bitmask)
+
+MAX_DELIVERY_K = 16
+
+
+def check_delivery_size(K: int) -> None:
+    """Raise TooLarge when K F-APs exceed what the engine can enumerate."""
+    if K > MAX_DELIVERY_K:
+        raise TooLarge(
+            f"delivery enumerates 2^K candidate sets per slot; "
+            f"K must be <= {MAX_DELIVERY_K}, got {K}"
+        )
 
 
 def mask_of(ids: Iterable[int]) -> int:
@@ -305,17 +316,15 @@ class SubfileRecordTable:
     the decoder consumes.  Recovered entries count as empty for every
     later encoding decision.
 
-    mode "bitexact": entries carry concrete bit positions and contents.
-    mode "analytic": every class is represented by its expected length,
-    ``expected_lengths[s-1]`` for type s, so entries are implicit and only
-    recovered flags are stored.
+    ``lengths`` holds every nonempty entry's length in bits.  Bit-exact
+    tables also carry the entries' positions and contents and the locally
+    held classes; analytic tables hold only expected lengths.
     """
 
-    mode: str
     K: int
     F: int
     demand: Mapping[int, int]
-    expected_lengths: tuple[float, ...] | None = None
+    lengths: dict[SubfileKey, float]
     positions: dict[SubfileKey, np.ndarray] | None = None
     contents: dict[SubfileKey, np.ndarray] | None = None
     locally_held: dict[int, np.ndarray] | None = None
@@ -323,35 +332,20 @@ class SubfileRecordTable:
 
     def raw_length(self, key: SubfileKey) -> float:
         """Length in bits of the entry, ignoring the recovered flag."""
-        if self.mode == "analytic":
-            return self.expected_lengths[key[1].bit_count()]
-        pos = self.positions.get(key)
-        return 0 if pos is None else len(pos)
-
-    def live_length(self, key: SubfileKey) -> float:
-        return 0 if key in self.recovered else self.raw_length(key)
+        return self.lengths.get(key, 0)
 
     def is_live(self, key: SubfileKey) -> bool:
         """True while the entry is nonempty and not yet delivered."""
-        if key in self.recovered:
-            return False
-        if self.mode == "analytic":
-            return True
-        return key in self.positions
+        return key in self.lengths and key not in self.recovered
 
     def mark_recovered(self, key: SubfileKey) -> None:
         self.recovered.add(key)
 
     def keys_for(self, k: int) -> Iterator[SubfileKey]:
-        """All nonempty record keys of requester k."""
-        if self.mode == "analytic":
-            for m in masks_excluding(self.K, k):
+        """All nonempty record keys of requester k, by ascending mask."""
+        for m in masks_excluding(self.K, k):
+            if (k, m) in self.lengths:
                 yield (k, m)
-        else:
-            kb = 1 << (k - 1)
-            for key in self.positions:
-                if key[0] == k and not key[1] & kb:
-                    yield key
 
     def table_bits(self, k: int) -> float:
         return sum(self.raw_length(key) for key in self.keys_for(k))
@@ -389,10 +383,10 @@ def partition_into_subfiles(
             positions[key] = pos
             contents[key] = library.file(n)[pos]
     return SubfileRecordTable(
-        mode="bitexact",
         K=K,
         F=F,
         demand=dict(schedule.demand),
+        lengths={key: len(pos) for key, pos in positions.items()},
         positions=positions,
         contents=contents,
         locally_held=locally_held,
@@ -402,13 +396,16 @@ def partition_into_subfiles(
 def analytic_subfile_table(
     params: SystemParams, schedule: RequestSchedule
 ) -> SubfileRecordTable:
-    """Record table whose entries are the expected class lengths."""
+    """Record table of all K*2^(K-1) entries at their expected lengths."""
+    check_delivery_size(params.K)
+    sizes = [expected_subfile_size(params, s) for s in range(1, params.K + 1)]
     return SubfileRecordTable(
-        mode="analytic",
         K=params.K,
         F=params.F,
         demand=dict(schedule.demand),
-        expected_lengths=tuple(
-            expected_subfile_size(params, s) for s in range(1, params.K + 1)
-        ),
+        lengths={
+            (k, m): sizes[m.bit_count()]
+            for k in range(1, params.K + 1)
+            for m in masks_excluding(params.K, k)
+        },
     )

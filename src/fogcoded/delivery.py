@@ -25,13 +25,12 @@ from .core import (
     SubfileKey,
     SubfileRecordTable,
     SystemParams,
+    check_delivery_size,
     iter_ids,
     mask_of,
     set_of,
 )
-from .errors import DeadlineViolation, DecodeFailure, InvalidParams, TooLarge
-
-MAX_DELIVERY_K = 16
+from .errors import DeadlineViolation, DecodeFailure, InvalidParams
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,6 @@ class TransmissionRecord:
     @property
     def transmitted(self) -> bool:
         return bool(self.included)
-
-    @property
-    def encoding_set(self) -> FapSet:
-        return set_of(self.encoding_mask)
 
     @property
     def collapsed_set(self) -> FapSet:
@@ -98,13 +93,6 @@ class DeliveryResult:
     def log(self) -> list[TransmissionRecord]:
         return [e for e in self.events if e.transmitted]
 
-    def recovered_by_fap(self) -> dict[int, list[SubfileKey]]:
-        out: dict[int, list[SubfileKey]] = {k: [] for k in range(1, self.records.K + 1)}
-        for e in self.events:
-            for key in e.included:
-                out[key[0]].append(key)
-        return out
-
 
 def should_transmit(s1_mask: int, s_mask: int, state: DeliveryState) -> bool:
     """True when some deadline F-AP in S1 still needs its subfile for S."""
@@ -131,7 +119,7 @@ def build_coded_content(s_mask: int, state: DeliveryState) -> TransmissionRecord
             lengths.append(records.raw_length(key))
     payload_bits = max(lengths, default=0)
     payload = None
-    if records.mode == "bitexact" and included:
+    if records.contents is not None and included:
         payload = np.zeros(int(payload_bits), dtype=np.uint8)
         for key in included:
             bits = records.contents[key]
@@ -194,15 +182,6 @@ def _assert_deadline_met(state: DeliveryState) -> None:
                 raise DeadlineViolation(
                     f"F-AP {k} still misses subfile {key} after slot {state.slot}"
                 )
-
-
-def check_delivery_size(K: int) -> None:
-    """Raise TooLarge when K F-APs exceed what the engine can enumerate."""
-    if K > MAX_DELIVERY_K:
-        raise TooLarge(
-            f"delivery enumerates 2^K candidate sets per slot; "
-            f"K must be <= {MAX_DELIVERY_K}, got {K}"
-        )
 
 
 def run_delivery(
@@ -273,7 +252,7 @@ def decode_fap(
     their original positions.  Raises DecodeFailure if any class of the
     file is neither cached locally nor recoverable from the log.
     """
-    if records.mode != "bitexact":
+    if records.positions is None:
         raise InvalidParams("decoding needs a bit-exact record table")
     n = records.demand[k]
     wanted = library.file(n)

@@ -8,8 +8,10 @@ one reading.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogcoded import analytics, core
+from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams, OutOfRange, TooLarge
 
@@ -162,6 +164,61 @@ class TestBruteForceQ:
         sched = core.make_fixed_L_schedule(4, 4, 1)
         with pytest.raises(InvalidParams):
             analytics.brute_force_Q(2, schedule=sched)
+
+
+def random_schedules(max_k):
+    """Random surjective schedules with 2 <= B <= K <= max_k."""
+    return st.integers(min_value=2, max_value=max_k).flatmap(
+        lambda k: st.tuples(
+            st.integers(min_value=2, max_value=k),
+            st.integers(min_value=0, max_value=10_000),
+        ).map(lambda bs: core.make_random_schedule(k, *bs))
+    )
+
+
+class TestScheduleQ:
+    @settings(max_examples=100, deadline=None)
+    @given(random_schedules(max_k=9))
+    def test_matches_brute_force_on_random_schedules(self, schedule):
+        K = schedule.K
+        for delta_b in range(1, schedule.B + 1):
+            assert analytics.schedule_Q(schedule, delta_b) == [
+                analytics.brute_force_Q(s, schedule=schedule, delta_b=delta_b)
+                for s in range(1, K + 1)
+            ], (schedule.slots, delta_b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(random_schedules(max_k=7), st.sampled_from([0.25, 0.5, 0.75]))
+    def test_matches_delivery_engine(self, schedule, ratio):
+        # The engine on expected lengths is the reference for analytic loads.
+        K = schedule.K
+        for delta_b in range(1, schedule.B + 1):
+            params = core.SystemParams(
+                K=K, N=K + 3, M=ratio * (K + 3), F=1000, B=schedule.B, delta_b=delta_b
+            )
+            records = core.analytic_subfile_table(params, schedule)
+            report = delivery.run_delivery(schedule, records, params).report
+            Q = analytics.schedule_Q(schedule, delta_b)
+            assert report.transmission_count == sum(Q)
+            assert analytics.load_of(params, Q) == pytest.approx(
+                report.normalized_load, rel=1e-12
+            )
+
+    def test_fixed_l_matches_counting_formula(self):
+        for b, l in ((2, 1), (4, 1), (3, 2), (4, 3), (5, 4), (3, 8)):
+            k = b * l
+            for delta_b in range(1, b + 1):
+                c = cfg(K=k, B=b, L=l, delta_b=delta_b)
+                schedule = core.make_fixed_L_schedule(k, b, l, seed=delta_b)
+                Q = analytics.schedule_Q(schedule, delta_b)
+                assert Q == [analytics.Q_count(s, c) for s in range(1, k + 1)]
+                assert analytics.load_of(c, Q) == analytics.closed_form_load(c)
+
+    def test_delay_range(self):
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        for delta_b in (0, 5):
+            with pytest.raises(InvalidParams):
+                analytics.schedule_Q(schedule, delta_b)
 
 
 class TestClosedFormLoad:

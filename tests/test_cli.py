@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fogcoded import cli, core
+from fogcoded import cli, core, delivery
 from fogcoded.cli import CSV_COLUMNS, ExperimentConfig
 from fogcoded.errors import TooLarge
 
@@ -63,6 +63,19 @@ class TestSimulate:
                 K=17, N=17, M=4.0, F=200_000, B=5, delta_b=2, L=None,
                 mode="bitexact", trials=1, seed=0,
             ))
+
+    def test_analytic_load_is_counted_not_simulated(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("analytic trial ran the delivery engine")
+
+        monkeypatch.setattr(delivery, "run_delivery", fail)
+        monkeypatch.setattr(core, "analytic_subfile_table", fail)
+        for b, l, delta_b in ((4, 2, 2), (5, 3, 3), (6, 2, 1)):
+            row = cli.run_single(ExperimentConfig(
+                K=b * l, N=20, M=5.0, F=10_000, B=b, delta_b=delta_b, L=l,
+                mode="analytic", trials=3, seed=1,
+            ))
+            assert row.measured_load == row.closed_form_load
 
     def test_worst_case_at_least_mean(self):
         row = cli.run_single(ExperimentConfig(
@@ -192,6 +205,14 @@ class TestTables:
 
     def test_random_schedule_rejected(self, capsys):
         assert cli.main(["tables", "--random"]) == 2
+
+    def test_bitexact_file_size_guard(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("library generated before the size check")
+
+        monkeypatch.setattr(core, "generate_library", fail)
+        assert cli.main(["tables", "--mode", "bitexact", "--f", "1000000000"]) == 2
+        assert "analytic" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import fogcoded
 from fogcoded import core
 from fogcoded.analytics import FixedLConfig
-from fogcoded.errors import InvalidParams
+from fogcoded.errors import InvalidParams, TooLarge
 
 
 def params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
@@ -279,6 +279,15 @@ class TestPartitionIntoSubfiles:
                 prob = expect / p.F
                 sigma = math.sqrt(p.F * prob * (1 - prob))
                 assert abs(seen.get(mask, 0) - expect) <= 5 * sigma
+
+    def test_analytic_table_refuses_large_k_before_building(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("entries built before the size check")
+
+        monkeypatch.setattr(core, "masks_excluding", fail)
+        p = params(K=17, N=17, B=17, delta_b=2)
+        with pytest.raises(TooLarge):
+            core.analytic_subfile_table(p, core.make_fixed_L_schedule(17, 17, 1))
 
     def test_analytic_table_lengths(self):
         p = params()

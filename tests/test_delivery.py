@@ -134,10 +134,10 @@ class TestBuildCodedContent:
         positions = {k: np.arange(len(v)) for k, v in contents.items()}
         K = 4
         return core.SubfileRecordTable(
-            mode="bitexact",
             K=K,
             F=16,
             demand={k: k for k in range(1, K + 1)},
+            lengths={k: len(v) for k, v in contents.items()},
             positions=positions,
             contents=contents,
             locally_held={k: np.arange(0) for k in range(1, K + 1)},
