@@ -7,7 +7,8 @@ Subcommands:
   tables     dump the per-slot transmission table of a configuration
 
 Flags may also be supplied through a flat key=value config file
-(--config); explicit flags override file entries.
+(--config): explicit flags override file entries, which override the
+subcommand's defaults.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import argparse
 import csv
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +100,22 @@ def _trial_seeds(seed: int, trial: int) -> tuple[int, int, int]:
     return lib, place, sched
 
 
+def _bitexact_delivery(
+    params: core.SystemParams, schedule: core.RequestSchedule, seed: int, trial: int
+) -> tuple[core.Library, core.CacheLayout, core.SubfileRecordTable, delivery.DeliveryResult]:
+    """The bit-exact pipeline of one seeded trial: library, caches and
+    subfile records from the trial's seed streams, then delivery."""
+    lib_seed, place_seed, _ = _trial_seeds(seed, trial)
+    library = core.generate_library(params, lib_seed)
+    caches = core.place_caches(library, params, place_seed)
+    records = core.partition_into_subfiles(library, caches, schedule)
+    return library, caches, records, delivery.run_delivery(schedule, records, params)
+
+
 def _one_trial(config: ExperimentConfig, trial: int) -> tuple[float, int]:
     """(normalized load, transmission count) of one seeded trial."""
     params = config.system_params()
-    lib_seed, place_seed, sched_seed = _trial_seeds(config.seed, trial)
+    sched_seed = _trial_seeds(config.seed, trial)[2]
     if config.random_schedule:
         schedule = core.make_random_schedule(config.K, config.B, sched_seed)
     else:
@@ -110,10 +123,7 @@ def _one_trial(config: ExperimentConfig, trial: int) -> tuple[float, int]:
     if config.mode == "analytic":
         Q = analytics.schedule_Q(schedule, params.delta_b)
         return analytics.load_of(params, Q), sum(Q)
-    library = core.generate_library(params, lib_seed)
-    caches = core.place_caches(library, params, place_seed)
-    records = core.partition_into_subfiles(library, caches, schedule)
-    report = delivery.run_delivery(schedule, records, params).report
+    report = _bitexact_delivery(params, schedule, config.seed, trial)[-1].report
     return report.normalized_load, report.transmission_count
 
 
@@ -165,16 +175,16 @@ def _sweep_configs(config: ExperimentConfig) -> list[ExperimentConfig]:
     delta_bs = config.delta_b_list or (config.delta_b,)
     cells = []
     for v in config.values:
+        if config.sweep != "m" and not float(v).is_integer():
+            raise InvalidParams(f"--sweep {config.sweep} needs integer values, got {v}")
+        if config.sweep == "deltab":
+            cells.append(replace(config, delta_b=int(v)))
+            continue
         if config.sweep == "l":
             base = replace(config, L=int(v), K=config.B * int(v))
-        elif config.sweep == "m":
+        else:
             base = replace(config, M=float(v))
-        else:
-            base = replace(config, delta_b=int(v))
-        if config.sweep == "deltab":
-            cells.append(base)
-        else:
-            cells.extend(replace(base, delta_b=db) for db in delta_bs)
+        cells.extend(replace(base, delta_b=db) for db in delta_bs)
     return cells
 
 
@@ -217,6 +227,11 @@ class CheckResult:
         return self.ok is False
 
 
+def _verdict(name: str, bad: list, what: str) -> CheckResult:
+    """PASS when nothing is in `bad`, else FAIL naming the first five."""
+    return CheckResult(name, not bad, f"{what}: {bad[:5]}" if bad else "")
+
+
 def _fixed_l_shapes(max_k: int) -> list[tuple[int, int]]:
     shapes = []
     for b in range(2, max_k + 1):
@@ -249,9 +264,8 @@ def check_counting_oracle(
                 )
                 if total != math.comb(k, s):
                     bad.append(("sum_q", s, delta_b))
-        results.append(CheckResult(
-            f"q-count oracle B={b} L={l}", not bad,
-            "" if not bad else f"mismatches at (kind, s, delta_b): {bad[:5]}",
+        results.append(_verdict(
+            f"q-count oracle B={b} L={l}", bad, "mismatches at (kind, s, delta_b)"
         ))
     return results
 
@@ -263,10 +277,7 @@ def check_b_count(max_y: int = 4, max_l: int = 4) -> CheckResult:
             for alpha in range(y, y * l + 1):
                 if analytics.b_count(y, alpha, l) != analytics.brute_force_b(y, alpha, l):
                     bad.append((y, alpha, l))
-    return CheckResult(
-        "b-count oracle", not bad,
-        "" if not bad else f"mismatches at (Y, alpha, L): {bad[:5]}",
-    )
+    return _verdict("b-count oracle", bad, "mismatches at (Y, alpha, L)")
 
 
 def check_sync_equality(max_k: int = 8) -> CheckResult:
@@ -279,10 +290,7 @@ def check_sync_equality(max_k: int = 8) -> CheckResult:
             sync = analytics.mn_sync_load(cfg.M, cfg.N, cfg.K)
             if abs(cf - sync) > 1e-12 * max(abs(sync), 1e-300):
                 bad.append((b, l, ratio))
-    return CheckResult(
-        "synchronous-limit equality", not bad,
-        "" if not bad else f"mismatches at (B, L, M/N): {bad[:5]}",
-    )
+    return _verdict("synchronous-limit equality", bad, "mismatches at (B, L, M/N)")
 
 
 def check_bounds_sandwich(max_k: int = 8) -> CheckResult:
@@ -299,10 +307,7 @@ def check_bounds_sandwich(max_k: int = 8) -> CheckResult:
                 ratio_ok = 1 - slack <= cf / lower <= windows + slack
                 if not (lower * (1 - slack) <= cf <= upper * (1 + slack) and ratio_ok):
                     bad.append((b, l, ratio, delta_b))
-    return CheckResult(
-        "load-bound sandwich", not bad,
-        "" if not bad else f"violations at (B, L, M/N, delta_b): {bad[:5]}",
-    )
+    return _verdict("load-bound sandwich", bad, "violations at (B, L, M/N, delta_b)")
 
 
 def check_delivery_closed_form(seed: int = 0) -> CheckResult:
@@ -319,10 +324,7 @@ def check_delivery_closed_form(seed: int = 0) -> CheckResult:
                 row.closed_form_load, 1e-300
             ):
                 bad.append((b, l, delta_b))
-    return CheckResult(
-        "delivery matches closed form", not bad,
-        "" if not bad else f"mismatches at (B, L, delta_b): {bad[:5]}",
-    )
+    return _verdict("delivery matches closed form", bad, "mismatches at (B, L, delta_b)")
 
 
 def check_decodability(seed: int = 0) -> CheckResult:
@@ -330,13 +332,11 @@ def check_decodability(seed: int = 0) -> CheckResult:
     for k, b in ((4, 2), (5, 3), (6, 4)):
         for delta_b in range(1, b + 1):
             params = core.SystemParams(K=k, N=k, M=k / 2, F=512, B=b, delta_b=delta_b)
-            lib_seed, place_seed, sched_seed = _trial_seeds(seed, delta_b)
-            schedule = core.make_random_schedule(k, b, sched_seed)
-            library = core.generate_library(params, lib_seed)
-            caches = core.place_caches(library, params, place_seed)
-            records = core.partition_into_subfiles(library, caches, schedule)
+            schedule = core.make_random_schedule(k, b, _trial_seeds(seed, delta_b)[2])
             try:
-                result = delivery.run_delivery(schedule, records, params)
+                library, caches, records, result = _bitexact_delivery(
+                    params, schedule, seed, delta_b
+                )
                 for fap in range(1, k + 1):
                     deadline = schedule.deadline_slot(fap, delta_b)
                     decoded = delivery.decode_fap(
@@ -347,10 +347,7 @@ def check_decodability(seed: int = 0) -> CheckResult:
                         bad.append((k, b, delta_b, fap))
             except FogcodedError as exc:
                 bad.append((k, b, delta_b, str(exc)))
-    return CheckResult(
-        "decodability at deadline", not bad,
-        "" if not bad else f"failures: {bad[:5]}",
-    )
+    return _verdict("decodability at deadline", bad, "failures")
 
 
 def check_delay_monotonicity(seed: int = 0) -> CheckResult:
@@ -365,13 +362,13 @@ def check_delay_monotonicity(seed: int = 0) -> CheckResult:
             if prev is not None and load > prev + 1e-9:
                 bad.append((trial, delta_b))
             prev = load
-    return CheckResult(
-        "load non-increasing in delta_b", not bad,
-        "" if not bad else f"violations at (trial, delta_b): {bad[:5]}",
-    )
+    return _verdict("load non-increasing in delta_b", bad, "violations at (trial, delta_b)")
 
 
 def run_verification(max_k: int = 8, seed: int = 0) -> list[CheckResult]:
+    if max_k < 2:
+        # below 2 the oracle checks vanish and the grids are empty
+        raise InvalidParams(f"verify needs max_k >= 2, got {max_k}")
     checks: list[CheckResult] = []
     checks.extend(check_counting_oracle(max_k))
     checks.append(check_b_count())
@@ -406,13 +403,10 @@ def render_tables(config: ExperimentConfig) -> list[str]:
     params = _checked_params(config)
     schedule = core.make_fixed_L_schedule(config.K, config.B, config.L)
     if config.mode == "bitexact":
-        lib_seed, place_seed, _ = _trial_seeds(config.seed, 0)
-        library = core.generate_library(params, lib_seed)
-        caches = core.place_caches(library, params, place_seed)
-        records = core.partition_into_subfiles(library, caches, schedule)
+        result = _bitexact_delivery(params, schedule, config.seed, 0)[-1]
     else:
         records = core.analytic_subfile_table(params, schedule)
-    result = delivery.run_delivery(schedule, records, params)
+        result = delivery.run_delivery(schedule, records, params)
     lines = ["slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits\tcontent"]
     for e in result.events:
         lines.append("\t".join([
@@ -443,49 +437,16 @@ def _read_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fogcoded",
-        description="Coded-caching delivery simulator for delayed requests",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _comma_list(cast):
+    """argparse type for a comma-separated list of `cast` values."""
+    def parse(text: str) -> tuple:
+        items = tuple(cast(x) for x in text.split(",") if x != "")
+        if not items:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return items
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--k", type=int, help="number of F-APs")
-        p.add_argument("--n", type=int, help="number of files")
-        p.add_argument("--m", type=float, help="normalized cache size")
-        p.add_argument("--f", type=int, help="file size in bits")
-        p.add_argument("--b", type=int, help="number of time slots")
-        p.add_argument("--delta-b", help="maximum request delay in slots "
-                       "(comma list allowed in sweeps)")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--l", type=int, help="requesters per slot (fixed-L)")
-        group.add_argument("--random", action="store_true",
-                           help="random request schedule (default)")
-        p.add_argument("--trials", type=int, help="trials per cell")
-        p.add_argument("--seed", type=int, help="root seed")
-        p.add_argument("--mode", choices=["bitexact", "analytic"])
-        p.add_argument("--out", help="output path (- for stdout)")
-
-    p_sim = sub.add_parser("simulate", help="run one configuration")
-    add_common(p_sim)
-
-    p_sweep = sub.add_parser("sweep", help="sweep one axis and emit CSV")
-    add_common(p_sweep)
-    p_sweep.add_argument("--sweep", choices=["l", "m", "deltab"])
-    p_sweep.add_argument("--values", help="comma-separated sweep values")
-
-    p_verify = sub.add_parser("verify", help="run the invariant suite")
-    p_verify.add_argument("--max-k", type=int, default=8)
-    p_verify.add_argument("--seed", type=int, default=0)
-
-    p_tables = sub.add_parser("tables", help="dump per-slot transmission tables")
-    add_common(p_tables)
-    return parser
-
-
-DEFAULTS = ExperimentConfig()
 
 # Bare `fogcoded tables` dumps the canonical four-F-AP demo configuration.
 TABLES_DEFAULTS = ExperimentConfig(
@@ -493,62 +454,106 @@ TABLES_DEFAULTS = ExperimentConfig(
 )
 
 
-def _merge_config(
-    args: argparse.Namespace, defaults: ExperimentConfig = DEFAULTS
-) -> ExperimentConfig:
-    file_entries: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_entries = _read_config_file(args.config)
-
-    def pick(key: str, cast, default):
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            return cast(cli_value)
-        if key in file_entries:
-            return cast(file_entries[key])
-        return default
-
-    if getattr(args, "random", False):
-        l_value = None
-    elif getattr(args, "l", None) is not None:
-        l_value = args.l
-    elif "l" in file_entries:
-        l_value = int(file_entries["l"])
-    elif file_entries.get("random", "").lower() in ("1", "true", "yes"):
-        l_value = None
-    else:
-        l_value = defaults.L
-
-    delta_raw = pick("delta_b", str, str(defaults.delta_b))
-    delta_list = tuple(int(x) for x in str(delta_raw).split(",") if x != "")
-    if not delta_list:
-        raise InvalidParams("--delta-b needs at least one value")
-    values_raw = pick("values", str, "")
-    values = tuple(float(x) for x in values_raw.split(",") if x != "")
-    return ExperimentConfig(
-        K=pick("k", int, defaults.K),
-        N=pick("n", int, defaults.N),
-        M=pick("m", float, defaults.M),
-        F=pick("f", int, defaults.F),
-        B=pick("b", int, defaults.B),
-        delta_b=delta_list[0],
-        delta_b_list=delta_list,
-        L=l_value,
-        mode=pick("mode", str, defaults.mode),
-        trials=pick("trials", int, defaults.trials),
-        seed=pick("seed", int, defaults.seed),
-        sweep=pick("sweep", str, None),
-        values=values,
-        out=pick("out", str, None),
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subcommand parsers by name.  Each flag
+    stores into the ExperimentConfig field of its `dest`."""
+    parser = argparse.ArgumentParser(
+        prog="fogcoded",
+        description="Coded-caching delivery simulator for delayed requests",
     )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p: argparse.ArgumentParser, defaults: ExperimentConfig) -> None:
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--k", dest="K", type=int, help="number of F-APs")
+        p.add_argument("--n", dest="N", type=int, help="number of files")
+        p.add_argument("--m", dest="M", type=float, help="normalized cache size")
+        p.add_argument("--f", dest="F", type=int, help="file size in bits")
+        p.add_argument("--b", dest="B", type=int, help="number of time slots")
+        p.add_argument("--delta-b", dest="delta_b_list", type=_comma_list(int),
+                       metavar="DELTA_B",
+                       help="maximum request delay in slots (comma list allowed in sweeps)")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--l", dest="L", type=int, help="requesters per slot (fixed-L)")
+        group.add_argument("--random", dest="L", action="store_const", const=None,
+                           help="random request schedule (default)")
+        p.add_argument("--trials", type=int, help="trials per cell")
+        p.add_argument("--seed", type=int, help="root seed")
+        p.add_argument("--mode", choices=["bitexact", "analytic"])
+        p.add_argument("--out", help="output path (- for stdout)")
+        p.set_defaults(**{**asdict(defaults), "delta_b_list": (defaults.delta_b,)})
+
+    p_sim = sub.add_parser("simulate", help="run one configuration")
+    add_common(p_sim, ExperimentConfig())
+
+    p_sweep = sub.add_parser("sweep", help="sweep one axis and emit CSV")
+    add_common(p_sweep, ExperimentConfig())
+    p_sweep.add_argument("--sweep", choices=["l", "m", "deltab"])
+    p_sweep.add_argument("--values", type=_comma_list(float),
+                         help="comma-separated sweep values")
+
+    p_verify = sub.add_parser("verify", help="run the invariant suite")
+    p_verify.add_argument("--max-k", type=int, default=8)
+    p_verify.add_argument("--seed", type=int, default=0)
+
+    p_tables = sub.add_parser("tables", help="dump per-slot transmission tables")
+    add_common(p_tables, TABLES_DEFAULTS)
+    return parser, sub.choices
+
+
+def _config_file_defaults(parser: argparse.ArgumentParser, path: str) -> dict:
+    """The entries of a config file as defaults of `parser`, keyed by the
+    flags' dests; argparse converts them with each flag's own type.  A true
+    `random` entry selects a random schedule unless the file also sets `l`."""
+    defaults = {}
+    for key, value in _read_config_file(path).items():
+        action = parser._option_string_actions.get("--" + key.replace("_", "-"))
+        if action is None or action.dest in ("help", "config"):
+            raise InvalidParams(f"config key {key!r} names no flag of {parser.prog}")
+        if key != "random":
+            defaults[action.dest] = value
+        elif value.lower() in ("1", "true", "yes"):
+            defaults.setdefault("L", None)
+        elif value.lower() not in ("0", "false", "no"):
+            raise InvalidParams(f"config key 'random' wants true or false, got {value!r}")
+    return defaults
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """Flags over config-file entries over the subcommand's defaults."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        command = commands[args.command]
+        command.set_defaults(**_config_file_defaults(command, args.config))
+        args = parser.parse_args(argv)
+    return args
+
+
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    """The run configuration of simulate, sweep or tables flags; delta_b is
+    the first --delta-b value."""
+    values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
+    return ExperimentConfig(**{**values, "delta_b": args.delta_b_list[0]})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parse_args(argv)
+        if args.command == "verify":
+            checks = run_verification(max_k=args.max_k, seed=args.seed)
+            failed = 0
+            for check in checks:
+                status = "PASS" if check.ok else ("SKIP" if check.ok is None else "FAIL")
+                failed += check.failed
+                line = f"{status}  {check.name}"
+                if check.detail:
+                    line += f"  ({check.detail})"
+                print(line)
+            print(f"{len(checks) - failed}/{len(checks)} checks passed")
+            return 1 if failed else 0
+        config = _experiment_config(args)
         if args.command == "simulate":
-            config = _merge_config(args)
             row = run_single(config)
             schedule_desc = "random" if config.random_schedule else f"fixed L={config.L}"
             print(
@@ -569,35 +574,18 @@ def main(argv: list[str] | None = None) -> int:
                 write_csv([row], config.out)
             return 0
         if args.command == "sweep":
-            config = _merge_config(args)
-            rows = run_sweep(config)
-            write_csv(rows, config.out)
+            write_csv(run_sweep(config), config.out)
             return 0
-        if args.command == "verify":
-            checks = run_verification(max_k=args.max_k, seed=args.seed)
-            failed = 0
-            for check in checks:
-                status = "PASS" if check.ok else ("SKIP" if check.ok is None else "FAIL")
-                failed += check.failed
-                line = f"{status}  {check.name}"
-                if check.detail:
-                    line += f"  ({check.detail})"
+        lines = render_tables(config)
+        if config.out and config.out != "-":
+            Path(config.out).write_text("\n".join(lines) + "\n")
+        else:
+            for line in lines:
                 print(line)
-            print(f"{len(checks) - failed}/{len(checks)} checks passed")
-            return 1 if failed else 0
-        if args.command == "tables":
-            config = _merge_config(args, TABLES_DEFAULTS)
-            lines = render_tables(config)
-            if config.out and config.out != "-":
-                Path(config.out).write_text("\n".join(lines) + "\n")
-            else:
-                for line in lines:
-                    print(line)
-            return 0
+        return 0
     except FogcodedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import pytest
 
 from fogcoded import cli, core, delivery
 from fogcoded.cli import CSV_COLUMNS, ExperimentConfig
-from fogcoded.errors import TooLarge
+from fogcoded.errors import InvalidParams, TooLarge
 
 
 def read_csv(path):
@@ -157,6 +157,25 @@ class TestSweep:
         assert cli.main(["sweep", "--values", "1,2"]) == 2
         assert cli.main(["sweep", "--sweep", "m"]) == 2
 
+    @pytest.mark.parametrize("axis, values, bad", [
+        ("deltab", (1.7, 2.2), "1.7"), ("l", (1.0, 2.5), "2.5"),
+    ])
+    def test_non_integer_values_rejected_before_any_cell(
+        self, monkeypatch, axis, values, bad
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr(cli, "run_single", fail)
+        config = ExperimentConfig(B=3, sweep=axis, values=values)
+        with pytest.raises(InvalidParams, match=bad):
+            cli.run_sweep(config)
+
+    def test_non_integer_values_exit_2(self, capsys):
+        args = ["sweep", "--sweep", "deltab", "--values", "1.7,2.2"]
+        assert cli.main(args) == 2
+        assert "1.7" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_file_plus_override(self, tmp_path, capsys):
@@ -177,8 +196,8 @@ class TestConfigFile:
     def test_random_toggle(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("random=true\nk=6\nb=3\nn=6\nm=3\ntrials=2\nseed=1\n")
-        merged = cli._merge_config(
-            cli._build_parser().parse_args(["simulate", "--config", str(cfg)])
+        merged = cli._experiment_config(
+            cli._parse_args(["simulate", "--config", str(cfg)])
         )
         assert merged.random_schedule
 
@@ -186,6 +205,52 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k 4\n")
         assert cli.main(["simulate", "--config", str(cfg)]) == 2
+
+    def test_precedence(self, tmp_path):
+        # flags over file entries over the subcommand's defaults
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=6\nb=3\nl=2\ndelta-b=1,3\n")
+        config = cli._experiment_config(cli._parse_args(
+            ["sweep", "--config", str(cfg), "--b", "2", "--random"]
+        ))
+        assert (config.K, config.B, config.L) == (6, 2, None)
+        assert (config.delta_b, config.delta_b_list) == (1, (1, 3))
+        assert (config.N, config.trials) == (20, 50)
+        cfg.write_text("random=true\nk=8\nb=4\n")
+        config = cli._experiment_config(cli._parse_args(
+            ["tables", "--config", str(cfg), "--l", "2"]
+        ))
+        assert (config.K, config.B, config.L, config.N) == (8, 4, 2, 4)
+
+    @pytest.mark.parametrize("line, key", [("delta=3", "'delta'"), ("random=maybe", "'maybe'")])
+    def test_unknown_key_or_random_value_rejected(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, flag", [
+        (["simulate", "--delta-b", "x"], "--delta-b"),
+        (["sweep", "--sweep", "m", "--values", "a,b"], "--values"),
+        (["simulate", "--delta-b", ","], "--delta-b"),
+    ])
+    def test_bad_flag_value_exits_2(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err
+
+    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "'abc'" in err
 
 
 class TestTables:
@@ -222,6 +287,13 @@ class TestVerify:
         assert rc == 0
         assert "FAIL" not in out
         assert "checks passed" in out
+
+    @pytest.mark.parametrize("max_k", [1, 0, -3])
+    def test_max_k_below_two_rejected(self, capsys, max_k):
+        with pytest.raises(InvalidParams, match="max_k"):
+            cli.run_verification(max_k=max_k)
+        assert cli.main(["verify", "--max-k", str(max_k)]) == 2
+        assert "checks passed" not in capsys.readouterr().out
 
     def test_too_large_request_is_skipped_and_reported(self):
         results = cli.check_counting_oracle(shapes=[(25, 1)])
