@@ -127,11 +127,18 @@ def _one_trial(config: ExperimentConfig, trial: int) -> tuple[float, int]:
     return report.normalized_load, report.transmission_count
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's seed sequences take no negative entropy
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
+
+
 def _checked_params(config: ExperimentConfig) -> core.SystemParams:
     """Validated system parameters, checked against the delivery engine's
     K cap and the bit-exact file-size cap before anything is built."""
     if config.mode not in ("analytic", "bitexact"):
         raise InvalidParams(f"unknown mode {config.mode!r}")
+    _check_seed(config.seed)
     params = config.system_params()
     delivery.check_delivery_size(params.K)
     if config.mode == "bitexact" and config.F > BITEXACT_MAX_F:
@@ -369,6 +376,7 @@ def run_verification(max_k: int = 8, seed: int = 0) -> list[CheckResult]:
     if max_k < 2:
         # below 2 the oracle checks vanish and the grids are empty
         raise InvalidParams(f"verify needs max_k >= 2, got {max_k}")
+    _check_seed(seed)
     checks: list[CheckResult] = []
     checks.extend(check_counting_oracle(max_k))
     checks.append(check_b_count())

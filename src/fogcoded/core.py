@@ -41,14 +41,7 @@ def mask_of(ids: Iterable[int]) -> int:
 
 
 def set_of(mask: int) -> FapSet:
-    out = []
-    k = 1
-    while mask:
-        if mask & 1:
-            out.append(k)
-        mask >>= 1
-        k += 1
-    return frozenset(out)
+    return frozenset(iter_ids(mask))
 
 
 def iter_ids(mask: int) -> Iterator[int]:
@@ -334,13 +327,6 @@ class SubfileRecordTable:
         """Length in bits of the entry, ignoring the recovered flag."""
         return self.lengths.get(key, 0)
 
-    def is_live(self, key: SubfileKey) -> bool:
-        """True while the entry is nonempty and not yet delivered."""
-        return key in self.lengths and key not in self.recovered
-
-    def mark_recovered(self, key: SubfileKey) -> None:
-        self.recovered.add(key)
-
     def keys_for(self, k: int) -> Iterator[SubfileKey]:
         """All nonempty record keys of requester k, by ascending mask."""
         for m in masks_excluding(self.K, k):
@@ -360,7 +346,9 @@ def partition_into_subfiles(
     """Split every requested file into exclusivity classes (bit-exact mode).
 
     For requester k the classes over all exclusivity sets, together with
-    the locally held class, partition the F bits of its file.
+    the locally held class, partition the F bits of its file.  One sort of
+    k's uncached positions by exclusivity mask cuts them into the classes,
+    which come in ascending mask order with ascending positions.
     """
     K, F = caches.K, library.F
     weights = 1 << np.arange(K, dtype=np.uint64)
@@ -376,12 +364,18 @@ def partition_into_subfiles(
         own = who[k - 1]
         locally_held[k] = np.flatnonzero(own)
         foreign = np.flatnonzero(~own)
-        foreign_sig = signature[foreign]
-        for sig in np.unique(foreign_sig):
-            pos = foreign[foreign_sig == sig]
-            key = (k, int(sig))
-            positions[key] = pos
-            contents[key] = library.file(n)[pos]
+        # a stable sort keeps each class's positions ascending
+        order = np.argsort(signature[foreign], kind="stable")
+        pos = foreign[order]
+        sig = signature[pos]
+        first = np.ones(len(pos), dtype=bool)
+        first[1:] = sig[1:] != sig[:-1]
+        starts = np.flatnonzero(first)
+        bits = library.file(n)[pos]
+        bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(pos)])
+        for mask, (i, j) in zip(sig[starts].tolist(), bounds):
+            positions[(k, mask)] = pos[i:j]
+            contents[(k, mask)] = bits[i:j]
     return SubfileRecordTable(
         K=K,
         F=F,

@@ -4,16 +4,18 @@ Each slot's emissions enumerate candidate encoding sets S = S1 | S2 where
 S1 is drawn from the F-APs whose deadline expires at the current slot and
 S2 from the rest.  A candidate is transmitted only if some deadline F-AP
 in S1 still misses its subfile for S; the subfiles of other active F-APs
-in S ride along opportunistically and are marked recovered immediately,
-so later candidates in the same run see the updated records.  With
-delta_b = B nothing is sent before the last slot, where all requests are
-served together.
+in S ride along opportunistically and are marked recovered.  Record key
+(k, S minus k) belongs to exactly one encoding set, S itself, so no
+candidate's decision or payload depends on another candidate of the same
+slot: a slot is one array step over all 2^K sets S.  With delta_b = B
+nothing is sent before the last slot, where all requests are served
+together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,8 +28,6 @@ from .core import (
     SubfileRecordTable,
     SystemParams,
     check_delivery_size,
-    iter_ids,
-    mask_of,
     set_of,
 )
 from .errors import DeadlineViolation, DecodeFailure, InvalidParams
@@ -73,17 +73,6 @@ class LoadReport:
 
 
 @dataclass
-class DeliveryState:
-    """Mutable cursor of one delivery run."""
-
-    records: SubfileRecordTable
-    active_mask: int = 0
-    deadline_mask: int = 0
-    slot: int = 0
-    events: list[TransmissionRecord] = field(default_factory=list)
-
-
-@dataclass
 class DeliveryResult:
     events: list[TransmissionRecord]
     report: LoadReport
@@ -94,94 +83,151 @@ class DeliveryResult:
         return [e for e in self.events if e.transmitted]
 
 
-def should_transmit(s1_mask: int, s_mask: int, state: DeliveryState) -> bool:
-    """True when some deadline F-AP in S1 still needs its subfile for S."""
-    records = state.records
-    for k in iter_ids(s1_mask):
-        if records.is_live((k, s_mask & ~(1 << (k - 1)))):
-            return True
-    return False
+def record_arrays(records: SubfileRecordTable) -> tuple[np.ndarray, np.ndarray]:
+    """The live flags and lengths of a record table as (K, 2^K) arrays.
 
-
-def build_coded_content(s_mask: int, state: DeliveryState) -> TransmissionRecord:
-    """XOR the live subfiles of the active members of S, zero-padded.
-
-    The caller marks the included keys recovered after logging the record.
+    Row k-1, column S holds entry (k, S minus k); a column whose set does
+    not contain k, or whose entry is empty, stays False and zero.  The
+    lengths keep the table's number type: bit counts for bit-exact
+    tables, expected sizes for analytic ones.
     """
-    records = state.records
-    collapsed = s_mask & state.active_mask
-    included: list[SubfileKey] = []
-    lengths: list[float] = []
-    for k in iter_ids(collapsed):
-        key = (k, s_mask & ~(1 << (k - 1)))
-        if records.is_live(key):
-            included.append(key)
-            lengths.append(records.raw_length(key))
-    payload_bits = max(lengths, default=0)
-    payload = None
-    if records.contents is not None and included:
-        payload = np.zeros(int(payload_bits), dtype=np.uint8)
-        for key in included:
-            bits = records.contents[key]
-            payload[: len(bits)] ^= bits
-    s1_mask = s_mask & state.deadline_mask
-    return TransmissionRecord(
-        slot=state.slot,
-        s=s_mask.bit_count(),
-        chi=s1_mask.bit_count(),
-        s1_mask=s1_mask,
-        s2_mask=s_mask & ~state.deadline_mask,
-        collapsed_mask=collapsed,
-        included=tuple(included),
-        payload_bits=payload_bits,
-        payload=payload,
+    K = records.K
+    values = np.array(list(records.lengths.values()))
+    live = np.zeros((K, 1 << K), dtype=bool)
+    length = np.zeros((K, 1 << K), dtype=values.dtype)
+    cells = _cells(records.lengths)
+    live[cells] = True
+    length[cells] = values
+    live[_cells(records.recovered)] = False
+    return live, length
+
+
+def _cells(keys) -> tuple[np.ndarray, np.ndarray]:
+    # (row, column) of each record key (k, E): row k-1, column E | {k}
+    pairs = np.array(list(keys), dtype=np.int64).reshape(-1, 2)
+    rows = pairs[:, 0] - 1
+    return rows, pairs[:, 1] | (1 << rows)
+
+
+def _set_ranks(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 2^K sets as masks, their sizes and their bit-reversed masks."""
+    sets = np.arange(1 << K, dtype=np.int64)
+    size = np.zeros_like(sets)
+    rev = np.zeros_like(sets)
+    for i in range(K):
+        bit = (sets >> i) & 1
+        size += bit
+        rev |= bit << (K - 1 - i)
+    return sets, size, rev
+
+
+def _candidates(deadline: int, ranks) -> np.ndarray:
+    """The sets S that meet the deadline set, in the canonical order:
+    s descending, chi ascending, then S1 and S2 lexicographic."""
+    sets, size, rev = ranks
+    cand = sets[(sets & deadline) != 0]
+    s1 = cand & deadline
+    # among sets of one size, lexicographic order of the sorted members is
+    # descending order of the bit-reversed mask
+    return cand[np.lexsort((-rev[cand ^ s1], -rev[s1], size[s1], -size[cand]))]
+
+
+def _members(mask: int, K: int) -> np.ndarray:
+    return ((mask >> np.arange(K)) & 1).astype(bool)
+
+
+def should_transmit(live: np.ndarray, deadline: np.ndarray) -> np.ndarray:
+    """Per candidate set, True when some deadline F-AP still needs its
+    subfile for that set.
+
+    `live[k-1, j]` says whether F-AP k still misses its subfile for the
+    j-th candidate set; `deadline` flags the slot's deadline F-APs.
+    """
+    return live[deadline].any(axis=0)
+
+
+def build_coded_content(
+    sets: np.ndarray,
+    included: np.ndarray,
+    length: np.ndarray,
+    contents: dict[SubfileKey, np.ndarray] | None,
+) -> tuple[list[tuple[SubfileKey, ...]], list, list]:
+    """Included keys, payload length and payload of each transmitted set.
+
+    `included[k-1, j]` puts F-AP k's subfile for `sets[j]`, of
+    `length[k-1, j]` bits, into that set's transmission.  A payload is as
+    long as its longest operand and XORs the operands zero-padded to that
+    length; it is None for analytic tables (`contents` None).
+    """
+    cols, rows = np.nonzero(included.T)  # by set, then by ascending F-AP
+    keys = list(zip((rows + 1).tolist(), (sets[cols] & ~(1 << rows)).tolist()))
+    cuts = np.cumsum(included.sum(axis=0)).tolist()
+    grouped = [tuple(keys[i:j]) for i, j in zip([0, *cuts], cuts)]
+    bits = np.where(included, length, 0).max(axis=0)
+    if contents is None or not keys:
+        return grouped, bits.tolist(), [None] * len(grouped)
+    widths = bits.astype(np.int64)
+    starts = np.cumsum(widths) - widths  # each payload's offset in one buffer
+    sizes = length[rows, cols].astype(np.int64)
+    operands = np.concatenate([contents[key] for key in keys])
+    # bit i of an operand lands at offset + i of its set's payload
+    index = np.repeat(starts[cols] - (np.cumsum(sizes) - sizes), sizes)
+    index += np.arange(operands.size)
+    buffer = np.zeros(int(widths.sum()), dtype=np.uint8)
+    np.bitwise_xor.at(buffer, index, operands)
+    ends = np.cumsum(widths).tolist()
+    return grouped, bits.tolist(), [buffer[i:j] for i, j in zip(starts.tolist(), ends)]
+
+
+def _assert_deadline_met(live: np.ndarray, deadline: np.ndarray, slot: int) -> None:
+    rows = np.flatnonzero(deadline)
+    missed = live[rows]
+    if missed.any():
+        i, S = np.argwhere(missed)[0].tolist()
+        k = int(rows[i]) + 1
+        key = (k, S & ~(1 << (k - 1)))
+        raise DeadlineViolation(f"F-AP {k} still misses subfile {key} after slot {slot}")
+
+
+def _emit_slot(
+    slot: int,
+    deadline: int,
+    active: int,
+    live: np.ndarray,
+    length: np.ndarray,
+    records: SubfileRecordTable,
+    ranks,
+) -> list[TransmissionRecord]:
+    """Decide, send and log every candidate of one slot, in canonical order.
+
+    Clears the live flags (and sets the table's recovered keys) of every
+    subfile sent, then checks that no deadline F-AP misses anything.
+    """
+    K = live.shape[0]
+    due = _members(deadline, K)
+    sets = _candidates(deadline, ranks)
+    cand_live = live[:, sets]
+    included = cand_live & should_transmit(cand_live, due) & _members(active, K)[:, None]
+    live[:, sets] = cand_live & ~included
+    sent = included.any(axis=0)
+    keys, bits, payloads = build_coded_content(
+        sets[sent], included[:, sent], length[:, sets[sent]], records.contents
     )
-
-
-def _emit_slot(state: DeliveryState, K: int) -> None:
-    """Enumerate all (S1, S2) pairs for the current deadline set.
-
-    Order is fixed for reproducible logs: s descending, chi ascending,
-    then S1 and S2 lexicographic.
-    """
-    deadline_ids = sorted(iter_ids(state.deadline_mask))
-    other_ids = sorted(iter_ids(((1 << K) - 1) & ~state.deadline_mask))
-    u = len(deadline_ids)
-    for s in range(K, 0, -1):
-        lo = max(1, s + u - K)
-        hi = min(s, u)
-        for chi in range(lo, hi + 1):
-            for s1 in combinations(deadline_ids, chi):
-                m1 = mask_of(s1)
-                for s2 in combinations(other_ids, s - chi):
-                    m2 = mask_of(s2)
-                    s_mask = m1 | m2
-                    if should_transmit(m1, s_mask, state):
-                        rec = build_coded_content(s_mask, state)
-                        for key in rec.included:
-                            state.records.mark_recovered(key)
-                    else:
-                        rec = TransmissionRecord(
-                            slot=state.slot,
-                            s=s,
-                            chi=chi,
-                            s1_mask=m1,
-                            s2_mask=m2,
-                            collapsed_mask=s_mask & state.active_mask,
-                            included=(),
-                            payload_bits=0,
-                        )
-                    state.events.append(rec)
-
-
-def _assert_deadline_met(state: DeliveryState) -> None:
-    records = state.records
-    for k in iter_ids(state.deadline_mask):
-        for key in records.keys_for(k):
-            if records.is_live(key):
-                raise DeadlineViolation(
-                    f"F-AP {k} still misses subfile {key} after slot {state.slot}"
-                )
+    records.recovered.update(chain.from_iterable(keys))
+    _, size, _ = ranks
+    s1 = sets & deadline
+    built = zip(keys, bits, payloads)
+    events = []
+    for s, chi, m1, m2, collapsed, is_sent in zip(
+        size[sets].tolist(), size[s1].tolist(), s1.tolist(), (sets ^ s1).tolist(),
+        (sets & active).tolist(), sent.tolist(),
+    ):
+        included_keys, payload_bits, payload = next(built) if is_sent else ((), 0, None)
+        events.append(TransmissionRecord(
+            slot, s, chi, m1, m2, collapsed, included_keys, payload_bits, payload
+        ))
+    _assert_deadline_met(live, due, slot)
+    return events
 
 
 def run_delivery(
@@ -199,22 +245,22 @@ def run_delivery(
         raise InvalidParams("record table does not match system parameters")
     check_delivery_size(params.K)
     B, delta_b = params.B, params.delta_b
-    state = DeliveryState(records=records)
+    live, length = record_arrays(records)
+    ranks = _set_ranks(params.K)
+    events: list[TransmissionRecord] = []
+    active = 0
     for b in range(1, B + 1):
-        state.slot = b
-        state.active_mask |= schedule.slot_mask(b)
+        active |= schedule.slot_mask(b)
         if delta_b < B and delta_b <= b < B:
-            state.deadline_mask = schedule.slot_mask(b - delta_b + 1)
-            _emit_slot(state, params.K)
-            _assert_deadline_met(state)
-            state.active_mask &= ~state.deadline_mask
+            deadline = schedule.slot_mask(b - delta_b + 1)
         elif b == B:
-            state.deadline_mask = state.active_mask
-            _emit_slot(state, params.K)
-            _assert_deadline_met(state)
-            state.active_mask = 0
-    report = measured_load(state.events, params.F)
-    return DeliveryResult(events=state.events, report=report, records=records)
+            deadline = active
+        else:
+            continue
+        events.extend(_emit_slot(b, deadline, active, live, length, records, ranks))
+        active &= ~deadline
+    report = measured_load(events, params.F)
+    return DeliveryResult(events=events, report=report, records=records)
 
 
 def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:

@@ -4,6 +4,7 @@ import csv
 import io
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -63,6 +64,16 @@ class TestSimulate:
                 K=17, N=17, M=4.0, F=200_000, B=5, delta_b=2, L=None,
                 mode="bitexact", trials=1, seed=0,
             ))
+
+    def test_negative_seed_rejected_before_any_trial(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a schedule was drawn before the seed check")
+
+        monkeypatch.setattr(core, "make_random_schedule", fail)
+        with pytest.raises(InvalidParams, match="seed"):
+            cli.run_single(ExperimentConfig(seed=-1))
+        assert cli.main(["simulate", "--seed", "-1"]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
 
     def test_analytic_load_is_counted_not_simulated(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -280,6 +291,17 @@ class TestTables:
         assert "analytic" in capsys.readouterr().err
 
 
+    def test_negative_seed_rejected_before_library(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("library generated before the seed check")
+
+        monkeypatch.setattr(core, "generate_library", fail)
+        with pytest.raises(InvalidParams, match="seed"):
+            cli.render_tables(replace(cli.TABLES_DEFAULTS, mode="bitexact", seed=-1))
+        assert cli.main(["tables", "--mode", "bitexact", "--seed", "-1"]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         rc = cli.main(["verify", "--max-k", "6"])
@@ -295,6 +317,16 @@ class TestVerify:
         assert cli.main(["verify", "--max-k", str(max_k)]) == 2
         assert "checks passed" not in capsys.readouterr().out
 
+    def test_negative_seed_rejected_before_any_check(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before the seed check")
+
+        monkeypatch.setattr(cli, "check_counting_oracle", fail)
+        with pytest.raises(InvalidParams, match="seed"):
+            cli.run_verification(seed=-1)
+        assert cli.main(["verify", "--seed", "-1"]) == 2
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
     def test_too_large_request_is_skipped_and_reported(self):
         results = cli.check_counting_oracle(shapes=[(25, 1)])
         assert len(results) == 1
@@ -306,7 +338,7 @@ class TestVerify:
 
         original = delivery.should_transmit
         monkeypatch.setattr(
-            delivery, "should_transmit", lambda *a: not original(*a)
+            delivery, "should_transmit", lambda *a: ~original(*a)
         )
         result = cli.check_decodability(seed=0)
         assert result.ok is False

@@ -99,31 +99,53 @@ class TestGoldenTables:
         assert ride_along.transmitted
 
 
+def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
+    # The transmission of encoding set S: the live subfiles of its active
+    # members, put together by build_coded_content.
+    live, length = delivery.record_arrays(records)
+    sets = np.array([s_mask])
+    active = np.array([(active_mask >> i) & 1 for i in range(records.K)], dtype=bool)
+    keys, bits, payloads = delivery.build_coded_content(
+        sets, live[:, sets] & active[:, None], length[:, sets], records.contents
+    )
+    s1_mask = s_mask & deadline_mask
+    return delivery.TransmissionRecord(
+        slot=slot,
+        s=s_mask.bit_count(),
+        chi=s1_mask.bit_count(),
+        s1_mask=s1_mask,
+        s2_mask=s_mask & ~deadline_mask,
+        collapsed_mask=s_mask & active_mask,
+        included=keys[0],
+        payload_bits=bits[0],
+        payload=payloads[0],
+    )
+
+
 class TestShouldTransmit:
     def test_demo_predicates(self):
         params = demo_params()
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         records = core.analytic_subfile_table(params, schedule)
-        state = delivery.DeliveryState(records=records)
-        state.active_mask = mask_of({2, 3})
-        state.deadline_mask = mask_of({2})
-        state.slot = 3
         # F-AP 2's piece for the full set was already delivered at slot 2.
-        records.mark_recovered(key(2, {1, 3, 4}))
-        assert not delivery.should_transmit(
-            mask_of({2}), mask_of({1, 2, 3, 4}), state
-        )
-        assert delivery.should_transmit(mask_of({2}), mask_of({2, 3}), state)
+        records.recovered.add(key(2, {1, 3, 4}))
+        live, _ = delivery.record_arrays(records)
+        sets = [mask_of({1, 2, 3, 4}), mask_of({2, 3})]
+        deadline = np.array([False, True, False, False])
+        assert delivery.should_transmit(live[:, sets], deadline).tolist() == [
+            False, True
+        ]
 
     def test_all_recovered_is_false(self):
         params = demo_params()
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         records = core.analytic_subfile_table(params, schedule)
-        state = delivery.DeliveryState(records=records)
-        state.active_mask = mask_of({1})
-        state.deadline_mask = mask_of({1})
-        records.mark_recovered(key(1, {2}))
-        assert not delivery.should_transmit(mask_of({1}), mask_of({1, 2}), state)
+        records.recovered.add(key(1, {2}))
+        live, _ = delivery.record_arrays(records)
+        deadline = np.array([True, False, False, False])
+        assert not delivery.should_transmit(
+            live[:, [mask_of({1, 2})]], deadline
+        ).any()
 
 
 class TestBuildCodedContent:
@@ -145,11 +167,7 @@ class TestBuildCodedContent:
 
     def test_single_operand_verbatim(self):
         records = self.synthetic_records({key(1, {2}): [1, 0, 1]})
-        state = delivery.DeliveryState(records=records)
-        state.active_mask = mask_of({1})
-        state.deadline_mask = mask_of({1})
-        state.slot = 1
-        rec = delivery.build_coded_content(mask_of({1, 2}), state)
+        rec = coded_record(records, mask_of({1, 2}), mask_of({1}), mask_of({1}))
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [1, 0, 1]
 
@@ -157,11 +175,7 @@ class TestBuildCodedContent:
         records = self.synthetic_records(
             {key(1, {2}): [1, 0, 1], key(2, {1}): [1, 1, 0]}
         )
-        state = delivery.DeliveryState(records=records)
-        state.active_mask = mask_of({1, 2})
-        state.deadline_mask = mask_of({1})
-        state.slot = 1
-        rec = delivery.build_coded_content(mask_of({1, 2}), state)
+        rec = coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [0, 1, 1]
 
@@ -169,11 +183,7 @@ class TestBuildCodedContent:
         records = self.synthetic_records(
             {key(1, {2}): [1, 1, 1], key(2, {1}): [1, 0, 1, 0, 1]}
         )
-        state = delivery.DeliveryState(records=records)
-        state.active_mask = mask_of({1, 2})
-        state.deadline_mask = mask_of({1})
-        state.slot = 1
-        rec = delivery.build_coded_content(mask_of({1, 2}), state)
+        rec = coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
         assert rec.payload_bits == 5
         # short operand acts as if extended with zeros
         assert rec.payload.tolist() == [0, 1, 0, 0, 1]
@@ -347,11 +357,7 @@ class TestBitExactDelivery:
         caches = core.place_caches(library, p, seed=4)
         records = core.partition_into_subfiles(library, caches, sched)
         k = (1, 0)
-        state = delivery.DeliveryState(records=records)
-        state.active_mask = mask_of({1})
-        state.deadline_mask = mask_of({1})
-        state.slot = 1
-        rec = delivery.build_coded_content(mask_of({1}), state)
+        rec = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
         assert rec.included == (k,)
         decoded = delivery.decode_fap(1, [rec], library, caches, records)
         assert np.array_equal(decoded, library.file(1))
@@ -381,7 +387,7 @@ class TestBitExactDelivery:
         records = core.partition_into_subfiles(library, caches, schedule)
         original = delivery.should_transmit
         monkeypatch.setattr(
-            delivery, "should_transmit", lambda *a: not original(*a)
+            delivery, "should_transmit", lambda *a: ~original(*a)
         )
         with pytest.raises((DeadlineViolation, DecodeFailure)):
             result = delivery.run_delivery(schedule, records, params)
