@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .core import RequestSchedule, SystemParams, make_fixed_L_schedule
+import numpy as np
+
+from .core import RequestSchedule, SystemParams
 from .errors import InvalidParams, OutOfRange, TooLarge
 from .partition import eta as partition_eta
 
@@ -135,53 +137,33 @@ def brute_force_b(Y: int, alpha: int, L: int) -> int:
     )
 
 
-def brute_force_eta_histogram(
-    schedule: RequestSchedule, delta_b: int
-) -> dict[tuple[int, int], int]:
-    """Exhaustive (s, eta) -> count over all 2^K - 1 encoding sets."""
-    K = schedule.K
-    if K > BRUTE_FORCE_MAX_K:
-        raise TooLarge(f"refusing 2^{K} enumeration; K must be <= {BRUTE_FORCE_MAX_K}")
-    hist: dict[tuple[int, int], int] = {}
-    ids = range(1, K + 1)
-    for s in range(1, K + 1):
-        for members in combinations(ids, s):
-            e = partition_eta(members, schedule, delta_b)
-            hist[(s, e)] = hist.get((s, e), 0) + 1
-    return hist
+def brute_force_eta_histogram(schedule: RequestSchedule, delta_b: int) -> np.ndarray:
+    """Exhaustive counts[s, Y]: how many of the 2^K - 1 encoding sets have
+    s members and split into Y subsets.
 
-
-def brute_force_q(s: int, Y: int, config: FixedLConfig) -> int:
-    schedule = make_fixed_L_schedule(config.K, config.B, config.L)
-    hist = brute_force_eta_histogram(schedule, config.delta_b)
-    return hist.get((s, Y), 0)
-
-
-def brute_force_Q(
-    s: int,
-    config: FixedLConfig | None = None,
-    schedule: RequestSchedule | None = None,
-    delta_b: int | None = None,
-) -> int:
-    """Oracle for Q_count: enumerate every type-s set and sum its eta.
-
-    Accepts either a fixed-L config (a canonical schedule is built) or an
-    explicit schedule plus delta_b.
+    Adding F-AP k to every set built so far doubles the arrays of set sizes
+    and occupied-slot masks, so index i holds the set whose bitmask is i.
     """
-    if schedule is None:
-        if config is None:
-            raise InvalidParams("need a config or an explicit schedule")
-        schedule = make_fixed_L_schedule(config.K, config.B, config.L)
-        delta_b = config.delta_b
-    elif delta_b is None:
-        raise InvalidParams("an explicit schedule needs delta_b")
     K = schedule.K
     if K > BRUTE_FORCE_MAX_K:
         raise TooLarge(f"refusing 2^{K} enumeration; K must be <= {BRUTE_FORCE_MAX_K}")
-    total = 0
-    for members in combinations(range(1, K + 1), s):
-        total += partition_eta(members, schedule, delta_b)
-    return total
+    sizes = np.zeros(1, dtype=np.int64)
+    slot_masks = np.zeros(1, dtype=np.int64)
+    for k in range(1, K + 1):
+        sizes = np.concatenate([sizes, sizes + 1])
+        slot_masks = np.concatenate(
+            [slot_masks, slot_masks | (1 << (schedule.slot_of(k) - 1))]
+        )
+    etas = partition_eta(slot_masks[1:], schedule.B, delta_b)
+    flat = np.bincount(sizes[1:] * (K + 1) + etas, minlength=(K + 1) ** 2)
+    return flat.reshape(K + 1, K + 1)
+
+
+def brute_force_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:
+    """Oracle for Q_count and schedule_Q: Q(s) for s = 1..K, the eta of
+    every type-s encoding set summed by exhaustive enumeration."""
+    counts = brute_force_eta_histogram(schedule, delta_b)
+    return [int(q) for q in (counts @ np.arange(schedule.K + 1))[1:]]
 
 
 def schedule_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:

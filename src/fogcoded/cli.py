@@ -250,7 +250,8 @@ def _fixed_l_shapes(max_k: int) -> list[tuple[int, int]]:
 def check_counting_oracle(
     max_k: int = 8, shapes: list[tuple[int, int]] | None = None
 ) -> list[CheckResult]:
-    """Q_count vs exhaustive enumeration, plus sum_Y q = C(K, s)."""
+    """Q_count and every q_count against exhaustive enumeration, plus
+    sum_Y q = C(K, s)."""
     results = []
     for b, l in shapes if shapes is not None else _fixed_l_shapes(max_k):
         k = b * l
@@ -260,21 +261,39 @@ def check_counting_oracle(
                 f"skipped: K={k} exceeds brute-force limit (TooLarge)",
             ))
             continue
+        schedule = core.make_fixed_L_schedule(k, b, l)
         bad = []
         for delta_b in range(1, b + 1):
             cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
+            Q = analytics.brute_force_Q(schedule, delta_b)
+            counts = analytics.brute_force_eta_histogram(schedule, delta_b)
             for s in range(1, k + 1):
-                if analytics.Q_count(s, cfg) != analytics.brute_force_Q(s, cfg):
+                if analytics.Q_count(s, cfg) != Q[s - 1]:
                     bad.append(("Q", s, delta_b))
-                total = sum(
-                    analytics.q_count(s, y, cfg) for y in analytics.y_range(s, cfg)
-                )
-                if total != math.comb(k, s):
+                q = {y: analytics.q_count(s, y, cfg) for y in analytics.y_range(s, cfg)}
+                if any(q[y] != counts[s, y] for y in q):
+                    bad.append(("q", s, delta_b))
+                if sum(q.values()) != math.comb(k, s):
                     bad.append(("sum_q", s, delta_b))
         results.append(_verdict(
             f"q-count oracle B={b} L={l}", bad, "mismatches at (kind, s, delta_b)"
         ))
     return results
+
+
+def check_schedule_Q(max_k: int = 8, seed: int = 0) -> CheckResult:
+    """schedule_Q, which gives every analytic random-schedule load, against
+    exhaustive enumeration on seeded random schedules."""
+    bad = []
+    for k in range(2, min(max_k, 10) + 1):
+        for b in range(2, k + 1):
+            schedule = core.make_random_schedule(k, b, seed)
+            for delta_b in range(1, b + 1):
+                if analytics.schedule_Q(schedule, delta_b) != analytics.brute_force_Q(
+                    schedule, delta_b
+                ):
+                    bad.append((k, b, delta_b))
+    return _verdict("schedule-Q oracle", bad, "mismatches at (K, B, delta_b)")
 
 
 def check_b_count(max_y: int = 4, max_l: int = 4) -> CheckResult:
@@ -379,6 +398,7 @@ def run_verification(max_k: int = 8, seed: int = 0) -> list[CheckResult]:
     _check_seed(seed)
     checks: list[CheckResult] = []
     checks.extend(check_counting_oracle(max_k))
+    checks.append(check_schedule_Q(max_k, seed))
     checks.append(check_b_count())
     checks.append(check_sync_equality(min(max_k, 8)))
     checks.append(check_bounds_sandwich(min(max_k, 8)))

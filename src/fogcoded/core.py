@@ -239,9 +239,6 @@ class RequestSchedule:
     def deadline_slot(self, k: int, delta_b: int) -> int:
         return min(self.slot_of(k) + delta_b - 1, self.B)
 
-    def has_distinct_demands(self) -> bool:
-        return len(set(self.demand.values())) == self.K
-
 
 def _worst_case_demand(K: int) -> dict[int, int]:
     # All-distinct demands maximize the load; file ids simply mirror F-AP ids.

@@ -1,90 +1,32 @@
-"""Encoding set collapsing and partition into deadline-feasible subsets.
+"""Number of deadline-feasible subsets an encoding set splits into.
 
-An encoding set is a nonempty set of F-APs that one coded multicast could
-serve simultaneously if all their requests were known.  With delayed
-arrivals, a transmission can only target the members whose requests have
-already arrived (collapsing), and a set whose members request too far
-apart must be split into several subsets, each servable within one
-delta_b-slot window.
+The encoding set partition method cuts an encoding set S into greedy
+delta_b-slot windows, in request order: each window starts at the first
+slot of S not yet covered.  The count eta(S) therefore depends only on
+which slots S occupies, given as a mask with bit b-1 set for slot b.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+import numpy as np
 
-from .core import FapSet, RequestSchedule
 from .errors import InvalidParams
 
 
-@dataclass(frozen=True)
-class ActiveWindow:
-    """Slot interval (beta, gamma] spanned by an encoding set's requests."""
+def eta(slot_masks, B: int, delta_b: int) -> np.ndarray:
+    """Greedy delta_b-slot window count of each occupied-slot mask.
 
-    beta: int
-    gamma: int
-
-    @property
-    def active_slot_count(self) -> int:
-        return self.gamma - self.beta
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """Chronological split of an encoding set into delay-feasible subsets."""
-
-    subsets: tuple[FapSet, ...]
-
-    @property
-    def eta(self) -> int:
-        return len(self.subsets)
-
-
-def collapse(members: Iterable[int], arrived: Iterable[int]) -> FapSet:
-    """Target set of a coded transmission when only `arrived` are known."""
-    return frozenset(members) & frozenset(arrived)
-
-
-def active_window(members: Iterable[int], schedule: RequestSchedule) -> ActiveWindow:
-    """Tightest slot interval (beta, gamma] containing all member requests."""
-    s = frozenset(members)
-    if not s:
-        raise InvalidParams("encoding set must be nonempty")
-    request_slots = [schedule.slot_of(k) for k in s]
-    return ActiveWindow(beta=min(request_slots) - 1, gamma=max(request_slots))
-
-
-def partition_encoding_set(
-    members: Iterable[int], schedule: RequestSchedule, delta_b: int
-) -> PartitionResult:
-    """Greedy chronological partition into subsets each spanning <= delta_b slots.
-
-    Starting from the first request slot, a full delta_b-slot window is cut
-    whenever at least delta_b slots remain before gamma; otherwise the rest
-    of the set forms the final subset.  gamma is fixed up front and never
-    recomputed as subsets are removed.
+    One scan over the B slots: r is the number of slots, from the current
+    one on, that the open window still covers; an occupied slot with no
+    open window opens one.
     """
-    s = frozenset(members)
-    if not (1 <= delta_b <= schedule.B):
+    if not (1 <= delta_b <= B):
         raise InvalidParams(f"delta_b must be in [1, B], got {delta_b}")
-    window = active_window(s, schedule)
-    beta, gamma = window.beta, window.gamma
-    remaining = set(s)
-    subsets: list[FapSet] = []
-    while remaining:
-        while not (schedule.requesters(beta + 1) & remaining):
-            beta += 1
-        if gamma - beta >= delta_b:
-            span = range(beta + 1, beta + delta_b + 1)
-            beta += delta_b
-        else:
-            span = range(beta + 1, gamma + 1)
-        part = frozenset().union(*(schedule.requesters(b) & remaining for b in span))
-        subsets.append(part)
-        remaining -= part
-    return PartitionResult(tuple(subsets))
-
-
-def eta(members: Iterable[int], schedule: RequestSchedule, delta_b: int) -> int:
-    """Number of deadline-feasible subsets the encoding set splits into."""
-    return partition_encoding_set(members, schedule, delta_b).eta
+    masks = np.asarray(slot_masks, dtype=np.int64)
+    r = np.zeros(masks.shape, dtype=np.int64)
+    count = np.zeros(masks.shape, dtype=np.int64)
+    for b in range(B):
+        opens = ((masks >> b) & 1).astype(bool) & (r == 0)
+        count += opens
+        r = np.where(opens, delta_b - 1, np.maximum(r - 1, 0))
+    return count

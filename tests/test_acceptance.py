@@ -111,9 +111,7 @@ def test_demo_load_ladder():
         cfg = FixedLConfig(K=4, N=4, M=2.0, F=16, B=4, L=1, delta_b=delta_b)
         assert analytics.closed_form_load(cfg) == pytest.approx(want, rel=1e-9)
         # independent oracle: exhaustive partition enumeration
-        oracle = sum(
-            analytics.brute_force_Q(s, cfg) for s in range(1, 5)
-        ) / 16
+        oracle = sum(analytics.brute_force_Q(schedule, delta_b)) / 16
         assert oracle == pytest.approx(want, rel=1e-9)
         # and the delivery engine itself
         params = core.SystemParams(K=4, N=4, M=2.0, F=16, B=4, delta_b=delta_b)
@@ -130,17 +128,15 @@ def test_oracle_equivalence_grid():
         schedule = core.make_fixed_L_schedule(k, b, l)
         for delta_b in range(1, b + 1):
             cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
-            hist = analytics.brute_force_eta_histogram(schedule, delta_b)
+            counts = analytics.brute_force_eta_histogram(schedule, delta_b)
             for s in range(1, k + 1):
-                brute_total = sum(
-                    count * y for (hs, y), count in hist.items() if hs == s
-                )
+                brute_total = sum(counts[s, y] * y for y in range(k + 1))
                 assert analytics.Q_count(s, cfg) == brute_total, (b, l, delta_b, s)
                 assert sum(
                     analytics.q_count(s, y, cfg) for y in analytics.y_range(s, cfg)
                 ) == math.comb(k, s), (b, l, delta_b, s)
                 for y in analytics.y_range(s, cfg):
-                    assert analytics.q_count(s, y, cfg) == hist.get((s, y), 0), (
+                    assert analytics.q_count(s, y, cfg) == counts[s, y], (
                         b, l, delta_b, s, y,
                     )
     elapsed = time.perf_counter() - started

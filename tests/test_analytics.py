@@ -62,7 +62,8 @@ class TestQPieces:
         assert analytics.q1_count(s=2, Y=2, delta_b_prime=1, delta_b=2, L=1, B=4) == 2
         assert analytics.q2_count(s=2, Y=2, delta_b=2, L=1, B=4) == 1
         assert analytics.q_count(2, 2, cfg(delta_b=2)) == 3
-        assert analytics.brute_force_q(2, 2, cfg(delta_b=2)) == 3
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        assert analytics.brute_force_eta_histogram(schedule, 2)[2, 2] == 3
 
     def test_q1_q2_sum_matches_q(self):
         for delta_b in (2, 3):
@@ -112,11 +113,13 @@ class TestQCount:
             k = b * l
             for delta_b in range(1, b + 1):
                 c = cfg(K=k, B=b, L=l, delta_b=delta_b)
+                schedule = core.make_fixed_L_schedule(k, b, l)
+                counts = analytics.brute_force_eta_histogram(schedule, delta_b)
                 for s in range(1, k + 1):
                     for y in analytics.y_range(s, c):
-                        assert analytics.q_count(s, y, c) == analytics.brute_force_q(
-                            s, y, c
-                        ), (b, l, delta_b, s, y)
+                        assert analytics.q_count(s, y, c) == counts[s, y], (
+                            b, l, delta_b, s, y,
+                        )
 
 
 class TestQTotal:
@@ -141,29 +144,32 @@ class TestBruteForceQ:
             k = b * l
             for delta_b in range(1, b + 1):
                 c = cfg(K=k, B=b, L=l, delta_b=delta_b)
-                for s in range(1, k + 1):
-                    assert analytics.Q_count(s, c) == analytics.brute_force_Q(s, c)
+                schedule = core.make_fixed_L_schedule(k, b, l)
+                assert analytics.brute_force_Q(schedule, delta_b) == [
+                    analytics.Q_count(s, c) for s in range(1, k + 1)
+                ]
 
     def test_single_set_full_delay(self):
-        assert analytics.brute_force_Q(4, cfg(delta_b=4)) == 1
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        assert analytics.brute_force_Q(schedule, 4)[4 - 1] == 1
 
     def test_schedule_relabeling_invariance(self):
         # The totals do not depend on which F-APs land in which slot.
-        c = cfg(K=6, B=3, L=2, delta_b=2)
+        canonical = core.make_fixed_L_schedule(6, 3, 2)
         shuffled = core.make_fixed_L_schedule(6, 3, 2, seed=11)
-        for s in range(1, 7):
-            assert analytics.brute_force_Q(s, c) == analytics.brute_force_Q(
-                s, schedule=shuffled, delta_b=2
-            )
+        assert analytics.brute_force_Q(canonical, 2) == analytics.brute_force_Q(
+            shuffled, 2
+        )
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            analytics.brute_force_Q(2, cfg(K=25, B=25, L=1, delta_b=2, F=1))
+            analytics.brute_force_Q(core.make_fixed_L_schedule(25, 25, 1), 2)
 
-    def test_explicit_schedule_needs_delay(self):
-        sched = core.make_fixed_L_schedule(4, 4, 1)
-        with pytest.raises(InvalidParams):
-            analytics.brute_force_Q(2, schedule=sched)
+    def test_delay_range(self):
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        for delta_b in (0, 5):
+            with pytest.raises(InvalidParams):
+                analytics.brute_force_Q(schedule, delta_b)
 
 
 def random_schedules(max_k):
@@ -178,14 +184,12 @@ def random_schedules(max_k):
 
 class TestScheduleQ:
     @settings(max_examples=100, deadline=None)
-    @given(random_schedules(max_k=9))
+    @given(random_schedules(max_k=12))
     def test_matches_brute_force_on_random_schedules(self, schedule):
-        K = schedule.K
         for delta_b in range(1, schedule.B + 1):
-            assert analytics.schedule_Q(schedule, delta_b) == [
-                analytics.brute_force_Q(s, schedule=schedule, delta_b=delta_b)
-                for s in range(1, K + 1)
-            ], (schedule.slots, delta_b)
+            assert analytics.schedule_Q(schedule, delta_b) == analytics.brute_force_Q(
+                schedule, delta_b
+            ), (schedule.slots, delta_b)
 
     @settings(max_examples=30, deadline=None)
     @given(random_schedules(max_k=7), st.sampled_from([0.25, 0.5, 0.75]))

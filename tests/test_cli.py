@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from fogcoded import cli, core, delivery
+from fogcoded import analytics, cli, core, delivery
 from fogcoded.cli import CSV_COLUMNS, ExperimentConfig
 from fogcoded.errors import InvalidParams, TooLarge
 
@@ -332,6 +332,31 @@ class TestVerify:
         assert len(results) == 1
         assert results[0].ok is None
         assert "TooLarge" in results[0].detail
+
+    def test_moved_q_split_fails_counting_oracle(self, monkeypatch):
+        # moving sets between two subset counts keeps sum_Y q = C(K, s)
+        original = analytics.q_count
+
+        def moved(s, Y, config):
+            shift = {1: -1, 2: 1}.get(Y, 0) if (s, config.delta_b) == (2, 2) else 0
+            return original(s, Y, config) + shift
+
+        monkeypatch.setattr(analytics, "q_count", moved)
+        [result] = cli.check_counting_oracle(shapes=[(4, 1)])
+        assert result.ok is False
+        assert "('q', 2, 2)" in result.detail and "sum_q" not in result.detail
+
+    def test_off_by_one_schedule_Q_fails_its_check(self, monkeypatch, capsys):
+        original = analytics.schedule_Q
+
+        def off_by_one(schedule, delta_b):
+            Q = original(schedule, delta_b)
+            return Q[:-1] + [Q[-1] + 1]
+
+        monkeypatch.setattr(analytics, "schedule_Q", off_by_one)
+        assert cli.check_schedule_Q(max_k=4).ok is False
+        assert cli.main(["verify", "--max-k", "4"]) == 1
+        assert "FAIL  schedule-Q oracle" in capsys.readouterr().out
 
     def test_inverted_skip_rule_fails_decodability_check(self, monkeypatch):
         from fogcoded import delivery

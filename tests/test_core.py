@@ -190,7 +190,7 @@ class TestRandomSchedule:
         assert sched.B == b and sched.K == k
         assert all(sched.slots)
         assert frozenset().union(*sched.slots) == frozenset(range(1, k + 1))
-        assert sched.has_distinct_demands()
+        assert len(set(sched.demand.values())) == sched.K
 
 
 class TestScheduleValidation:

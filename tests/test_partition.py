@@ -1,4 +1,5 @@
-"""Collapsing rule and encoding set partition tests."""
+"""Encoding set partition tests: the mask count ``partition.eta`` and the
+paper's literal partition in ``reference_partition``, its oracle."""
 
 import math
 from itertools import combinations
@@ -7,72 +8,72 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_partition as reference
 from fogcoded import core, partition
 from fogcoded.errors import InvalidParams
+from test_analytics import random_schedules
 
 
 def singleton_schedule(B):
     return core.make_fixed_L_schedule(B, B, 1)
 
 
-class TestCollapse:
-    def test_partial_arrival(self):
-        assert partition.collapse({1, 2, 3, 4}, {1, 2}) == {1, 2}
+def occupied_slots(members, schedule):
+    """Occupied-slot mask of an encoding set: bit b-1 set for slot b."""
+    return core.mask_of(schedule.slot_of(k) for k in members)
 
-    def test_all_arrived(self):
-        assert partition.collapse({2, 3}, {1, 2, 3, 4}) == {2, 3}
 
-    def test_disjoint(self):
-        assert partition.collapse({3, 4}, {1, 2}) == frozenset()
+def mask_eta(members, schedule, delta_b):
+    return int(partition.eta(occupied_slots(members, schedule), schedule.B, delta_b))
 
 
 class TestActiveWindow:
     def test_spanning_window(self):
-        w = partition.active_window({1, 3, 4}, singleton_schedule(4))
+        w = reference.active_window({1, 3, 4}, singleton_schedule(4))
         assert (w.beta, w.gamma) == (0, 4)
         assert w.active_slot_count == 4
 
     def test_singleton(self):
-        w = partition.active_window({3}, singleton_schedule(4))
+        w = reference.active_window({3}, singleton_schedule(4))
         assert (w.beta, w.gamma) == (2, 3)
         assert w.active_slot_count == 1
 
     def test_interior(self):
-        w = partition.active_window({2, 3}, singleton_schedule(4))
+        w = reference.active_window({2, 3}, singleton_schedule(4))
         assert (w.beta, w.gamma) == (1, 3)
 
     def test_empty_set_rejected(self):
         with pytest.raises(InvalidParams):
-            partition.active_window(set(), singleton_schedule(4))
+            reference.active_window(set(), singleton_schedule(4))
 
 
 class TestPartitionEncodingSet:
     def test_two_window_split(self):
-        result = partition.partition_encoding_set({1, 3, 4}, singleton_schedule(4), 2)
+        result = reference.partition_encoding_set({1, 3, 4}, singleton_schedule(4), 2)
         assert result.subsets == (frozenset({1}), frozenset({3, 4}))
         assert result.eta == 2
 
     def test_full_delay_never_splits(self):
         sched = singleton_schedule(4)
         for s in ({1}, {1, 4}, {1, 2, 3, 4}):
-            result = partition.partition_encoding_set(s, sched, 4)
+            result = reference.partition_encoding_set(s, sched, 4)
             assert result.subsets == (frozenset(s),)
 
     def test_unit_delay_splits_per_slot(self):
-        result = partition.partition_encoding_set({1, 2, 3, 4}, singleton_schedule(4), 1)
+        result = reference.partition_encoding_set({1, 2, 3, 4}, singleton_schedule(4), 1)
         assert result.subsets == tuple(frozenset({k}) for k in range(1, 5))
 
     def test_gap_straddling_pair(self):
-        assert partition.eta({1, 4}, singleton_schedule(4), 2) == 2
+        assert mask_eta({1, 4}, singleton_schedule(4), 2) == 2
 
     def test_multi_requester_slots(self):
         sched = core.make_fixed_L_schedule(6, 3, 2)
-        result = partition.partition_encoding_set({1, 2, 3, 6}, sched, 1)
+        result = reference.partition_encoding_set({1, 2, 3, 6}, sched, 1)
         assert result.subsets == (frozenset({1, 2}), frozenset({3}), frozenset({6}))
 
     def test_bad_delay(self):
         with pytest.raises(InvalidParams):
-            partition.partition_encoding_set({1}, singleton_schedule(4), 0)
+            reference.partition_encoding_set({1}, singleton_schedule(4), 0)
 
 
 def random_case():
@@ -102,7 +103,7 @@ class TestPartitionProperties:
         d1 = data.draw(st.integers(min_value=1, max_value=b))
         d2 = data.draw(st.integers(min_value=1, max_value=d1))
         # a looser deadline never needs more subsets
-        assert partition.eta(members, sched, d1) <= partition.eta(members, sched, d2)
+        assert mask_eta(members, sched, d1) <= mask_eta(members, sched, d2)
 
     @settings(max_examples=120, deadline=None)
     @given(random_case(), st.data())
@@ -110,8 +111,8 @@ class TestPartitionProperties:
         sched, members = build_case(*case)
         b = sched.B
         delta_b = data.draw(st.integers(min_value=1, max_value=b))
-        result = partition.partition_encoding_set(members, sched, delta_b)
-        window = partition.active_window(members, sched)
+        result = reference.partition_encoding_set(members, sched, delta_b)
+        window = reference.active_window(members, sched)
         bound = math.ceil(window.active_slot_count / delta_b)
         assert 1 <= result.eta <= bound <= math.ceil(b / delta_b)
         # disjoint, nonempty, union back to the original set
@@ -130,6 +131,30 @@ class TestPartitionProperties:
             last_end = max(slots)
 
 
+class TestMaskEta:
+    @settings(max_examples=100, deadline=None)
+    @given(random_schedules(max_k=12), st.data())
+    def test_matches_reference_partition(self, sched, data):
+        member_sets = data.draw(st.lists(
+            st.sets(st.integers(min_value=1, max_value=sched.K), min_size=1),
+            min_size=1, max_size=8,
+        ))
+        masks = [occupied_slots(m, sched) for m in member_sets]
+        for delta_b in range(1, sched.B + 1):
+            want = [
+                reference.partition_encoding_set(m, sched, delta_b).eta
+                for m in member_sets
+            ]
+            assert partition.eta(masks, sched.B, delta_b).tolist() == want, (
+                sched.slots, member_sets, delta_b,
+            )
+
+    @pytest.mark.parametrize("delta_b", [0, 5])
+    def test_delay_range(self, delta_b):
+        with pytest.raises(InvalidParams):
+            partition.eta([0b1011], 4, delta_b)
+
+
 class TestMeanSubsetCurve:
     def test_shape_over_delay(self):
         # Averaged over every encoding set of a one-per-slot schedule, the
@@ -138,7 +163,7 @@ class TestMeanSubsetCurve:
         means = []
         for delta_b in range(1, 6):
             etas = [
-                partition.eta(set(c), sched, delta_b)
+                mask_eta(c, sched, delta_b)
                 for s in range(1, 6)
                 for c in combinations(range(1, 6), s)
             ]
