@@ -265,10 +265,10 @@ def check_counting_oracle(
         bad = []
         for delta_b in range(1, b + 1):
             cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
-            Q = analytics.brute_force_Q(schedule, delta_b)
             counts = analytics.brute_force_eta_histogram(schedule, delta_b)
+            Q = counts @ np.arange(k + 1)
             for s in range(1, k + 1):
-                if analytics.Q_count(s, cfg) != Q[s - 1]:
+                if analytics.Q_count(s, cfg) != Q[s]:
                     bad.append(("Q", s, delta_b))
                 q = {y: analytics.q_count(s, y, cfg) for y in analytics.y_range(s, cfg)}
                 if any(q[y] != counts[s, y] for y in q):
@@ -337,18 +337,18 @@ def check_bounds_sandwich(max_k: int = 8) -> CheckResult:
 
 
 def check_delivery_closed_form(seed: int = 0) -> CheckResult:
+    """The delivery engine on expected subfile lengths against the fixed-L
+    closed form, on seeded fixed-L schedules."""
     bad = []
     for b, l in ((3, 1), (4, 1), (5, 1), (3, 2)):
         k = b * l
+        schedule = core.make_fixed_L_schedule(k, b, l, _trial_seeds(seed, 0)[2])
         for delta_b in range(1, b + 1):
-            cfg = ExperimentConfig(
-                K=k, N=k, M=k / 4, F=1000, B=b, delta_b=delta_b, L=l,
-                mode="analytic", trials=2, seed=seed,
-            )
-            row = run_single(cfg)
-            if abs(row.measured_load - row.closed_form_load) > 1e-9 * max(
-                row.closed_form_load, 1e-300
-            ):
+            cfg = FixedLConfig(K=k, N=k, M=k / 4, F=1000, B=b, L=l, delta_b=delta_b)
+            records = core.analytic_subfile_table(cfg, schedule)
+            load = delivery.run_delivery(schedule, records, cfg).report.normalized_load
+            closed = analytics.closed_form_load(cfg)
+            if abs(load - closed) > 1e-9 * max(closed, 1e-300):
                 bad.append((b, l, delta_b))
     return _verdict("delivery matches closed form", bad, "mismatches at (B, L, delta_b)")
 

@@ -10,7 +10,7 @@ F-APs that cache exactly those bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -54,11 +54,16 @@ def iter_ids(mask: int) -> Iterator[int]:
         k += 1
 
 
-def masks_excluding(K: int, k: int) -> Iterator[int]:
-    """All 2^(K-1) bitmasks over {1..K} that do not contain F-AP k."""
-    low = (1 << (k - 1)) - 1
-    for m in range(1 << (K - 1)):
-        yield (m & low) | ((m & ~low) << 1)
+def set_ranks(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All 2^K sets as masks, their sizes and their bit-reversed masks."""
+    sets = np.arange(1 << K, dtype=np.int64)
+    size = np.zeros_like(sets)
+    rev = np.zeros_like(sets)
+    for i in range(K):
+        bit = (sets >> i) & 1
+        size += bit
+        rev |= bit << (K - 1 - i)
+    return sets, size, rev
 
 
 @dataclass(frozen=True)
@@ -290,51 +295,32 @@ def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
     return RequestSchedule(slots, _worst_case_demand(K))
 
 
-def expected_subfile_size(params: SystemParams, s: int) -> float:
-    """Law-of-large-numbers size in bits of one subfile of type s."""
-    return params.subfile_fraction(s) * params.F
-
-
 @dataclass
 class SubfileRecordTable:
-    """The cloud's live record of subfiles, keyed by (requester, mask).
+    """The cloud's record of subfiles, as (K, 2^K) arrays over encoding sets.
 
-    Entry (k, E) holds the bits of the file requested by F-AP k that are
-    cached at every F-AP in E and at none outside E; in particular they
-    are not cached at k itself.  Bits cached at k never enter the table:
-    they are tracked per requester as the locally held class, which only
-    the decoder consumes.  Recovered entries count as empty for every
-    later encoding decision.
+    Row k-1, column S holds entry (k, S minus k): the bits of the file
+    requested by F-AP k that are cached at every F-AP in S minus k and at
+    none outside it; in particular they are not cached at k itself.  A
+    column whose set does not contain k holds no entry.  Bits cached at k
+    never enter the table: they are tracked per requester as the locally
+    held class, which only the decoder consumes.
 
-    ``lengths`` holds every nonempty entry's length in bits.  Bit-exact
-    tables also carry the entries' positions and contents and the locally
-    held classes; analytic tables hold only expected lengths.
+    ``live`` marks the entries that exist and ``length`` holds their
+    lengths: bit counts (int64) in bit-exact tables, expected sizes
+    (float64) in analytic ones, whose entries all exist even where a size
+    underflows to 0.0.  Bit-exact tables also carry the entries' positions
+    and contents by (k, E) and the locally held classes by k.
     """
 
     K: int
     F: int
     demand: Mapping[int, int]
-    lengths: dict[SubfileKey, float]
+    live: np.ndarray
+    length: np.ndarray
     positions: dict[SubfileKey, np.ndarray] | None = None
     contents: dict[SubfileKey, np.ndarray] | None = None
     locally_held: dict[int, np.ndarray] | None = None
-    recovered: set[SubfileKey] = field(default_factory=set)
-
-    def raw_length(self, key: SubfileKey) -> float:
-        """Length in bits of the entry, ignoring the recovered flag."""
-        return self.lengths.get(key, 0)
-
-    def keys_for(self, k: int) -> Iterator[SubfileKey]:
-        """All nonempty record keys of requester k, by ascending mask."""
-        for m in masks_excluding(self.K, k):
-            if (k, m) in self.lengths:
-                yield (k, m)
-
-    def table_bits(self, k: int) -> float:
-        return sum(self.raw_length(key) for key in self.keys_for(k))
-
-    def locally_held_bits(self, k: int) -> int:
-        return len(self.locally_held[k]) if self.locally_held else 0
 
 
 def partition_into_subfiles(
@@ -348,7 +334,10 @@ def partition_into_subfiles(
     which come in ascending mask order with ascending positions.
     """
     K, F = caches.K, library.F
+    check_delivery_size(K)
     weights = 1 << np.arange(K, dtype=np.uint64)
+    live = np.zeros((K, 1 << K), dtype=bool)
+    length = np.zeros((K, 1 << K), dtype=np.int64)
     positions: dict[SubfileKey, np.ndarray] = {}
     contents: dict[SubfileKey, np.ndarray] = {}
     locally_held: dict[int, np.ndarray] = {}
@@ -364,20 +353,24 @@ def partition_into_subfiles(
         # a stable sort keeps each class's positions ascending
         order = np.argsort(signature[foreign], kind="stable")
         pos = foreign[order]
-        sig = signature[pos]
+        sig = signature[pos].astype(np.int64)
         first = np.ones(len(pos), dtype=bool)
         first[1:] = sig[1:] != sig[:-1]
         starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], len(pos))
+        columns = sig[starts] | (1 << (k - 1))
+        live[k - 1, columns] = True
+        length[k - 1, columns] = ends - starts
         bits = library.file(n)[pos]
-        bounds = zip(starts.tolist(), [*starts[1:].tolist(), len(pos)])
-        for mask, (i, j) in zip(sig[starts].tolist(), bounds):
+        for mask, i, j in zip(sig[starts].tolist(), starts.tolist(), ends.tolist()):
             positions[(k, mask)] = pos[i:j]
             contents[(k, mask)] = bits[i:j]
     return SubfileRecordTable(
         K=K,
         F=F,
         demand=dict(schedule.demand),
-        lengths={key: len(pos) for key, pos in positions.items()},
+        live=live,
+        length=length,
         positions=positions,
         contents=contents,
         locally_held=locally_held,
@@ -387,16 +380,19 @@ def partition_into_subfiles(
 def analytic_subfile_table(
     params: SystemParams, schedule: RequestSchedule
 ) -> SubfileRecordTable:
-    """Record table of all K*2^(K-1) entries at their expected lengths."""
-    check_delivery_size(params.K)
-    sizes = [expected_subfile_size(params, s) for s in range(1, params.K + 1)]
+    """Record table of all K*2^(K-1) entries at their expected lengths:
+    entry (k, S minus k) is a type-|S| subfile of F*f(|S|) bits."""
+    K = params.K
+    check_delivery_size(K)
+    sets, size, _ = set_ranks(K)
+    live = (sets & (1 << np.arange(K))[:, None]) != 0
+    per_size = np.array(
+        [0.0] + [params.subfile_fraction(s) * params.F for s in range(1, K + 1)]
+    )
     return SubfileRecordTable(
-        K=params.K,
+        K=K,
         F=params.F,
         demand=dict(schedule.demand),
-        lengths={
-            (k, m): sizes[m.bit_count()]
-            for k in range(1, params.K + 1)
-            for m in masks_excluding(params.K, k)
-        },
+        live=live,
+        length=np.where(live, per_size[size], 0.0),
     )

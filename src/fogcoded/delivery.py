@@ -15,7 +15,6 @@ together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .core import (
     SystemParams,
     check_delivery_size,
     set_of,
+    set_ranks,
 )
 from .errors import DeadlineViolation, DecodeFailure, InvalidParams
 
@@ -76,49 +76,10 @@ class LoadReport:
 class DeliveryResult:
     events: list[TransmissionRecord]
     report: LoadReport
-    records: SubfileRecordTable
 
     @property
     def log(self) -> list[TransmissionRecord]:
         return [e for e in self.events if e.transmitted]
-
-
-def record_arrays(records: SubfileRecordTable) -> tuple[np.ndarray, np.ndarray]:
-    """The live flags and lengths of a record table as (K, 2^K) arrays.
-
-    Row k-1, column S holds entry (k, S minus k); a column whose set does
-    not contain k, or whose entry is empty, stays False and zero.  The
-    lengths keep the table's number type: bit counts for bit-exact
-    tables, expected sizes for analytic ones.
-    """
-    K = records.K
-    values = np.array(list(records.lengths.values()))
-    live = np.zeros((K, 1 << K), dtype=bool)
-    length = np.zeros((K, 1 << K), dtype=values.dtype)
-    cells = _cells(records.lengths)
-    live[cells] = True
-    length[cells] = values
-    live[_cells(records.recovered)] = False
-    return live, length
-
-
-def _cells(keys) -> tuple[np.ndarray, np.ndarray]:
-    # (row, column) of each record key (k, E): row k-1, column E | {k}
-    pairs = np.array(list(keys), dtype=np.int64).reshape(-1, 2)
-    rows = pairs[:, 0] - 1
-    return rows, pairs[:, 1] | (1 << rows)
-
-
-def _set_ranks(K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All 2^K sets as masks, their sizes and their bit-reversed masks."""
-    sets = np.arange(1 << K, dtype=np.int64)
-    size = np.zeros_like(sets)
-    rev = np.zeros_like(sets)
-    for i in range(K):
-        bit = (sets >> i) & 1
-        size += bit
-        rev |= bit << (K - 1 - i)
-    return sets, size, rev
 
 
 def _candidates(deadline: int, ranks) -> np.ndarray:
@@ -195,13 +156,13 @@ def _emit_slot(
     active: int,
     live: np.ndarray,
     length: np.ndarray,
-    records: SubfileRecordTable,
+    contents: dict[SubfileKey, np.ndarray] | None,
     ranks,
 ) -> list[TransmissionRecord]:
     """Decide, send and log every candidate of one slot, in canonical order.
 
-    Clears the live flags (and sets the table's recovered keys) of every
-    subfile sent, then checks that no deadline F-AP misses anything.
+    Clears the live flags of every subfile sent, then checks that no
+    deadline F-AP misses anything.
     """
     K = live.shape[0]
     due = _members(deadline, K)
@@ -211,9 +172,8 @@ def _emit_slot(
     live[:, sets] = cand_live & ~included
     sent = included.any(axis=0)
     keys, bits, payloads = build_coded_content(
-        sets[sent], included[:, sent], length[:, sets[sent]], records.contents
+        sets[sent], included[:, sent], length[:, sets[sent]], contents
     )
-    records.recovered.update(chain.from_iterable(keys))
     _, size, _ = ranks
     s1 = sets & deadline
     built = zip(keys, bits, payloads)
@@ -235,9 +195,8 @@ def run_delivery(
 ) -> DeliveryResult:
     """Execute the delivery phase over all B slots.
 
-    Mutates the recovered flags of `records`.  Returns every enumerated
-    candidate (sent and skipped) plus the load report over actual
-    transmissions.
+    Leaves `records` unchanged.  Returns every enumerated candidate (sent
+    and skipped) plus the load report over actual transmissions.
     """
     if schedule.K != params.K or schedule.B != params.B:
         raise InvalidParams("schedule shape does not match system parameters")
@@ -245,8 +204,8 @@ def run_delivery(
         raise InvalidParams("record table does not match system parameters")
     check_delivery_size(params.K)
     B, delta_b = params.B, params.delta_b
-    live, length = record_arrays(records)
-    ranks = _set_ranks(params.K)
+    live = records.live.copy()
+    ranks = set_ranks(params.K)
     events: list[TransmissionRecord] = []
     active = 0
     for b in range(1, B + 1):
@@ -257,10 +216,12 @@ def run_delivery(
             deadline = active
         else:
             continue
-        events.extend(_emit_slot(b, deadline, active, live, length, records, ranks))
+        events.extend(_emit_slot(
+            b, deadline, active, live, records.length, records.contents, ranks
+        ))
         active &= ~deadline
     report = measured_load(events, params.F)
-    return DeliveryResult(events=events, report=report, records=records)
+    return DeliveryResult(events=events, report=report)
 
 
 def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:

@@ -30,9 +30,10 @@ from fogcoded.delivery import DeliveryResult, LoadReport, TransmissionRecord
 from fogcoded.errors import DeadlineViolation, InvalidParams
 
 
-def is_live(records: SubfileRecordTable, key: SubfileKey) -> bool:
-    """True while the entry is nonempty and not yet delivered."""
-    return key in records.lengths and key not in records.recovered
+def cell(key: SubfileKey) -> tuple[int, int]:
+    """Row and column of entry (k, E) in the table's arrays."""
+    k, mask = key
+    return k - 1, mask | (1 << (k - 1))
 
 
 @dataclass
@@ -44,12 +45,18 @@ class DeliveryState:
     deadline_mask: int = 0
     slot: int = 0
     events: list[TransmissionRecord] = field(default_factory=list)
+    recovered: set[SubfileKey] = field(default_factory=set)
+
+
+def is_live(state: DeliveryState, key: SubfileKey) -> bool:
+    """True while the entry exists and has not been delivered yet."""
+    return bool(state.records.live[cell(key)]) and key not in state.recovered
 
 
 def should_transmit(s1_mask: int, s_mask: int, state: DeliveryState) -> bool:
     """True when some deadline F-AP in S1 still needs its subfile for S."""
     for k in iter_ids(s1_mask):
-        if is_live(state.records, (k, s_mask & ~(1 << (k - 1)))):
+        if is_live(state, (k, s_mask & ~(1 << (k - 1)))):
             return True
     return False
 
@@ -65,9 +72,9 @@ def build_coded_content(s_mask: int, state: DeliveryState) -> TransmissionRecord
     lengths: list[float] = []
     for k in iter_ids(collapsed):
         key = (k, s_mask & ~(1 << (k - 1)))
-        if is_live(records, key):
+        if is_live(state, key):
             included.append(key)
-            lengths.append(records.raw_length(key))
+            lengths.append(records.length[cell(key)].item())
     payload_bits = max(lengths, default=0)
     payload = None
     if records.contents is not None and included:
@@ -109,7 +116,7 @@ def _emit_slot(state: DeliveryState, K: int) -> None:
                     s_mask = m1 | m2
                     if should_transmit(m1, s_mask, state):
                         rec = build_coded_content(s_mask, state)
-                        state.records.recovered.update(rec.included)
+                        state.recovered.update(rec.included)
                     else:
                         rec = TransmissionRecord(
                             slot=state.slot,
@@ -125,10 +132,11 @@ def _emit_slot(state: DeliveryState, K: int) -> None:
 
 
 def _assert_deadline_met(state: DeliveryState) -> None:
-    records = state.records
+    K = state.records.K
     for k in iter_ids(state.deadline_mask):
-        for key in records.keys_for(k):
-            if is_live(records, key):
+        for s_mask in range(1 << K):
+            key = (k, s_mask & ~(1 << (k - 1)))
+            if s_mask & (1 << (k - 1)) and is_live(state, key):
                 raise DeadlineViolation(
                     f"F-AP {k} still misses subfile {key} after slot {state.slot}"
                 )
@@ -139,9 +147,8 @@ def run_delivery(
 ) -> DeliveryResult:
     """Execute the delivery phase over all B slots.
 
-    Mutates the recovered flags of `records`.  Returns every enumerated
-    candidate (sent and skipped) plus the load report over actual
-    transmissions.
+    Leaves `records` unchanged.  Returns every enumerated candidate (sent
+    and skipped) plus the load report over actual transmissions.
     """
     if schedule.K != params.K or schedule.B != params.B:
         raise InvalidParams("schedule shape does not match system parameters")
@@ -164,7 +171,7 @@ def run_delivery(
             _assert_deadline_met(state)
             state.active_mask = 0
     report = measured_load(state.events, params.F)
-    return DeliveryResult(events=state.events, report=report, records=records)
+    return DeliveryResult(events=state.events, report=report)
 
 
 def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:
@@ -196,6 +203,8 @@ def partition_into_subfiles(
     """
     K, F = caches.K, library.F
     weights = 1 << np.arange(K, dtype=np.uint64)
+    live = np.zeros((K, 1 << K), dtype=bool)
+    length = np.zeros((K, 1 << K), dtype=np.int64)
     positions: dict[SubfileKey, np.ndarray] = {}
     contents: dict[SubfileKey, np.ndarray] = {}
     locally_held: dict[int, np.ndarray] = {}
@@ -214,11 +223,14 @@ def partition_into_subfiles(
             key = (k, int(sig))
             positions[key] = pos
             contents[key] = library.file(n)[pos]
+            live[cell(key)] = True
+            length[cell(key)] = len(pos)
     return SubfileRecordTable(
         K=K,
         F=F,
         demand=dict(schedule.demand),
-        lengths={key: len(pos) for key, pos in positions.items()},
+        live=live,
+        length=length,
         positions=positions,
         contents=contents,
         locally_held=locally_held,

@@ -279,6 +279,30 @@ class TestTables:
             "2\t4\t1\t{1}\t{2,3,4}\t{1,2}\t1.0\tW[1,{2,3,4}]^W[2,{1,3,4}]"
         )
 
+    def test_underflowed_entries_are_still_sent(self, capsys):
+        # At M=1e-120 the type-4 sizes underflow to 0.0, yet those entries
+        # exist: every send decision is the demo's and only the payload
+        # lengths change.
+        assert cli.main(["tables"]) == 0
+        demo = capsys.readouterr().out.strip().splitlines()
+        assert cli.main([
+            "tables", "--k", "4", "--n", "4", "--m", "1e-120", "--f", "16",
+            "--b", "4", "--l", "1", "--delta-b", "2",
+        ]) == 0
+        tiny = capsys.readouterr().out.strip().splitlines()
+        assert len(tiny) == len(demo)
+        payloads = []
+        for got, want in zip(tiny, demo):
+            got, want = got.split("\t"), want.split("\t")
+            assert got[:6] + got[7:] == want[:6] + want[7:]
+            payloads.append(got[6])
+        assert payloads[1:] == [
+            "0.0", "1e-240", "1e-240", "1e-240", "4e-120", "4e-120", "4e-120", "16.0",
+            "0", "0", "0", "1e-240", "0", "4e-120", "4e-120", "16.0",
+            "0.0", "1e-240", "1e-240", "1e-240", "1e-240", "4e-120", "0", "4e-120",
+            "4e-120", "4e-120", "16.0", "16.0",
+        ]
+
     def test_random_schedule_rejected(self, capsys):
         assert cli.main(["tables", "--random"]) == 2
 
@@ -357,6 +381,19 @@ class TestVerify:
         assert cli.check_schedule_Q(max_k=4).ok is False
         assert cli.main(["verify", "--max-k", "4"]) == 1
         assert "FAIL  schedule-Q oracle" in capsys.readouterr().out
+
+    def test_halved_delivery_load_fails_closed_form_check(self, monkeypatch):
+        original = delivery.run_delivery
+
+        def halved(*args):
+            result = original(*args)
+            result.report.normalized_load /= 2
+            return result
+
+        monkeypatch.setattr(delivery, "run_delivery", halved)
+        result = cli.check_delivery_closed_form(seed=0)
+        assert result.ok is False
+        assert "(3, 1, 1)" in result.detail
 
     def test_inverted_skip_rule_fails_decodability_check(self, monkeypatch):
         from fogcoded import delivery

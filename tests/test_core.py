@@ -11,6 +11,7 @@ import fogcoded
 from fogcoded import core
 from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams, TooLarge
+from reference_delivery import cell
 
 
 def params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
@@ -112,24 +113,29 @@ class TestPlaceCaches:
         assert not np.array_equal(caches.cached[0], caches.cached[1])
 
 
+def expected_size(p, s):
+    # law-of-large-numbers size in bits of one type-s subfile
+    return p.subfile_fraction(s) * p.F
+
+
 class TestExpectedSubfileSize:
     def test_worked_value(self):
-        assert core.expected_subfile_size(params(), 3) == pytest.approx(1.0)
+        assert expected_size(params(), 3) == pytest.approx(1.0)
 
     def test_uniform_at_half_ratio(self):
         p = params()
         for s in range(1, 5):
-            assert core.expected_subfile_size(p, s) == pytest.approx(1.0)
+            assert expected_size(p, s) == pytest.approx(1.0)
 
     def test_nothing_cached_limit(self):
         p = core.SystemParams(K=4, N=1000, M=1e-9, F=64, B=4, delta_b=2)
-        assert core.expected_subfile_size(p, 1) == pytest.approx(64, rel=1e-6)
+        assert expected_size(p, 1) == pytest.approx(64, rel=1e-6)
 
     def test_type_out_of_range(self):
         with pytest.raises(InvalidParams):
-            core.expected_subfile_size(params(), 0)
+            expected_size(params(), 0)
         with pytest.raises(InvalidParams):
-            core.expected_subfile_size(params(), 5)
+            expected_size(params(), 5)
 
 
 class TestFixedLSchedule:
@@ -222,10 +228,10 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, seed=0)
         caches = core.place_caches(lib, p, seed=1)
         table = core.partition_into_subfiles(lib, caches, sched)
-        keys = list(table.keys_for(1))
-        assert keys == [(1, 0)]
-        assert table.raw_length((1, 0)) == 8
-        assert table.locally_held_bits(1) == 8
+        assert list(table.positions) == [(1, 0)]
+        assert table.live.tolist() == [[False, True]]
+        assert table.length.tolist() == [[0, 8]]
+        assert len(table.locally_held[1]) == 8
 
     def test_classes_partition_file(self):
         p = params()
@@ -233,16 +239,20 @@ class TestPartitionIntoSubfiles:
         caches = core.place_caches(lib, p, seed=1)
         sched = core.make_fixed_L_schedule(4, 4, 1)
         table = core.partition_into_subfiles(lib, caches, sched)
+        assert table.length.dtype == np.int64
         for k in range(1, 5):
             covered = set(table.locally_held[k].tolist())
-            total = table.locally_held_bits(k)
-            for key in table.keys_for(k):
+            keys = [key for key in table.positions if key[0] == k]
+            for key in keys:
                 pos = set(table.positions[key].tolist())
                 assert not (covered & pos)
                 covered |= pos
-                total += len(pos)
+                assert table.live[cell(key)]
+                assert table.length[cell(key)] == len(pos)
             assert covered == set(range(p.F))
-            assert total == p.F
+            # the arrays hold exactly the classes that exist
+            assert table.live[k - 1].sum() == len(keys)
+            assert len(table.locally_held[k]) + table.length[k - 1].sum() == p.F
 
     def test_exclusivity(self):
         # Bits in class (k, E) are cached at exactly the F-APs in E.
@@ -270,21 +280,27 @@ class TestPartitionIntoSubfiles:
         sched = core.make_fixed_L_schedule(4, 4, 1)
         table = core.partition_into_subfiles(lib, caches, sched)
         for k in range(1, 5):
-            seen = {}
-            for key in table.keys_for(k):
-                seen[key[1]] = table.raw_length(key)
-            for mask in core.masks_excluding(4, k):
-                s = mask.bit_count() + 1
-                expect = core.expected_subfile_size(p, s)
+            for S in range(1 << 4):
+                if not S & (1 << (k - 1)):
+                    continue
+                expect = expected_size(p, S.bit_count())
                 prob = expect / p.F
                 sigma = math.sqrt(p.F * prob * (1 - prob))
-                assert abs(seen.get(mask, 0) - expect) <= 5 * sigma
+                assert abs(table.length[k - 1, S] - expect) <= 5 * sigma
+
+    def test_partition_refuses_large_k(self):
+        # the table's arrays have 2^K columns, as many as delivery enumerates
+        p = params(K=17, N=17, F=8, B=17, delta_b=2)
+        lib = core.generate_library(p, seed=0)
+        caches = core.place_caches(lib, p, seed=1)
+        with pytest.raises(TooLarge):
+            core.partition_into_subfiles(lib, caches, core.make_fixed_L_schedule(17, 17, 1))
 
     def test_analytic_table_refuses_large_k_before_building(self, monkeypatch):
         def fail(*args):
             raise AssertionError("entries built before the size check")
 
-        monkeypatch.setattr(core, "masks_excluding", fail)
+        monkeypatch.setattr(core, "set_ranks", fail)
         p = params(K=17, N=17, B=17, delta_b=2)
         with pytest.raises(TooLarge):
             core.analytic_subfile_table(p, core.make_fixed_L_schedule(17, 17, 1))
@@ -293,10 +309,15 @@ class TestPartitionIntoSubfiles:
         p = params()
         sched = core.make_fixed_L_schedule(4, 4, 1)
         table = core.analytic_subfile_table(p, sched)
-        assert table.raw_length((1, core.mask_of({2, 3}))) == pytest.approx(1.0)
-        total = table.table_bits(1)
+        assert table.length.dtype == np.float64
+        assert table.length[cell((1, core.mask_of({2, 3})))] == pytest.approx(1.0)
+        # every entry (k, E) exists: row k-1 is live exactly where S holds k
+        for k in range(1, 5):
+            assert table.live[k - 1].tolist() == [
+                bool(S & (1 << (k - 1))) for S in range(1 << 4)
+            ]
         # Classes not cached at the requester cover (1 - M/N) of the file.
-        assert total == pytest.approx(p.F * (1 - p.cache_ratio))
+        assert table.length[0].sum() == pytest.approx(p.F * (1 - p.cache_ratio))
 
 
 class TestMaskHelpers:
@@ -306,7 +327,3 @@ class TestMaskHelpers:
 
     def test_iter_ascending(self):
         assert list(core.iter_ids(core.mask_of({5, 2, 9}))) == [2, 5, 9]
-
-    def test_masks_excluding(self):
-        masks = list(core.masks_excluding(3, 2))
-        assert sorted(masks) == [0b000, 0b001, 0b100, 0b101]

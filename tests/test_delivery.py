@@ -7,6 +7,8 @@ from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.core import mask_of
 from fogcoded.errors import DeadlineViolation, DecodeFailure, InvalidParams
+from reference_delivery import cell
+from test_reference_engine import assert_same_events
 
 
 def demo_params(delta_b=2, F=16):
@@ -102,11 +104,11 @@ class TestGoldenTables:
 def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
     # The transmission of encoding set S: the live subfiles of its active
     # members, put together by build_coded_content.
-    live, length = delivery.record_arrays(records)
     sets = np.array([s_mask])
     active = np.array([(active_mask >> i) & 1 for i in range(records.K)], dtype=bool)
     keys, bits, payloads = delivery.build_coded_content(
-        sets, live[:, sets] & active[:, None], length[:, sets], records.contents
+        sets, records.live[:, sets] & active[:, None], records.length[:, sets],
+        records.contents,
     )
     s1_mask = s_mask & deadline_mask
     return delivery.TransmissionRecord(
@@ -128,8 +130,8 @@ class TestShouldTransmit:
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         records = core.analytic_subfile_table(params, schedule)
         # F-AP 2's piece for the full set was already delivered at slot 2.
-        records.recovered.add(key(2, {1, 3, 4}))
-        live, _ = delivery.record_arrays(records)
+        live = records.live.copy()
+        live[cell(key(2, {1, 3, 4}))] = False
         sets = [mask_of({1, 2, 3, 4}), mask_of({2, 3})]
         deadline = np.array([False, True, False, False])
         assert delivery.should_transmit(live[:, sets], deadline).tolist() == [
@@ -140,8 +142,8 @@ class TestShouldTransmit:
         params = demo_params()
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         records = core.analytic_subfile_table(params, schedule)
-        records.recovered.add(key(1, {2}))
-        live, _ = delivery.record_arrays(records)
+        live = records.live.copy()
+        live[cell(key(1, {2}))] = False
         deadline = np.array([True, False, False, False])
         assert not delivery.should_transmit(
             live[:, [mask_of({1, 2})]], deadline
@@ -155,11 +157,17 @@ class TestBuildCodedContent:
         contents = {k: np.array(v, dtype=np.uint8) for k, v in lengths.items()}
         positions = {k: np.arange(len(v)) for k, v in contents.items()}
         K = 4
+        live = np.zeros((K, 1 << K), dtype=bool)
+        length = np.zeros((K, 1 << K), dtype=np.int64)
+        for record_key, bits in contents.items():
+            live[cell(record_key)] = True
+            length[cell(record_key)] = len(bits)
         return core.SubfileRecordTable(
             K=K,
             F=16,
             demand={k: k for k in range(1, K + 1)},
-            lengths={k: len(v) for k, v in contents.items()},
+            live=live,
+            length=length,
             positions=positions,
             contents=contents,
             locally_held={k: np.arange(0) for k in range(1, K + 1)},
@@ -235,15 +243,18 @@ class TestNoRedundancy:
     def test_record_structure(self):
         # collapsed within S, included requesters within collapsed, payload
         # length equal to the longest included subfile
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
         for delta_b in (1, 2, 3, 4):
-            result = demo_run(delta_b)
+            params = demo_params(delta_b)
+            records = core.analytic_subfile_table(params, schedule)
+            result = delivery.run_delivery(schedule, records, params)
             for e in result.log:
                 assert e.collapsed_mask & ~e.encoding_mask == 0
                 for k, mask in e.included:
                     assert e.collapsed_mask & (1 << (k - 1))
                     assert mask == e.encoding_mask & ~(1 << (k - 1))
                 assert e.payload_bits == max(
-                    result.records.raw_length(key) for key in e.included
+                    records.length[cell(key)] for key in e.included
                 )
 
 
@@ -393,6 +404,26 @@ class TestBitExactDelivery:
             result = delivery.run_delivery(schedule, records, params)
             for k in range(1, 5):
                 delivery.decode_fap(k, result.events, library, caches, records)
+
+
+class TestRepeatability:
+    def test_second_run_on_one_table_repeats_the_first(self):
+        # run_delivery leaves the table as it found it
+        params = demo_params(F=256)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library = core.generate_library(params, 3)
+        caches = core.place_caches(library, params, 4)
+        for records in (
+            core.analytic_subfile_table(params, schedule),
+            core.partition_into_subfiles(library, caches, schedule),
+        ):
+            live = records.live.copy()
+            first = delivery.run_delivery(schedule, records, params)
+            second = delivery.run_delivery(schedule, records, params)
+            assert first.report.transmission_count == 23
+            assert_same_events(second.events, first.events)
+            assert second.report == first.report
+            assert np.array_equal(records.live, live)
 
 
 class TestLogDump:
