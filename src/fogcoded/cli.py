@@ -179,6 +179,10 @@ def _sweep_configs(config: ExperimentConfig) -> list[ExperimentConfig]:
         raise InvalidParams(f"sweep axis must be l, m or deltab, got {config.sweep!r}")
     if not config.values:
         raise InvalidParams("sweep needs --values")
+    if config.sweep == "deltab" and len(config.delta_b_list) > 1:
+        raise InvalidParams(
+            "--sweep deltab takes its delays from --values, not a --delta-b list"
+        )
     delta_bs = config.delta_b_list or (config.delta_b,)
     cells = []
     for v in config.values:
@@ -412,16 +416,8 @@ def run_verification(max_k: int = 8, seed: int = 0) -> list[CheckResult]:
 # transmission tables
 
 
-def format_fap_set(ids) -> str:
-    return "{" + ",".join(str(k) for k in sorted(ids)) + "}"
-
-
-def format_content(record: delivery.TransmissionRecord) -> str:
-    if not record.transmitted:
-        return "-"
-    return "^".join(
-        f"W[{k},{format_fap_set(core.set_of(mask))}]" for k, mask in record.included
-    )
+def format_fap_set(mask: int) -> str:
+    return "{" + ",".join(str(k) for k in core.iter_ids(mask)) + "}"
 
 
 def render_tables(config: ExperimentConfig) -> list[str]:
@@ -435,15 +431,19 @@ def render_tables(config: ExperimentConfig) -> list[str]:
     else:
         records = core.analytic_subfile_table(params, schedule)
         result = delivery.run_delivery(schedule, records, params)
+    e = result.events
     lines = ["slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits\tcontent"]
-    for e in result.events:
+    for slot, S, s1, collapsed, included, bits in zip(
+        e.slot.tolist(), e.S.tolist(), e.s1.tolist(), e.collapsed.tolist(),
+        e.included.tolist(), e.bits.tolist(),
+    ):
+        content = "^".join(
+            f"W[{k},{format_fap_set(S & ~(1 << (k - 1)))}]" for k in core.iter_ids(included)
+        )
         lines.append("\t".join([
-            str(e.slot), str(e.s), str(e.chi),
-            format_fap_set(core.set_of(e.s1_mask)),
-            format_fap_set(core.set_of(e.s2_mask)),
-            format_fap_set(e.collapsed_set),
-            str(e.payload_bits),
-            format_content(e),
+            str(slot), str(S.bit_count()), str(s1.bit_count()), format_fap_set(s1),
+            format_fap_set(S ^ s1), format_fap_set(collapsed),
+            str(bits) if included else "0", content or "-",
         ]))
     return lines
 
@@ -560,7 +560,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The run configuration of simulate, sweep or tables flags; delta_b is
-    the first --delta-b value."""
+    the first --delta-b value.  Only sweep takes a list of them."""
+    if args.command != "sweep" and len(args.delta_b_list) > 1:
+        raise InvalidParams(f"{args.command} takes one --delta-b value, not a list")
     values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     return ExperimentConfig(**{**values, "delta_b": args.delta_b_list[0]})
 

@@ -40,10 +40,6 @@ def mask_of(ids: Iterable[int]) -> int:
     return m
 
 
-def set_of(mask: int) -> FapSet:
-    return frozenset(iter_ids(mask))
-
-
 def iter_ids(mask: int) -> Iterator[int]:
     """Yield F-AP ids in a mask in ascending order."""
     k = 1

@@ -14,12 +14,11 @@ together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    FapSet,
     Library,
     CacheLayout,
     RequestSchedule,
@@ -27,41 +26,43 @@ from .core import (
     SubfileRecordTable,
     SystemParams,
     check_delivery_size,
-    set_of,
+    iter_ids,
     set_ranks,
 )
 from .errors import DeadlineViolation, DecodeFailure, InvalidParams
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
-    """One enumerated (S1, S2) candidate, sent or skipped.
+@dataclass
+class Transmissions:
+    """Every enumerated (S1, S2) candidate of a run, sent or skipped, as
+    one array entry per candidate in the canonical order.
 
-    payload_bits is the length of the longest included subfile (operands
-    are zero-padded to it); skipped candidates carry no payload.
+    `S`, `s1` (its deadline part) and `collapsed` (its members still
+    active) are F-AP masks; s, chi and S2 are `S.bit_count()`,
+    `s1.bit_count()` and `S ^ s1`.  `included` masks the members whose
+    subfile (k, S minus k) the candidate carries, 0 when it is skipped.
+    `bits` is the payload length, the longest included subfile (operands
+    are zero-padded to it), in the record table's length dtype; skipped
+    candidates hold 0.  Bit-exact runs keep the payloads back to back in
+    one uint8 `buffer`, candidate i's at `start[i]`; analytic runs carry
+    none.
     """
 
-    slot: int
-    s: int
-    chi: int
-    s1_mask: int
-    s2_mask: int
-    collapsed_mask: int
-    included: tuple[SubfileKey, ...]
-    payload_bits: float
-    payload: np.ndarray | None = None
+    slot: np.ndarray
+    S: np.ndarray
+    s1: np.ndarray
+    collapsed: np.ndarray
+    included: np.ndarray
+    bits: np.ndarray
+    buffer: np.ndarray | None = None
+    start: np.ndarray | None = field(init=False, default=None)
 
-    @property
-    def encoding_mask(self) -> int:
-        return self.s1_mask | self.s2_mask
+    def __post_init__(self) -> None:
+        if self.buffer is not None:
+            self.start = np.cumsum(self.bits) - self.bits
 
-    @property
-    def transmitted(self) -> bool:
-        return bool(self.included)
-
-    @property
-    def collapsed_set(self) -> FapSet:
-        return set_of(self.collapsed_mask)
+    def __len__(self) -> int:
+        return len(self.S)
 
 
 @dataclass
@@ -74,12 +75,8 @@ class LoadReport:
 
 @dataclass
 class DeliveryResult:
-    events: list[TransmissionRecord]
+    events: Transmissions
     report: LoadReport
-
-    @property
-    def log(self) -> list[TransmissionRecord]:
-        return [e for e in self.events if e.transmitted]
 
 
 def _candidates(deadline: int, ranks) -> np.ndarray:
@@ -112,32 +109,31 @@ def build_coded_content(
     included: np.ndarray,
     length: np.ndarray,
     contents: dict[SubfileKey, np.ndarray] | None,
-) -> tuple[list[tuple[SubfileKey, ...]], list, list]:
-    """Included keys, payload length and payload of each transmitted set.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Payload length of each set's transmission and, for bit-exact tables,
+    the payloads back to back in one buffer.
 
     `included[k-1, j]` puts F-AP k's subfile for `sets[j]`, of
-    `length[k-1, j]` bits, into that set's transmission.  A payload is as
-    long as its longest operand and XORs the operands zero-padded to that
-    length; it is None for analytic tables (`contents` None).
+    `length[k-1, j]` bits, into that set's transmission; a set with none
+    has length 0.  A payload is as long as its longest operand and XORs
+    the operands zero-padded to that length.  Analytic tables (`contents`
+    None) have no payloads: the buffer is None.
     """
-    cols, rows = np.nonzero(included.T)  # by set, then by ascending F-AP
-    keys = list(zip((rows + 1).tolist(), (sets[cols] & ~(1 << rows)).tolist()))
-    cuts = np.cumsum(included.sum(axis=0)).tolist()
-    grouped = [tuple(keys[i:j]) for i, j in zip([0, *cuts], cuts)]
     bits = np.where(included, length, 0).max(axis=0)
-    if contents is None or not keys:
-        return grouped, bits.tolist(), [None] * len(grouped)
-    widths = bits.astype(np.int64)
-    starts = np.cumsum(widths) - widths  # each payload's offset in one buffer
-    sizes = length[rows, cols].astype(np.int64)
-    operands = np.concatenate([contents[key] for key in keys])
-    # bit i of an operand lands at offset + i of its set's payload
-    index = np.repeat(starts[cols] - (np.cumsum(sizes) - sizes), sizes)
-    index += np.arange(operands.size)
-    buffer = np.zeros(int(widths.sum()), dtype=np.uint8)
-    np.bitwise_xor.at(buffer, index, operands)
-    ends = np.cumsum(widths).tolist()
-    return grouped, bits.tolist(), [buffer[i:j] for i, j in zip(starts.tolist(), ends)]
+    if contents is None:
+        return bits, None
+    starts = np.cumsum(bits) - bits
+    buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
+    cols, rows = np.nonzero(included.T)  # by set, then by ascending F-AP
+    if cols.size:
+        keys = zip((rows + 1).tolist(), (sets[cols] & ~(1 << rows)).tolist())
+        operands = np.concatenate([contents[key] for key in keys])
+        sizes = length[rows, cols]
+        # bit i of an operand lands at offset + i of its set's payload
+        index = np.repeat(starts[cols] - (np.cumsum(sizes) - sizes), sizes)
+        index += np.arange(operands.size)
+        np.bitwise_xor.at(buffer, index, operands)
+    return bits, buffer
 
 
 def _assert_deadline_met(live: np.ndarray, deadline: np.ndarray, slot: int) -> None:
@@ -158,8 +154,9 @@ def _emit_slot(
     length: np.ndarray,
     contents: dict[SubfileKey, np.ndarray] | None,
     ranks,
-) -> list[TransmissionRecord]:
-    """Decide, send and log every candidate of one slot, in canonical order.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
+    """Decide and send every candidate of one slot, in canonical order:
+    the slot's Transmissions columns and payload buffer.
 
     Clears the live flags of every subfile sent, then checks that no
     deadline F-AP misses anything.
@@ -170,24 +167,13 @@ def _emit_slot(
     cand_live = live[:, sets]
     included = cand_live & should_transmit(cand_live, due) & _members(active, K)[:, None]
     live[:, sets] = cand_live & ~included
-    sent = included.any(axis=0)
-    keys, bits, payloads = build_coded_content(
-        sets[sent], included[:, sent], length[:, sets[sent]], contents
-    )
-    _, size, _ = ranks
-    s1 = sets & deadline
-    built = zip(keys, bits, payloads)
-    events = []
-    for s, chi, m1, m2, collapsed, is_sent in zip(
-        size[sets].tolist(), size[s1].tolist(), s1.tolist(), (sets ^ s1).tolist(),
-        (sets & active).tolist(), sent.tolist(),
-    ):
-        included_keys, payload_bits, payload = next(built) if is_sent else ((), 0, None)
-        events.append(TransmissionRecord(
-            slot, s, chi, m1, m2, collapsed, included_keys, payload_bits, payload
-        ))
+    bits, buffer = build_coded_content(sets, included, length[:, sets], contents)
     _assert_deadline_met(live, due, slot)
-    return events
+    columns = (
+        np.full(len(sets), slot), sets, sets & deadline, sets & active,
+        (1 << np.arange(K)) @ included, bits,
+    )
+    return columns, buffer
 
 
 def run_delivery(
@@ -206,7 +192,7 @@ def run_delivery(
     B, delta_b = params.B, params.delta_b
     live = records.live.copy()
     ranks = set_ranks(params.K)
-    events: list[TransmissionRecord] = []
+    slots = []
     active = 0
     for b in range(1, B + 1):
         active |= schedule.slot_mask(b)
@@ -216,36 +202,38 @@ def run_delivery(
             deadline = active
         else:
             continue
-        events.extend(_emit_slot(
+        slots.append(_emit_slot(
             b, deadline, active, live, records.length, records.contents, ranks
         ))
         active &= ~deadline
-    report = measured_load(events, params.F)
-    return DeliveryResult(events=events, report=report)
+    columns, buffers = zip(*slots)
+    events = Transmissions(
+        *map(np.concatenate, zip(*columns)),
+        buffer=None if records.contents is None else np.concatenate(buffers),
+    )
+    return DeliveryResult(events=events, report=measured_load(events, params.F))
 
 
-def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:
-    """Sum transmitted payload lengths and normalize by the file size."""
+def measured_load(events: Transmissions, F: int) -> LoadReport:
+    """Sum transmitted payload lengths in canonical order and normalize by
+    the file size."""
+    sent = events.included != 0
     per_slot: dict[int, float] = {}
     total = 0.0
-    count = 0
-    for e in events:
-        if not e.transmitted:
-            continue
-        per_slot[e.slot] = per_slot.get(e.slot, 0) + e.payload_bits
-        total += e.payload_bits
-        count += 1
+    for slot, bits in zip(events.slot[sent].tolist(), events.bits[sent].tolist()):
+        per_slot[slot] = per_slot.get(slot, 0) + bits
+        total += bits
     return LoadReport(
         total_bits=total,
         normalized_load=total / F,
         per_slot_bits=per_slot,
-        transmission_count=count,
+        transmission_count=int(sent.sum()),
     )
 
 
 def decode_fap(
     k: int,
-    events: list[TransmissionRecord],
+    events: Transmissions,
     library: Library,
     caches: CacheLayout,
     records: SubfileRecordTable,
@@ -269,28 +257,25 @@ def decode_fap(
     out[local] = wanted[local]
     have[local] = True
     kb = 1 << (k - 1)
-    for e in events:
-        if not e.transmitted or not (e.collapsed_mask & kb):
-            continue
-        if upto_slot is not None and e.slot > upto_slot:
-            continue
-        key = (k, e.encoding_mask & ~kb)
-        if key not in e.included:
-            continue
-        acc = e.payload.copy()
-        for other in e.included:
-            if other == key:
-                continue
-            j, j_mask = other
+    carries = (events.included & kb) != 0
+    if upto_slot is not None:
+        carries &= events.slot <= upto_slot
+    for S, included, start, bits in zip(
+        events.S[carries].tolist(), events.included[carries].tolist(),
+        events.start[carries].tolist(), events.bits[carries].tolist(),
+    ):
+        acc = events.buffer[start : start + bits].copy()
+        for j in iter_ids(included & ~kb):
+            other = (j, S & ~(1 << (j - 1)))
             j_pos = records.positions[other]
             # every other operand must live in k's own cache of file d_j
-            if not (j_mask & kb) or not caches.cached[k - 1, records.demand[j] - 1, j_pos].all():
+            if not caches.cached[k - 1, records.demand[j] - 1, j_pos].all():
                 raise DecodeFailure(
                     f"operand {other} not reconstructible at F-AP {k}"
                 )
             operand = library.file(records.demand[j])[j_pos]
             acc[: len(operand)] ^= operand
-        pos = records.positions[key]
+        pos = records.positions[(k, S & ~kb)]
         out[pos] = acc[: len(pos)]
         have[pos] = True
     if not have.all():

@@ -26,8 +26,61 @@ from fogcoded.core import (
     iter_ids,
     mask_of,
 )
-from fogcoded.delivery import DeliveryResult, LoadReport, TransmissionRecord
+from fogcoded.delivery import LoadReport, Transmissions
 from fogcoded.errors import DeadlineViolation, InvalidParams
+
+
+@dataclass(frozen=True)
+class TransmissionRecord:
+    """One enumerated (S1, S2) candidate, sent or skipped.
+
+    payload_bits is the length of the longest included subfile (operands
+    are zero-padded to it); skipped candidates carry no payload.
+    """
+
+    slot: int
+    s: int
+    chi: int
+    s1_mask: int
+    s2_mask: int
+    collapsed_mask: int
+    included: tuple[SubfileKey, ...]
+    payload_bits: float
+    payload: np.ndarray | None = None
+
+    @property
+    def transmitted(self) -> bool:
+        return bool(self.included)
+
+
+@dataclass
+class ReferenceResult:
+    events: list[TransmissionRecord]
+    report: LoadReport
+
+
+def rows_of(events: Transmissions) -> list[TransmissionRecord]:
+    """The engine's candidates as one record each, in the same order."""
+    rows = []
+    for i, (slot, S, s1, collapsed, included) in enumerate(zip(
+        events.slot.tolist(), events.S.tolist(), events.s1.tolist(),
+        events.collapsed.tolist(), events.included.tolist(),
+    )):
+        payload = None
+        if included and events.buffer is not None:
+            payload = events.buffer[events.start[i] : events.start[i] + events.bits[i]]
+        rows.append(TransmissionRecord(
+            slot=slot,
+            s=S.bit_count(),
+            chi=s1.bit_count(),
+            s1_mask=s1,
+            s2_mask=S ^ s1,
+            collapsed_mask=collapsed,
+            included=tuple((k, S & ~(1 << (k - 1))) for k in iter_ids(included)),
+            payload_bits=events.bits[i].item() if included else 0,
+            payload=payload,
+        ))
+    return rows
 
 
 def cell(key: SubfileKey) -> tuple[int, int]:
@@ -144,7 +197,7 @@ def _assert_deadline_met(state: DeliveryState) -> None:
 
 def run_delivery(
     schedule: RequestSchedule, records: SubfileRecordTable, params: SystemParams
-) -> DeliveryResult:
+) -> ReferenceResult:
     """Execute the delivery phase over all B slots.
 
     Leaves `records` unchanged.  Returns every enumerated candidate (sent
@@ -171,7 +224,7 @@ def run_delivery(
             _assert_deadline_met(state)
             state.active_mask = 0
     report = measured_load(state.events, params.F)
-    return DeliveryResult(events=state.events, report=report)
+    return ReferenceResult(events=state.events, report=report)
 
 
 def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:

@@ -264,6 +264,36 @@ class TestMalformedInput:
         assert "error:" in err and "'abc'" in err
 
 
+class TestDelayLists:
+    # Only the l and m sweeps run one cell per --delta-b value; everywhere
+    # else a list would be cut to its first value.
+    @pytest.fixture
+    def no_schedule(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a schedule was drawn before the --delta-b check")
+
+        monkeypatch.setattr(core, "make_random_schedule", fail)
+        monkeypatch.setattr(core, "make_fixed_L_schedule", fail)
+
+    @pytest.mark.parametrize("command", ["simulate", "tables"])
+    def test_flag_list_outside_sweep_exits_2(self, no_schedule, capsys, command):
+        assert cli.main([command, "--delta-b", "1,3"]) == 2
+        assert f"error: {command} takes one --delta-b value" in capsys.readouterr().err
+
+    def test_config_file_list_outside_sweep_exits_2(self, no_schedule, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta_b=1,3\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert "error: simulate takes one --delta-b value" in capsys.readouterr().err
+
+    def test_list_on_deltab_axis_exits_2(self, no_schedule, capsys):
+        args = ["sweep", "--sweep", "deltab", "--values", "1,2", "--delta-b", "1,2"]
+        assert cli.main(args) == 2
+        assert "--sweep deltab takes its delays from --values" in capsys.readouterr().err
+        with pytest.raises(InvalidParams, match="--values"):
+            cli.run_sweep(ExperimentConfig(sweep="deltab", values=(1, 2), delta_b_list=(1, 2)))
+
+
 class TestTables:
     def test_default_demo_counts(self, capsys):
         assert cli.main(["tables"]) == 0
@@ -302,6 +332,18 @@ class TestTables:
             "0.0", "1e-240", "1e-240", "1e-240", "1e-240", "4e-120", "0", "4e-120",
             "4e-120", "4e-120", "16.0", "16.0",
         ]
+
+    def test_bitexact_number_formats(self, capsys):
+        # bit-exact payload lengths are bit counts: a sent row prints an
+        # integer, a skipped row 0 and no content
+        assert cli.main(["tables", "--mode", "bitexact"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        body = [line.split("\t") for line in lines[1:]]
+        sent = [row[6] for row in body if row[7] != "-"]
+        skipped = [row[6] for row in body if row[7] == "-"]
+        assert sent and skipped
+        assert all(bits.isdigit() and bits != "0" for bits in sent)
+        assert set(skipped) == {"0"}
 
     def test_random_schedule_rejected(self, capsys):
         assert cli.main(["tables", "--random"]) == 2

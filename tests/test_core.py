@@ -1,6 +1,7 @@
 """System model tests: library, placement, subfile partition, schedules."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def fixed_l_params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
 def test_all_exports_resolve():
     for name in fogcoded.__all__:
         assert hasattr(fogcoded, name), name
+
+
+def test_exports_are_unique_and_complete():
+    # __all__ names each public name the package imports exactly once
+    assert len(set(fogcoded.__all__)) == len(fogcoded.__all__)
+    public = {
+        name for name, value in vars(fogcoded).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(fogcoded.__all__)
 
 
 class TestSystemParams:
@@ -323,7 +334,7 @@ class TestPartitionIntoSubfiles:
 class TestMaskHelpers:
     def test_roundtrip(self):
         ids = {1, 3, 7}
-        assert core.set_of(core.mask_of(ids)) == frozenset(ids)
+        assert set(core.iter_ids(core.mask_of(ids))) == ids
 
     def test_iter_ascending(self):
         assert list(core.iter_ids(core.mask_of({5, 2, 9}))) == [2, 5, 9]

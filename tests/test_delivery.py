@@ -5,9 +5,9 @@ import pytest
 
 from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
-from fogcoded.core import mask_of
+from fogcoded.core import iter_ids, mask_of
 from fogcoded.errors import DeadlineViolation, DecodeFailure, InvalidParams
-from reference_delivery import cell
+from reference_delivery import cell, rows_of
 from test_reference_engine import assert_same_events
 
 
@@ -65,9 +65,9 @@ class TestGoldenTables:
     def test_event_sequence(self):
         result = demo_run()
         got = [
-            (e.slot, e.s, e.chi, set(core.set_of(e.s1_mask)),
-             set(core.set_of(e.s2_mask)), list(e.included))
-            for e in result.events
+            (e.slot, e.s, e.chi, set(iter_ids(e.s1_mask)),
+             set(iter_ids(e.s2_mask)), list(e.included))
+            for e in rows_of(result.events)
         ]
         expected = [
             (slot, s, chi, s1, s2, included)
@@ -78,7 +78,7 @@ class TestGoldenTables:
     def test_transmission_counts_per_slot(self):
         result = demo_run()
         sent = {}
-        for e in result.events:
+        for e in rows_of(result.events):
             if e.transmitted:
                 sent[e.slot] = sent.get(e.slot, 0) + 1
         assert sent == {2: 8, 3: 4, 4: 11}
@@ -86,13 +86,13 @@ class TestGoldenTables:
 
     def test_no_transmissions_before_accumulation_ends(self):
         result = demo_run(delta_b=3)
-        assert all(e.slot >= 3 for e in result.events)
+        assert (result.events.slot >= 3).all()
 
     def test_skip_examples(self):
         # The deferred candidate at slot 3 and the one-operand row at slot 4.
         result = demo_run()
         by_sig = {
-            (e.slot, e.s1_mask, e.s2_mask): e for e in result.events
+            (e.slot, e.s1_mask, e.s2_mask): e for e in rows_of(result.events)
         }
         deferred = by_sig[(3, mask_of({2}), mask_of({1, 3, 4}))]
         assert not deferred.transmitted
@@ -102,25 +102,23 @@ class TestGoldenTables:
 
 
 def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
-    # The transmission of encoding set S: the live subfiles of its active
-    # members, put together by build_coded_content.
+    # The transmission of encoding set S, a one-candidate Transmissions:
+    # the live subfiles of its active members, put together by
+    # build_coded_content.
     sets = np.array([s_mask])
     active = np.array([(active_mask >> i) & 1 for i in range(records.K)], dtype=bool)
-    keys, bits, payloads = delivery.build_coded_content(
-        sets, records.live[:, sets] & active[:, None], records.length[:, sets],
-        records.contents,
+    included = records.live[:, sets] & active[:, None]
+    bits, buffer = delivery.build_coded_content(
+        sets, included, records.length[:, sets], records.contents
     )
-    s1_mask = s_mask & deadline_mask
-    return delivery.TransmissionRecord(
-        slot=slot,
-        s=s_mask.bit_count(),
-        chi=s1_mask.bit_count(),
-        s1_mask=s1_mask,
-        s2_mask=s_mask & ~deadline_mask,
-        collapsed_mask=s_mask & active_mask,
-        included=keys[0],
-        payload_bits=bits[0],
-        payload=payloads[0],
+    return delivery.Transmissions(
+        slot=np.array([slot]),
+        S=sets,
+        s1=sets & deadline_mask,
+        collapsed=sets & active_mask,
+        included=(1 << np.arange(records.K)) @ included,
+        bits=bits,
+        buffer=buffer,
     )
 
 
@@ -175,7 +173,7 @@ class TestBuildCodedContent:
 
     def test_single_operand_verbatim(self):
         records = self.synthetic_records({key(1, {2}): [1, 0, 1]})
-        rec = coded_record(records, mask_of({1, 2}), mask_of({1}), mask_of({1}))
+        [rec] = rows_of(coded_record(records, mask_of({1, 2}), mask_of({1}), mask_of({1})))
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [1, 0, 1]
 
@@ -183,7 +181,9 @@ class TestBuildCodedContent:
         records = self.synthetic_records(
             {key(1, {2}): [1, 0, 1], key(2, {1}): [1, 1, 0]}
         )
-        rec = coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+        [rec] = rows_of(
+            coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+        )
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [0, 1, 1]
 
@@ -191,7 +191,9 @@ class TestBuildCodedContent:
         records = self.synthetic_records(
             {key(1, {2}): [1, 1, 1], key(2, {1}): [1, 0, 1, 0, 1]}
         )
-        rec = coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+        [rec] = rows_of(
+            coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+        )
         assert rec.payload_bits == 5
         # short operand acts as if extended with zeros
         assert rec.payload.tolist() == [0, 1, 0, 0, 1]
@@ -199,10 +201,21 @@ class TestBuildCodedContent:
 
 class TestMeasuredLoad:
     def test_empty(self):
-        report = delivery.measured_load([], F=16)
+        # Every F-AP caches its one-bit files whole, so no subfile is
+        # missing and every candidate is skipped.
+        params = core.SystemParams(K=2, N=2, M=1.9, F=1, B=2, delta_b=1)
+        schedule = core.make_fixed_L_schedule(2, 2, 1)
+        library = core.generate_library(params, 0)
+        caches = core.place_caches(library, params, 1)
+        records = core.partition_into_subfiles(library, caches, schedule)
+        result = delivery.run_delivery(schedule, records, params)
+        assert len(result.events) == 4 and not result.events.included.any()
+        report = delivery.measured_load(result.events, params.F)
+        assert report == result.report
         assert report.total_bits == 0
         assert report.normalized_load == 0
         assert report.transmission_count == 0
+        assert report.per_slot_bits == {}
 
     def test_demo_value(self):
         result = demo_run()
@@ -214,7 +227,26 @@ class TestMeasuredLoad:
     def test_full_delay_value(self):
         result = demo_run(delta_b=4)
         assert result.report.normalized_load == pytest.approx(15 / 16)
-        assert all(e.slot == 4 for e in result.events)
+        assert (result.events.slot == 4).all()
+
+
+class TestCandidateCount:
+    @pytest.mark.parametrize("K, B, L, delta_b, expected", [
+        (4, 4, 1, 2, 28),
+        (12, 6, 2, 2, 16_128),
+    ])
+    def test_every_set_meeting_the_deadline_set(self, K, B, L, delta_b, expected):
+        # A slot with deadline set D enumerates the 2^K - 2^(K-|D|) sets
+        # that meet D: slots delta_b..B-1 have the requesters of slot
+        # b - delta_b + 1 due, slot B everyone still active.
+        params = core.SystemParams(K=K, N=K, M=K / 4, F=100, B=B, delta_b=delta_b)
+        schedule = core.make_fixed_L_schedule(K, B, L, seed=1)
+        records = core.analytic_subfile_table(params, schedule)
+        result = delivery.run_delivery(schedule, records, params)
+        due = [len(schedule.requesters(b - delta_b + 1)) for b in range(delta_b, B)]
+        due.append(K - sum(due))
+        assert sum((1 << K) - (1 << (K - d)) for d in due) == expected
+        assert len(result.events) == expected
 
 
 class TestNoRedundancy:
@@ -222,7 +254,7 @@ class TestNoRedundancy:
         for delta_b in (1, 2, 3, 4):
             result = demo_run(delta_b)
             seen = set()
-            for e in result.log:
+            for e in rows_of(result.events):
                 for k in e.included:
                     assert k not in seen
                     seen.add(k)
@@ -235,7 +267,7 @@ class TestNoRedundancy:
                 records = core.analytic_subfile_table(params, schedule)
                 result = delivery.run_delivery(schedule, records, params)
                 seen = set()
-                for e in result.log:
+                for e in rows_of(result.events):
                     for k in e.included:
                         assert k not in seen
                         seen.add(k)
@@ -247,14 +279,14 @@ class TestNoRedundancy:
         for delta_b in (1, 2, 3, 4):
             params = demo_params(delta_b)
             records = core.analytic_subfile_table(params, schedule)
-            result = delivery.run_delivery(schedule, records, params)
-            for e in result.log:
-                assert e.collapsed_mask & ~e.encoding_mask == 0
-                for k, mask in e.included:
-                    assert e.collapsed_mask & (1 << (k - 1))
-                    assert mask == e.encoding_mask & ~(1 << (k - 1))
-                assert e.payload_bits == max(
-                    records.length[cell(key)] for key in e.included
+            e = delivery.run_delivery(schedule, records, params).events
+            assert not (e.collapsed & ~e.S).any()
+            assert not (e.included & ~e.collapsed).any()
+            for S, included, bits in zip(
+                e.S.tolist(), e.included.tolist(), e.bits.tolist()
+            ):
+                assert bits == max(
+                    (records.length[k - 1, S] for k in iter_ids(included)), default=0
                 )
 
 
@@ -359,6 +391,17 @@ class TestBitExactDelivery:
                 4, result.events, library, caches, records, upto_slot=3
             )
 
+    def test_uncached_operand_fails(self):
+        # Drop one bit of an operand F-AP 1 needs from its cache: decoding
+        # the transmission that carries it must fail, not XOR garbage.
+        params = demo_params(2, F=2048)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+        other = key(2, {1})
+        caches.cached[0, schedule.demand[2] - 1, records.positions[other][0]] = False
+        with pytest.raises(DecodeFailure, match=r"operand \(2, 1\) not reconstructible"):
+            delivery.decode_fap(1, result.events, library, caches, records)
+
     def test_single_fap_uncoded(self):
         # Degenerate one-F-AP system: the lone class travels uncoded and the
         # decoder merges it with the locally cached half.
@@ -368,9 +411,9 @@ class TestBitExactDelivery:
         caches = core.place_caches(library, p, seed=4)
         records = core.partition_into_subfiles(library, caches, sched)
         k = (1, 0)
-        rec = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
-        assert rec.included == (k,)
-        decoded = delivery.decode_fap(1, [rec], library, caches, records)
+        sent = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
+        assert rows_of(sent)[0].included == (k,)
+        decoded = delivery.decode_fap(1, sent, library, caches, records)
         assert np.array_equal(decoded, library.file(1))
 
     def test_gap_to_analytic_shrinks(self):
@@ -421,7 +464,7 @@ class TestRepeatability:
             first = delivery.run_delivery(schedule, records, params)
             second = delivery.run_delivery(schedule, records, params)
             assert first.report.transmission_count == 23
-            assert_same_events(second.events, first.events)
+            assert_same_events(second.events, rows_of(first.events))
             assert second.report == first.report
             assert np.array_equal(records.live, live)
 
@@ -429,13 +472,13 @@ class TestRepeatability:
 class TestLogDump:
     def test_transmissions_only(self):
         result = demo_run()
-        sent = [e for e in result.events if e.transmitted]
+        sent = [e for e in rows_of(result.events) if e.transmitted]
         assert len(sent) == 23
         first = sent[0]
         assert (first.slot, first.s, first.chi) == (2, 4, 1)
-        assert set(core.set_of(first.s1_mask)) == {1}
-        assert set(core.set_of(first.s2_mask)) == {2, 3, 4}
-        assert set(first.collapsed_set) == {1, 2}
+        assert set(iter_ids(first.s1_mask)) == {1}
+        assert set(iter_ids(first.s2_mask)) == {2, 3, 4}
+        assert set(iter_ids(first.collapsed_mask)) == {1, 2}
         assert first.payload_bits == 1.0
 
 

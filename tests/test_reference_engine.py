@@ -24,7 +24,9 @@ EVENT_FIELDS = (
 
 
 def assert_same_events(got, want):
+    """An engine run's Transmissions against a list of reference records."""
     assert len(got) == len(want)
+    got = reference.rows_of(got)
     for i, (g, w) in enumerate(zip(got, want)):
         for name in EVENT_FIELDS:
             a, b = getattr(g, name), getattr(w, name)
