@@ -179,10 +179,8 @@ def _sweep_configs(config: ExperimentConfig) -> list[ExperimentConfig]:
         raise InvalidParams(f"sweep axis must be l, m or deltab, got {config.sweep!r}")
     if not config.values:
         raise InvalidParams("sweep needs --values")
-    if config.sweep == "deltab" and len(config.delta_b_list) > 1:
-        raise InvalidParams(
-            "--sweep deltab takes its delays from --values, not a --delta-b list"
-        )
+    if config.sweep == "deltab" and config.delta_b_list:
+        raise InvalidParams("--sweep deltab takes its delays from --values, not --delta-b")
     delta_bs = config.delta_b_list or (config.delta_b,)
     cells = []
     for v in config.values:
@@ -509,7 +507,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         p.add_argument("--seed", type=int, help="root seed")
         p.add_argument("--mode", choices=["bitexact", "analytic"])
         p.add_argument("--out", help="output path (- for stdout)")
-        p.set_defaults(**{**asdict(defaults), "delta_b_list": (defaults.delta_b,)})
+        p.set_defaults(**asdict(defaults))
 
     p_sim = sub.add_parser("simulate", help="run one configuration")
     add_common(p_sim, ExperimentConfig())
@@ -560,11 +558,14 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The run configuration of simulate, sweep or tables flags; delta_b is
-    the first --delta-b value.  Only sweep takes a list of them."""
+    the first --delta-b value, or the subcommand's default when none was
+    given.  Only sweep takes a list of them."""
     if args.command != "sweep" and len(args.delta_b_list) > 1:
         raise InvalidParams(f"{args.command} takes one --delta-b value, not a list")
     values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
-    return ExperimentConfig(**{**values, "delta_b": args.delta_b_list[0]})
+    if args.delta_b_list:
+        values["delta_b"] = args.delta_b_list[0]
+    return ExperimentConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

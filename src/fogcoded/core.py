@@ -2,8 +2,8 @@
 
 Fog access points (F-APs) are numbered 1..K.  Sets of F-APs appear in two
 forms: ``frozenset[int]`` at API boundaries and integer bitmasks (bit k-1
-set for F-AP k) inside the delivery hot path.  Subfile record keys are
-``(requester, exclusivity_mask)`` pairs, where the mask names the other
+set for F-AP k) inside the delivery hot path.  A subfile record (k, E)
+pairs a requester k with an exclusivity mask E, which names the other
 F-APs that cache exactly those bits.
 """
 
@@ -18,8 +18,6 @@ import numpy as np
 from .errors import InvalidParams, TooLarge
 
 FapSet = frozenset[int]
-
-SubfileKey = tuple[int, int]  # (requester, exclusivity bitmask)
 
 MAX_DELIVERY_K = 16
 
@@ -156,24 +154,14 @@ def generate_library(params: SystemParams, seed: int) -> Library:
 
 @dataclass(frozen=True)
 class CacheLayout:
-    """Which bit positions of which file each F-AP caches.
+    """Which F-APs cache each bit, as one signature per bit.
 
-    ``cached[k-1, n-1, p]`` is True when F-AP k holds bit p of file n.
+    Bit k-1 of ``signature[n-1, p]`` is set when F-AP k holds bit p of
+    file n; the dtype is the smallest unsigned one that holds K bits.
     """
 
-    cached: np.ndarray
-
-    @property
-    def K(self) -> int:
-        return self.cached.shape[0]
-
-    def positions(self, k: int, n: int) -> np.ndarray:
-        """Sorted cached bit positions of file n at F-AP k."""
-        return np.flatnonzero(self.cached[k - 1, n - 1])
-
-    def file_matrix(self, n: int) -> np.ndarray:
-        """(K, F) bool view of who caches each bit of file n."""
-        return self.cached[:, n - 1, :]
+    K: int
+    signature: np.ndarray
 
 
 def place_caches(library: Library, params: SystemParams, seed: int) -> CacheLayout:
@@ -182,13 +170,19 @@ def place_caches(library: Library, params: SystemParams, seed: int) -> CacheLayo
     quota = params.cached_bits_per_file
     if not (0 <= quota <= params.F):
         raise InvalidParams(f"per-file cache quota {quota} outside [0, F]")
+    check_delivery_size(params.K)
     rng = np.random.Generator(np.random.PCG64(seed))
-    cached = np.zeros((params.K, params.N, params.F), dtype=bool)
+    dtype = np.min_scalar_type((1 << params.K) - 1)
+    signature = np.zeros((params.N, params.F), dtype=dtype)
+    # one F-AP's picks of one file, ORed into the file's signatures whole:
+    # faster than a fancy-indexed |=, which reads and writes every pick
+    picked = np.zeros(params.F, dtype=dtype)
     for k in range(params.K):
         for n in range(params.N):
-            picks = rng.choice(params.F, size=quota, replace=False)
-            cached[k, n, picks] = True
-    return CacheLayout(cached)
+            picked.fill(0)
+            picked[rng.choice(params.F, size=quota, replace=False)] = 1 << k
+            signature[n] |= picked
+    return CacheLayout(params.K, signature)
 
 
 @dataclass(frozen=True)
@@ -299,14 +293,15 @@ class SubfileRecordTable:
     requested by F-AP k that are cached at every F-AP in S minus k and at
     none outside it; in particular they are not cached at k itself.  A
     column whose set does not contain k holds no entry.  Bits cached at k
-    never enter the table: they are tracked per requester as the locally
-    held class, which only the decoder consumes.
+    never enter the table: the decoder reads them from k's cache.
 
     ``live`` marks the entries that exist and ``length`` holds their
     lengths: bit counts (int64) in bit-exact tables, expected sizes
     (float64) in analytic ones, whose entries all exist even where a size
-    underflows to 0.0.  Bit-exact tables also carry the entries' positions
-    and contents by (k, E) and the locally held classes by k.
+    underflows to 0.0.  Bit-exact tables also hold every entry's bit
+    positions and bit values, the entries back to back in row-major
+    order, in ``bit_positions`` and ``bit_values``; entry (k, E) starts at
+    ``start[k-1, S]`` and its positions ascend.
     """
 
     K: int
@@ -314,9 +309,9 @@ class SubfileRecordTable:
     demand: Mapping[int, int]
     live: np.ndarray
     length: np.ndarray
-    positions: dict[SubfileKey, np.ndarray] | None = None
-    contents: dict[SubfileKey, np.ndarray] | None = None
-    locally_held: dict[int, np.ndarray] | None = None
+    start: np.ndarray | None = None
+    bit_positions: np.ndarray | None = None
+    bit_values: np.ndarray | None = None
 
 
 def partition_into_subfiles(
@@ -325,51 +320,36 @@ def partition_into_subfiles(
     """Split every requested file into exclusivity classes (bit-exact mode).
 
     For requester k the classes over all exclusivity sets, together with
-    the locally held class, partition the F bits of its file.  One sort of
-    k's uncached positions by exclusivity mask cuts them into the classes,
-    which come in ascending mask order with ascending positions.
+    the bits k caches itself, partition the F bits of its file.  A bit not
+    cached at k has k's signature bit clear, so its signature is the
+    exclusivity mask E of its class and E | k its column.  One stable sort
+    of k's uncached positions by signature lays the classes out in
+    ascending column order with ascending positions.
     """
     K, F = caches.K, library.F
     check_delivery_size(K)
-    weights = 1 << np.arange(K, dtype=np.uint64)
-    live = np.zeros((K, 1 << K), dtype=bool)
     length = np.zeros((K, 1 << K), dtype=np.int64)
-    positions: dict[SubfileKey, np.ndarray] = {}
-    contents: dict[SubfileKey, np.ndarray] = {}
-    locally_held: dict[int, np.ndarray] = {}
+    positions, values = [], []
     for k in range(1, K + 1):
         n = schedule.demand[k]
-        who = caches.file_matrix(n)
-        w = weights.copy()
-        w[k - 1] = 0
-        signature = (who * w[:, None]).sum(axis=0)
-        own = who[k - 1]
-        locally_held[k] = np.flatnonzero(own)
-        foreign = np.flatnonzero(~own)
-        # a stable sort keeps each class's positions ascending
-        order = np.argsort(signature[foreign], kind="stable")
-        pos = foreign[order]
-        sig = signature[pos].astype(np.int64)
-        first = np.ones(len(pos), dtype=bool)
-        first[1:] = sig[1:] != sig[:-1]
-        starts = np.flatnonzero(first)
-        ends = np.append(starts[1:], len(pos))
-        columns = sig[starts] | (1 << (k - 1))
-        live[k - 1, columns] = True
-        length[k - 1, columns] = ends - starts
-        bits = library.file(n)[pos]
-        for mask, i, j in zip(sig[starts].tolist(), starts.tolist(), ends.tolist()):
-            positions[(k, mask)] = pos[i:j]
-            contents[(k, mask)] = bits[i:j]
+        signature = caches.signature[n - 1]
+        foreign = np.flatnonzero((signature & (1 << (k - 1))) == 0)
+        columns = signature[foreign] | (1 << (k - 1))
+        pos = foreign[np.argsort(columns, kind="stable")]
+        positions.append(pos)
+        values.append(library.file(n)[pos])
+        length[k - 1] = np.bincount(columns, minlength=1 << K)
+    # columns without k hold no bits, so row-major order is entry order
+    flat = length.ravel()
     return SubfileRecordTable(
         K=K,
         F=F,
         demand=dict(schedule.demand),
-        live=live,
+        live=length > 0,
         length=length,
-        positions=positions,
-        contents=contents,
-        locally_held=locally_held,
+        start=(np.cumsum(flat) - flat).reshape(K, 1 << K),
+        bit_positions=np.concatenate(positions),
+        bit_values=np.concatenate(values),
     )
 
 

@@ -22,11 +22,9 @@ from .core import (
     Library,
     CacheLayout,
     RequestSchedule,
-    SubfileKey,
     SubfileRecordTable,
     SystemParams,
     check_delivery_size,
-    iter_ids,
     set_ranks,
 )
 from .errors import DeadlineViolation, DecodeFailure, InvalidParams
@@ -104,35 +102,38 @@ def should_transmit(live: np.ndarray, deadline: np.ndarray) -> np.ndarray:
     return live[deadline].any(axis=0)
 
 
+def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices start[i] .. start[i] + length[i] - 1 of every span, the
+    spans back to back."""
+    index = np.repeat(start - (np.cumsum(length) - length), length)
+    index += np.arange(index.size)
+    return index
+
+
 def build_coded_content(
-    sets: np.ndarray,
-    included: np.ndarray,
-    length: np.ndarray,
-    contents: dict[SubfileKey, np.ndarray] | None,
+    sets: np.ndarray, included: np.ndarray, records: SubfileRecordTable
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Payload length of each set's transmission and, for bit-exact tables,
     the payloads back to back in one buffer.
 
-    `included[k-1, j]` puts F-AP k's subfile for `sets[j]`, of
-    `length[k-1, j]` bits, into that set's transmission; a set with none
-    has length 0.  A payload is as long as its longest operand and XORs
-    the operands zero-padded to that length.  Analytic tables (`contents`
-    None) have no payloads: the buffer is None.
+    `included[k-1, j]` puts F-AP k's subfile for `sets[j]` into that set's
+    transmission; a set with none has length 0.  A payload is as long as
+    its longest operand and XORs the operands zero-padded to that length.
+    Analytic tables have no payloads: the buffer is None.
     """
+    length = records.length[:, sets]
     bits = np.where(included, length, 0).max(axis=0)
-    if contents is None:
+    if records.bit_values is None:
         return bits, None
-    starts = np.cumsum(bits) - bits
     buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
-    cols, rows = np.nonzero(included.T)  # by set, then by ascending F-AP
-    if cols.size:
-        keys = zip((rows + 1).tolist(), (sets[cols] & ~(1 << rows)).tolist())
-        operands = np.concatenate([contents[key] for key in keys])
-        sizes = length[rows, cols]
-        # bit i of an operand lands at offset + i of its set's payload
-        index = np.repeat(starts[cols] - (np.cumsum(sizes) - sizes), sizes)
-        index += np.arange(operands.size)
-        np.bitwise_xor.at(buffer, index, operands)
+    rows, cols = np.nonzero(included)
+    sizes = length[rows, cols]
+    # bit i of an operand lands at offset + i of its set's payload
+    np.bitwise_xor.at(
+        buffer,
+        _spans((np.cumsum(bits) - bits)[cols], sizes),
+        records.bit_values[_spans(records.start[rows, sets[cols]], sizes)],
+    )
     return bits, buffer
 
 
@@ -151,8 +152,7 @@ def _emit_slot(
     deadline: int,
     active: int,
     live: np.ndarray,
-    length: np.ndarray,
-    contents: dict[SubfileKey, np.ndarray] | None,
+    records: SubfileRecordTable,
     ranks,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
     """Decide and send every candidate of one slot, in canonical order:
@@ -167,7 +167,7 @@ def _emit_slot(
     cand_live = live[:, sets]
     included = cand_live & should_transmit(cand_live, due) & _members(active, K)[:, None]
     live[:, sets] = cand_live & ~included
-    bits, buffer = build_coded_content(sets, included, length[:, sets], contents)
+    bits, buffer = build_coded_content(sets, included, records)
     _assert_deadline_met(live, due, slot)
     columns = (
         np.full(len(sets), slot), sets, sets & deadline, sets & active,
@@ -202,14 +202,12 @@ def run_delivery(
             deadline = active
         else:
             continue
-        slots.append(_emit_slot(
-            b, deadline, active, live, records.length, records.contents, ranks
-        ))
+        slots.append(_emit_slot(b, deadline, active, live, records, ranks))
         active &= ~deadline
     columns, buffers = zip(*slots)
     events = Transmissions(
         *map(np.concatenate, zip(*columns)),
-        buffer=None if records.contents is None else np.concatenate(buffers),
+        buffer=None if records.bit_values is None else np.concatenate(buffers),
     )
     return DeliveryResult(events=events, report=measured_load(events, params.F))
 
@@ -244,40 +242,44 @@ def decode_fap(
     For every transmission whose XOR includes k's subfile, the other
     operands are reconstructed from k's cache (each one is cached at k by
     construction), XORed out, and the recovered class bits are placed at
-    their original positions.  Raises DecodeFailure if any class of the
-    file is neither cached locally nor recoverable from the log.
+    their original positions.  All of k's transmissions are handled as
+    one array step, the operands back to back in canonical order.  Raises
+    DecodeFailure, naming the first operand in that order, if an operand
+    holds a bit k does not cache, or if any bit of the file is neither
+    cached locally nor recoverable from the log.
     """
-    if records.positions is None:
+    if records.bit_values is None:
         raise InvalidParams("decoding needs a bit-exact record table")
-    n = records.demand[k]
-    wanted = library.file(n)
-    out = np.zeros(records.F, dtype=np.uint8)
-    have = np.zeros(records.F, dtype=bool)
-    local = records.locally_held[k]
-    out[local] = wanted[local]
-    have[local] = True
     kb = 1 << (k - 1)
+    n = records.demand[k]
+    have = (caches.signature[n - 1] & kb) != 0
+    out = np.where(have, library.file(n), 0)
     carries = (events.included & kb) != 0
     if upto_slot is not None:
         carries &= events.slot <= upto_slot
-    for S, included, start, bits in zip(
-        events.S[carries].tolist(), events.included[carries].tolist(),
-        events.start[carries].tolist(), events.bits[carries].tolist(),
-    ):
-        acc = events.buffer[start : start + bits].copy()
-        for j in iter_ids(included & ~kb):
-            other = (j, S & ~(1 << (j - 1)))
-            j_pos = records.positions[other]
-            # every other operand must live in k's own cache of file d_j
-            if not caches.cached[k - 1, records.demand[j] - 1, j_pos].all():
-                raise DecodeFailure(
-                    f"operand {other} not reconstructible at F-AP {k}"
-                )
-            operand = library.file(records.demand[j])[j_pos]
-            acc[: len(operand)] ^= operand
-        pos = records.positions[(k, S & ~kb)]
-        out[pos] = acc[: len(pos)]
-        have[pos] = True
+    S, bits = events.S[carries], events.bits[carries]
+    acc = events.buffer[_spans(events.start[carries], bits)]
+    acc_start = np.cumsum(bits) - bits
+    # the other operands (j, S minus j), by transmission, then ascending j
+    others = ((events.included[carries] & ~kb)[:, None] >> np.arange(records.K)) & 1
+    rows, j = np.nonzero(others)
+    sizes = records.length[j, S[rows]]
+    file_of = np.array([records.demand[i] - 1 for i in range(1, records.K + 1)])
+    # each operand bit's flat index into the (N, F) signature and library
+    # arrays: bit p of file d_j
+    flat = np.repeat(file_of[j] * records.F, sizes)
+    flat += records.bit_positions[_spans(records.start[j, S[rows]], sizes)]
+    # every other operand must live in k's own cache of file d_j
+    uncached = (np.take(caches.signature, flat) & kb) == 0
+    if uncached.any():
+        i = np.searchsorted(np.cumsum(sizes), np.argmax(uncached), side="right")
+        other = (int(j[i]) + 1, int(S[rows[i]]) & ~(1 << int(j[i])))
+        raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
+    np.bitwise_xor.at(acc, _spans(acc_start[rows], sizes), np.take(library.bits, flat))
+    own = records.length[k - 1, S]
+    pos = records.bit_positions[_spans(records.start[k - 1, S], own)]
+    out[pos] = acc[_spans(acc_start, own)]
+    have[pos] = True
     if not have.all():
         missing = int((~have).sum())
         raise DecodeFailure(f"F-AP {k} is missing {missing} bits after decoding")

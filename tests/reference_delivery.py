@@ -1,11 +1,13 @@
-"""Reference engine: per-candidate delivery and per-class partition.
+"""Reference engine: cube placement, per-class partition and
+per-candidate delivery.
 
-This is the straightforward form of the delivery phase and of the subfile
-partition.  Candidates are checked one at a time in the canonical order,
-and the bits of each exclusivity class are found by a full scan of the
-file.  The package's array kernels (`delivery.run_delivery`,
-`core.partition_into_subfiles`) must reproduce it exactly; the tests
-compare the two.
+This is the straightforward form of the cache placement, the subfile
+partition and the delivery phase.  Placement fills a (K, N, F) bool cube,
+the bits of each exclusivity class are found by a full scan of the file,
+and candidates are checked one at a time in the canonical order.  The
+package's array kernels (`core.place_caches`,
+`core.partition_into_subfiles`, `delivery.run_delivery`) must reproduce
+it exactly; the tests compare the two.
 """
 
 from __future__ import annotations
@@ -16,10 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from fogcoded.core import (
-    CacheLayout,
     Library,
     RequestSchedule,
-    SubfileKey,
     SubfileRecordTable,
     SystemParams,
     check_delivery_size,
@@ -28,6 +28,8 @@ from fogcoded.core import (
 )
 from fogcoded.delivery import LoadReport, Transmissions
 from fogcoded.errors import DeadlineViolation, InvalidParams
+
+SubfileKey = tuple[int, int]  # (requester, exclusivity bitmask)
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,19 @@ def rows_of(events: Transmissions) -> list[TransmissionRecord]:
     return rows
 
 
+def classes_of(table: SubfileRecordTable) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
+    """A bit-exact table's entries as {(k, E): (positions, contents)}, by
+    ascending k, then ascending E."""
+    classes = {}
+    for row, S in zip(*np.nonzero(table.live)):
+        start, length = table.start[row, S], table.length[row, S]
+        span = slice(start, start + length)
+        classes[(int(row) + 1, int(S) & ~(1 << int(row)))] = (
+            table.bit_positions[span], table.bit_values[span]
+        )
+    return classes
+
+
 def cell(key: SubfileKey) -> tuple[int, int]:
     """Row and column of entry (k, E) in the table's arrays."""
     k, mask = key
@@ -90,10 +105,25 @@ def cell(key: SubfileKey) -> tuple[int, int]:
 
 
 @dataclass
+class ReferenceTable:
+    """A record table with its bit-exact classes in dicts: positions and
+    contents by (k, E), and the bits each requester caches itself by k."""
+
+    K: int
+    F: int
+    demand: dict[int, int]
+    live: np.ndarray
+    length: np.ndarray
+    positions: dict[SubfileKey, np.ndarray]
+    contents: dict[SubfileKey, np.ndarray]
+    locally_held: dict[int, np.ndarray]
+
+
+@dataclass
 class DeliveryState:
     """Mutable cursor of one delivery run."""
 
-    records: SubfileRecordTable
+    records: SubfileRecordTable | ReferenceTable
     active_mask: int = 0
     deadline_mask: int = 0
     slot: int = 0
@@ -130,7 +160,8 @@ def build_coded_content(s_mask: int, state: DeliveryState) -> TransmissionRecord
             lengths.append(records.length[cell(key)].item())
     payload_bits = max(lengths, default=0)
     payload = None
-    if records.contents is not None and included:
+    # payloads come from a reference table; analytic runs pass the package's
+    if isinstance(records, ReferenceTable) and included:
         payload = np.zeros(int(payload_bits), dtype=np.uint8)
         for key in included:
             bits = records.contents[key]
@@ -196,7 +227,9 @@ def _assert_deadline_met(state: DeliveryState) -> None:
 
 
 def run_delivery(
-    schedule: RequestSchedule, records: SubfileRecordTable, params: SystemParams
+    schedule: RequestSchedule,
+    records: SubfileRecordTable | ReferenceTable,
+    params: SystemParams,
 ) -> ReferenceResult:
     """Execute the delivery phase over all B slots.
 
@@ -246,9 +279,37 @@ def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:
     )
 
 
+@dataclass(frozen=True)
+class ReferenceCaches:
+    """``cached[k-1, n-1, p]`` is True when F-AP k holds bit p of file n."""
+
+    cached: np.ndarray
+
+    @property
+    def K(self) -> int:
+        return self.cached.shape[0]
+
+    def file_matrix(self, n: int) -> np.ndarray:
+        """(K, F) bool view of who caches each bit of file n."""
+        return self.cached[:, n - 1, :]
+
+
+def place_caches(library: Library, params: SystemParams, seed: int) -> ReferenceCaches:
+    """Decentralized placement: every F-AP independently caches a uniform
+    random subset of round(M*F/N) bit positions of every file."""
+    quota = params.cached_bits_per_file
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cached = np.zeros((params.K, params.N, params.F), dtype=bool)
+    for k in range(params.K):
+        for n in range(params.N):
+            picks = rng.choice(params.F, size=quota, replace=False)
+            cached[k, n, picks] = True
+    return ReferenceCaches(cached)
+
+
 def partition_into_subfiles(
-    library: Library, caches: CacheLayout, schedule: RequestSchedule
-) -> SubfileRecordTable:
+    library: Library, caches: ReferenceCaches, schedule: RequestSchedule
+) -> ReferenceTable:
     """Split every requested file into exclusivity classes (bit-exact mode).
 
     For requester k the classes over all exclusivity sets, together with
@@ -278,7 +339,7 @@ def partition_into_subfiles(
             contents[key] = library.file(n)[pos]
             live[cell(key)] = True
             length[cell(key)] = len(pos)
-    return SubfileRecordTable(
+    return ReferenceTable(
         K=K,
         F=F,
         demand=dict(schedule.demand),

@@ -12,7 +12,7 @@ import fogcoded
 from fogcoded import core
 from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams, TooLarge
-from reference_delivery import cell
+from reference_delivery import cell, classes_of
 
 
 def params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
@@ -88,6 +88,11 @@ class TestGenerateLibrary:
         assert not np.array_equal(a.bits, b.bits)
 
 
+def cached_at(caches, k, n):
+    """(F,) bool: which bits of file n F-AP k caches."""
+    return (caches.signature[n - 1] >> (k - 1)) & 1 == 1
+
+
 class TestPlaceCaches:
     def test_exact_quota(self):
         p = params()
@@ -95,13 +100,15 @@ class TestPlaceCaches:
         caches = core.place_caches(lib, p, seed=1)
         for k in range(1, 5):
             for n in range(1, 5):
-                assert len(caches.positions(k, n)) == 8
+                assert cached_at(caches, k, n).sum() == 8
+        # no bit above K is ever set
+        assert not (caches.signature >> 4).any()
 
     def test_tiny_cache_is_empty(self):
         p = core.SystemParams(K=2, N=100, M=0.001, F=100, B=2, delta_b=1)
         lib = core.generate_library(p, seed=0)
         caches = core.place_caches(lib, p, seed=0)
-        assert caches.cached.sum() == 0
+        assert not caches.signature.any()
 
     def test_overlap_concentration(self):
         # Two F-APs each cache exactly half of the file; their overlap is a
@@ -111,7 +118,7 @@ class TestPlaceCaches:
         caches = core.place_caches(lib, p, seed=42)
         F = p.F
         for n in (1, 2):
-            sets = [set(caches.positions(k, n)) for k in (1, 2)]
+            sets = [set(np.flatnonzero(cached_at(caches, k, n))) for k in (1, 2)]
             assert len(sets[0]) == F // 2 and len(sets[1]) == F // 2
             overlap = len(sets[0] & sets[1]) / F
             sigma = math.sqrt(0.25 * 0.75 / F)
@@ -121,7 +128,17 @@ class TestPlaceCaches:
         p = params(F=4096)
         lib = core.generate_library(p, seed=0)
         caches = core.place_caches(lib, p, seed=3)
-        assert not np.array_equal(caches.cached[0], caches.cached[1])
+        assert not np.array_equal(cached_at(caches, 1, 1), cached_at(caches, 2, 1))
+
+    def test_refuses_large_k_before_drawing(self, monkeypatch):
+        # signatures hold at most 16 bits, as many as delivery enumerates
+        def fail(*args):
+            raise AssertionError("caches drawn before the size check")
+
+        monkeypatch.setattr(np.random, "PCG64", fail)
+        p = params(K=17, N=17, F=8, B=17, delta_b=2)
+        with pytest.raises(TooLarge):
+            core.place_caches(core.Library(np.zeros((17, 8), dtype=np.uint8)), p, seed=1)
 
 
 def expected_size(p, s):
@@ -239,10 +256,10 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, seed=0)
         caches = core.place_caches(lib, p, seed=1)
         table = core.partition_into_subfiles(lib, caches, sched)
-        assert list(table.positions) == [(1, 0)]
+        assert list(classes_of(table)) == [(1, 0)]
         assert table.live.tolist() == [[False, True]]
         assert table.length.tolist() == [[0, 8]]
-        assert len(table.locally_held[1]) == 8
+        assert cached_at(caches, 1, 1).sum() == 8
 
     def test_classes_partition_file(self):
         p = params()
@@ -251,19 +268,22 @@ class TestPartitionIntoSubfiles:
         sched = core.make_fixed_L_schedule(4, 4, 1)
         table = core.partition_into_subfiles(lib, caches, sched)
         assert table.length.dtype == np.int64
+        classes = classes_of(table)
         for k in range(1, 5):
-            covered = set(table.locally_held[k].tolist())
-            keys = [key for key in table.positions if key[0] == k]
+            held = cached_at(caches, k, sched.demand[k])
+            covered = set(np.flatnonzero(held).tolist())
+            keys = [key for key in classes if key[0] == k]
             for key in keys:
-                pos = set(table.positions[key].tolist())
-                assert not (covered & pos)
-                covered |= pos
+                pos, contents = classes[key]
+                assert not (covered & set(pos.tolist()))
+                covered |= set(pos.tolist())
                 assert table.live[cell(key)]
                 assert table.length[cell(key)] == len(pos)
+                assert np.array_equal(contents, lib.file(sched.demand[k])[pos])
             assert covered == set(range(p.F))
             # the arrays hold exactly the classes that exist
             assert table.live[k - 1].sum() == len(keys)
-            assert len(table.locally_held[k]) + table.length[k - 1].sum() == p.F
+            assert held.sum() + table.length[k - 1].sum() == p.F
 
     def test_exclusivity(self):
         # Bits in class (k, E) are cached at exactly the F-APs in E.
@@ -272,10 +292,10 @@ class TestPartitionIntoSubfiles:
         caches = core.place_caches(lib, p, seed=6)
         sched = core.make_fixed_L_schedule(4, 4, 1)
         table = core.partition_into_subfiles(lib, caches, sched)
-        for (k, mask), pos in table.positions.items():
+        for (k, mask), (pos, _) in classes_of(table).items():
             n = sched.demand[k]
             for j in range(1, 5):
-                held = caches.cached[j - 1, n - 1, pos]
+                held = cached_at(caches, j, n)[pos]
                 if j == k:
                     assert not held.any()
                 elif mask & (1 << (j - 1)):
@@ -300,10 +320,11 @@ class TestPartitionIntoSubfiles:
                 assert abs(table.length[k - 1, S] - expect) <= 5 * sigma
 
     def test_partition_refuses_large_k(self):
-        # the table's arrays have 2^K columns, as many as delivery enumerates
+        # the table's arrays have 2^K columns, as many as delivery enumerates;
+        # place_caches refuses K = 17 too, so the layout is built by hand
         p = params(K=17, N=17, F=8, B=17, delta_b=2)
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=1)
+        caches = core.CacheLayout(17, np.zeros((17, 8), dtype=np.uint32))
         with pytest.raises(TooLarge):
             core.partition_into_subfiles(lib, caches, core.make_fixed_L_schedule(17, 17, 1))
 

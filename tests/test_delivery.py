@@ -7,7 +7,7 @@ from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.core import iter_ids, mask_of
 from fogcoded.errors import DeadlineViolation, DecodeFailure, InvalidParams
-from reference_delivery import cell, rows_of
+from reference_delivery import cell, classes_of, rows_of
 from test_reference_engine import assert_same_events
 
 
@@ -108,9 +108,7 @@ def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
     sets = np.array([s_mask])
     active = np.array([(active_mask >> i) & 1 for i in range(records.K)], dtype=bool)
     included = records.live[:, sets] & active[:, None]
-    bits, buffer = delivery.build_coded_content(
-        sets, included, records.length[:, sets], records.contents
-    )
+    bits, buffer = delivery.build_coded_content(sets, included, records)
     return delivery.Transmissions(
         slot=np.array([slot]),
         S=sets,
@@ -151,24 +149,28 @@ class TestShouldTransmit:
 class TestBuildCodedContent:
     @staticmethod
     def synthetic_records(lengths):
-        # Hand-built bit-exact table with chosen class contents.
-        contents = {k: np.array(v, dtype=np.uint8) for k, v in lengths.items()}
-        positions = {k: np.arange(len(v)) for k, v in contents.items()}
+        # Hand-built bit-exact table with chosen class contents, laid out
+        # back to back in the order given.
+        contents = [np.array(v, dtype=np.uint8) for v in lengths.values()]
         K = 4
         live = np.zeros((K, 1 << K), dtype=bool)
         length = np.zeros((K, 1 << K), dtype=np.int64)
-        for record_key, bits in contents.items():
+        start = np.zeros((K, 1 << K), dtype=np.int64)
+        offset = 0
+        for record_key, bits in zip(lengths, contents):
             live[cell(record_key)] = True
             length[cell(record_key)] = len(bits)
+            start[cell(record_key)] = offset
+            offset += len(bits)
         return core.SubfileRecordTable(
             K=K,
             F=16,
             demand={k: k for k in range(1, K + 1)},
             live=live,
             length=length,
-            positions=positions,
-            contents=contents,
-            locally_held={k: np.arange(0) for k in range(1, K + 1)},
+            start=start,
+            bit_positions=np.concatenate([np.arange(len(v)) for v in contents]),
+            bit_values=np.concatenate(contents),
         )
 
     def test_single_operand_verbatim(self):
@@ -398,7 +400,8 @@ class TestBitExactDelivery:
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library, caches, records, result = self.bitexact_run(params, schedule, 17)
         other = key(2, {1})
-        caches.cached[0, schedule.demand[2] - 1, records.positions[other][0]] = False
+        positions, _ = classes_of(records)[other]
+        caches.signature[schedule.demand[2] - 1, positions[0]] &= ~np.uint8(1)
         with pytest.raises(DecodeFailure, match=r"operand \(2, 1\) not reconstructible"):
             delivery.decode_fap(1, result.events, library, caches, records)
 

@@ -1,8 +1,9 @@
-"""The array kernels against the per-candidate reference engine.
+"""The array kernels against the reference engine.
 
-`delivery.run_delivery` and `core.partition_into_subfiles` must reproduce
-`reference_delivery` exactly: every event field, the payload bits, the
-load report bit for bit and the subfile classes.
+`core.place_caches`, `core.partition_into_subfiles` and
+`delivery.run_delivery` must reproduce `reference_delivery` exactly: the
+cached bits, the subfile classes, every event field, the payload bits and
+the load report bit for bit.
 """
 
 from dataclasses import replace
@@ -40,17 +41,42 @@ def assert_same_events(got, want):
 
 
 def assert_same_partition(got, want):
-    assert list(got.positions) == list(want.positions)
-    assert list(got.contents) == list(want.contents)
+    """A package table against a reference table: every class with its
+    dtype, the live and length arrays, and the bits each requester holds."""
+    classes = reference.classes_of(got)
+    assert list(classes) == list(want.positions)
     for name in ("live", "length"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    for key in want.positions:
-        assert np.array_equal(got.positions[key], want.positions[key]), key
-        assert np.array_equal(got.contents[key], want.contents[key]), key
-    assert list(got.locally_held) == list(want.locally_held)
-    for k in want.locally_held:
-        assert np.array_equal(got.locally_held[k], want.locally_held[k]), k
+    for key, (positions, contents) in classes.items():
+        for a, b in ((positions, want.positions[key]), (contents, want.contents[key])):
+            assert a.dtype == b.dtype and np.array_equal(a, b), key
+    # what the table leaves out of k's file is what k caches itself
+    held = np.ones((got.K, got.F), dtype=bool)
+    for (k, _), (positions, _) in classes.items():
+        held[k - 1, positions] = False
+    for k, want_held in want.locally_held.items():
+        assert np.array_equal(np.flatnonzero(held[k - 1]), want_held), k
+
+
+@pytest.mark.parametrize("K, N, M, F, seed", [
+    (1, 1, 0.5, 16, 0),
+    (3, 5, 2.0, 100, 1),
+    (4, 4, 0.001, 64, 2),  # a zero quota: nothing cached
+    (8, 9, 4.5, 300, 3),  # the widest uint8 signature
+    (9, 9, 3.0, 200, 4),  # the narrowest uint16
+    (16, 16, 4.0, 64, 5),  # the widest K
+])
+def test_signatures_match_cube(K, N, M, F, seed):
+    # signature = sum over k of cube[k] * 2^(k-1), from the same rng calls
+    params = core.SystemParams(K=K, N=N, M=M, F=F, B=2, delta_b=1)
+    library = core.generate_library(params, seed)
+    got = core.place_caches(library, params, seed + 1)
+    cube = reference.place_caches(library, params, seed + 1).cached
+    weights = (1 << np.arange(K, dtype=np.uint64))[:, None, None]
+    assert got.K == K
+    assert got.signature.dtype == (np.uint8 if K <= 8 else np.uint16)
+    assert np.array_equal(got.signature, (cube * weights).sum(axis=0))
 
 
 @settings(max_examples=100, deadline=None)
@@ -65,13 +91,14 @@ def test_delivery_matches_reference(schedule, ratio, seed):
     base = core.SystemParams(K=K, N=K, M=ratio * K, F=200, B=B, delta_b=1)
     library = core.generate_library(base, seed)
     caches = core.place_caches(library, base, seed + 1)
+    cube = reference.place_caches(library, base, seed + 1)
     for delta_b in range(1, B + 1):
         params = replace(base, delta_b=delta_b)
         pairs = [
             (core.analytic_subfile_table(params, schedule),
              core.analytic_subfile_table(params, schedule)),
             (core.partition_into_subfiles(library, caches, schedule),
-             reference.partition_into_subfiles(library, caches, schedule)),
+             reference.partition_into_subfiles(library, cube, schedule)),
         ]
         for table, ref_table in pairs:
             got = delivery.run_delivery(schedule, table, params)
@@ -93,12 +120,13 @@ def test_partition_matches_reference(K, extra_files, ratio, F, seed):
     params = core.SystemParams(K=K, N=N, M=ratio * N, F=F, B=2, delta_b=1)
     library = core.generate_library(params, seed)
     caches = core.place_caches(library, params, seed + 1)
+    cube = reference.place_caches(library, params, seed + 1)
     rng = np.random.default_rng(seed)
     demand = {k: int(rng.integers(1, N + 1)) for k in range(1, K + 1)}
     schedule = core.RequestSchedule((frozenset(range(1, K + 1)),), demand)
     assert_same_partition(
         core.partition_into_subfiles(library, caches, schedule),
-        reference.partition_into_subfiles(library, caches, schedule),
+        reference.partition_into_subfiles(library, cube, schedule),
     )
 
 
