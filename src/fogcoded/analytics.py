@@ -17,10 +17,8 @@ All counts are exact integers; loads are floats normalized by F.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -127,24 +125,34 @@ def Q_count(s: int, config: FixedLConfig) -> int:
     return sum(q_count(s, Y, config) * Y for Y in y_range(s, config))
 
 
-def brute_force_b(Y: int, alpha: int, L: int) -> int:
-    """Oracle for b_count: choose alpha of Y*L items, >= 1 from each group of L."""
-    groups = [set(range(g * L, (g + 1) * L)) for g in range(Y)]
-    return sum(
-        1
-        for picked in combinations(range(Y * L), alpha)
-        if all(not g.isdisjoint(picked) for g in groups)
-    )
+def brute_force_b(Y: int, L: int) -> np.ndarray:
+    """Oracle for b_count: counts[alpha] for alpha = 0..Y*L, the subsets of
+    Y*L items, in Y groups of L, that pick alpha items and >= 1 from each
+    group, found by enumerating all 2^(Y*L) subsets."""
+    K = Y * L
+    if K > BRUTE_FORCE_MAX_K:
+        raise TooLarge(f"refusing 2^{K} enumeration; Y*L must be <= {BRUTE_FORCE_MAX_K}")
+    subsets = np.arange(1 << K, dtype=np.int32)
+    sizes = np.zeros_like(subsets)
+    for item in range(K):
+        sizes += (subsets >> item) & 1
+    every_group = np.ones(subsets.shape, dtype=bool)
+    for g in range(Y):
+        every_group &= (subsets >> (g * L)) & ((1 << L) - 1) != 0
+    return np.bincount(sizes[every_group], minlength=K + 1)
 
 
-def brute_force_eta_histogram(schedule: RequestSchedule, delta_b: int) -> np.ndarray:
-    """Exhaustive counts[s, Y]: how many of the 2^K - 1 encoding sets have
-    s members and split into Y subsets.
+def brute_force_eta_histogram(schedule: RequestSchedule) -> np.ndarray:
+    """Exhaustive counts[delta_b - 1, s, Y] for delta_b = 1..B: how many of
+    the 2^K - 1 encoding sets have s members and split into Y subsets.
 
     Adding F-AP k to every set built so far doubles the arrays of set sizes
     and occupied-slot masks, so index i holds the set whose bitmask is i.
+    eta depends on a set only through its slot mask, so the sets are first
+    counted per (slot mask, size) pair and eta is taken once per pair for
+    every delay.
     """
-    K = schedule.K
+    K, B = schedule.K, schedule.B
     if K > BRUTE_FORCE_MAX_K:
         raise TooLarge(f"refusing 2^{K} enumeration; K must be <= {BRUTE_FORCE_MAX_K}")
     sizes = np.zeros(1, dtype=np.int64)
@@ -154,16 +162,27 @@ def brute_force_eta_histogram(schedule: RequestSchedule, delta_b: int) -> np.nda
         slot_masks = np.concatenate(
             [slot_masks, slot_masks | (1 << (schedule.slot_of(k) - 1))]
         )
-    etas = partition_eta(slot_masks[1:], schedule.B, delta_b)
-    flat = np.bincount(sizes[1:] * (K + 1) + etas, minlength=(K + 1) ** 2)
-    return flat.reshape(K + 1, K + 1)
+    # one count per distinct (slot mask, size) pair of the nonempty sets
+    keys = np.sort(slot_masks[1:] * (K + 1) + sizes[1:])
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    masks, sizes = np.divmod(keys[starts], K + 1)
+    sets = np.diff(starts, append=keys.size)
+    counts = np.zeros((B, K + 1, K + 1), dtype=np.int64)
+    # eta's scan holds a few (delays, masks) arrays: take the delays in
+    # groups that keep them within the largest enumeration allowed
+    group = max(1, (1 << BRUTE_FORCE_MAX_K) // masks.size)
+    for low in range(1, B + 1, group):
+        delays = np.arange(low, min(low + group, B + 1))[:, None]
+        np.add.at(counts, (delays - 1, sizes, partition_eta(masks, B, delays)), sets)
+    return counts
 
 
-def brute_force_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:
-    """Oracle for Q_count and schedule_Q: Q(s) for s = 1..K, the eta of
-    every type-s encoding set summed by exhaustive enumeration."""
-    counts = brute_force_eta_histogram(schedule, delta_b)
-    return [int(q) for q in (counts @ np.arange(schedule.K + 1))[1:]]
+def brute_force_Q(schedule: RequestSchedule) -> list[list[int]]:
+    """Oracle for Q_count and schedule_Q: Q[delta_b - 1][s - 1] for every
+    delta_b = 1..B and s = 1..K, the eta of every type-s encoding set summed
+    by exhaustive enumeration."""
+    counts = brute_force_eta_histogram(schedule)
+    return (counts @ np.arange(schedule.K + 1))[:, 1:].tolist()
 
 
 def schedule_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:
@@ -173,28 +192,38 @@ def schedule_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:
     lays over the slots S occupies, each window starting at the first
     occupied slot not yet covered.  The scan's state r is the number of
     slots, from the current one on, that the open window still covers; for
-    each (r, size) it keeps the number of partial sets and their eta sum.
+    each r it keeps, per set size, the number of partial sets and their eta
+    sum.
     """
     if not (1 <= delta_b <= schedule.B):
         raise InvalidParams(f"delta_b must be in [1, B], got {delta_b}")
-    sets, etas = Counter({(0, 0): 1}), Counter()
+    K = schedule.K
+    sets = [[0] * (K + 1) for _ in range(delta_b)]
+    etas = [[0] * (K + 1) for _ in range(delta_b)]
+    sets[0][0] = 1
     for slot in schedule.slots:
-        n = len(slot)
-        new_sets, new_etas = Counter(), Counter()
-        for (r, size), count in sets.items():
-            eta_sum = etas[r, size]
-            for j in range(n + 1):
-                # taking members while no window is open opens one
-                opens = j > 0 and r == 0
-                r_next = delta_b - 1 if opens else max(r - 1, 0)
-                ways = math.comb(n, j)
-                new_sets[r_next, size + j] += count * ways
-                new_etas[r_next, size + j] += (eta_sum + opens * count) * ways
+        ways = [math.comb(len(slot), j) for j in range(len(slot) + 1)]
+        new_sets = [[0] * (K + 1) for _ in range(delta_b)]
+        new_etas = [[0] * (K + 1) for _ in range(delta_b)]
+        for r in range(delta_b):
+            # an open window moves on to r - 1 whatever the slot adds; with
+            # none open (r = 0), taking no member stays at 0 and taking any
+            # opens a window
+            kept_sets, kept_etas = new_sets[max(r - 1, 0)], new_etas[max(r - 1, 0)]
+            opened_sets, opened_etas = new_sets[-1], new_etas[-1]
+            for size, count in enumerate(sets[r]):
+                if not count:
+                    continue
+                eta_sum = etas[r][size]
+                for to, w in enumerate(ways if r else ways[:1], size):
+                    kept_sets[to] += count * w
+                    kept_etas[to] += eta_sum * w
+                if not r:
+                    for to, w in enumerate(ways[1:], size + 1):
+                        opened_sets[to] += count * w
+                        opened_etas[to] += (eta_sum + count) * w
         sets, etas = new_sets, new_etas
-    Q = [0] * (schedule.K + 1)
-    for (_, size), eta_sum in etas.items():
-        Q[size] += eta_sum
-    return Q[1:]
+    return [sum(column) for column in zip(*etas)][1:]
 
 
 def load_of(params: SystemParams, Q: list[int]) -> float:

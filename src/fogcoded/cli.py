@@ -264,10 +264,10 @@ def check_counting_oracle(
             ))
             continue
         schedule = core.make_fixed_L_schedule(k, b, l)
+        histogram = analytics.brute_force_eta_histogram(schedule)
         bad = []
-        for delta_b in range(1, b + 1):
+        for delta_b, counts in enumerate(histogram, 1):
             cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
-            counts = analytics.brute_force_eta_histogram(schedule, delta_b)
             Q = counts @ np.arange(k + 1)
             for s in range(1, k + 1):
                 if analytics.Q_count(s, cfg) != Q[s]:
@@ -290,10 +290,8 @@ def check_schedule_Q(max_k: int = 8, seed: int = 0) -> CheckResult:
     for k in range(2, min(max_k, 10) + 1):
         for b in range(2, k + 1):
             schedule = core.make_random_schedule(k, b, seed)
-            for delta_b in range(1, b + 1):
-                if analytics.schedule_Q(schedule, delta_b) != analytics.brute_force_Q(
-                    schedule, delta_b
-                ):
+            for delta_b, Q in enumerate(analytics.brute_force_Q(schedule), 1):
+                if analytics.schedule_Q(schedule, delta_b) != Q:
                     bad.append((k, b, delta_b))
     return _verdict("schedule-Q oracle", bad, "mismatches at (K, B, delta_b)")
 
@@ -302,8 +300,9 @@ def check_b_count(max_y: int = 4, max_l: int = 4) -> CheckResult:
     bad = []
     for y in range(1, max_y + 1):
         for l in range(1, max_l + 1):
+            counts = analytics.brute_force_b(y, l)
             for alpha in range(y, y * l + 1):
-                if analytics.b_count(y, alpha, l) != analytics.brute_force_b(y, alpha, l):
+                if analytics.b_count(y, alpha, l) != counts[alpha]:
                     bad.append((y, alpha, l))
     return _verdict("b-count oracle", bad, "mismatches at (Y, alpha, L)")
 

@@ -276,7 +276,7 @@ def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
         return RequestSchedule(slots, _worst_case_demand(K))
     while True:
         assign = rng.integers(1, B + 1, size=K)
-        if len(np.unique(assign)) == B:
+        if np.bincount(assign, minlength=B + 1)[1:].all():
             break
     slots = tuple(
         frozenset(int(k + 1) for k in np.flatnonzero(assign == b))

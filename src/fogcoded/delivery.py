@@ -214,13 +214,20 @@ def run_delivery(
 
 def measured_load(events: Transmissions, F: int) -> LoadReport:
     """Sum transmitted payload lengths in canonical order and normalize by
-    the file size."""
+    the file size.
+
+    The sent rows come slot by slot, and cumsum adds in order, so each
+    slot's sum and the total round as a loop over the rows would.
+    """
     sent = events.included != 0
-    per_slot: dict[int, float] = {}
-    total = 0.0
-    for slot, bits in zip(events.slot[sent].tolist(), events.bits[sent].tolist()):
-        per_slot[slot] = per_slot.get(slot, 0) + bits
-        total += bits
+    slots, bits = events.slot[sent], events.bits[sent]
+    cuts = np.flatnonzero(np.diff(slots)) + 1
+    per_slot = {
+        int(in_slot[0]): np.cumsum(block)[-1].item()
+        for in_slot, block in zip(np.split(slots, cuts), np.split(bits, cuts))
+        if block.size
+    }
+    total = np.cumsum(bits, dtype=np.float64)[-1].item() if bits.size else 0.0
     return LoadReport(
         total_bits=total,
         normalized_load=total / F,

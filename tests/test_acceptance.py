@@ -111,7 +111,7 @@ def test_demo_load_ladder():
         cfg = FixedLConfig(K=4, N=4, M=2.0, F=16, B=4, L=1, delta_b=delta_b)
         assert analytics.closed_form_load(cfg) == pytest.approx(want, rel=1e-9)
         # independent oracle: exhaustive partition enumeration
-        oracle = sum(analytics.brute_force_Q(schedule, delta_b)) / 16
+        oracle = sum(analytics.brute_force_Q(schedule)[delta_b - 1]) / 16
         assert oracle == pytest.approx(want, rel=1e-9)
         # and the delivery engine itself
         params = core.SystemParams(K=4, N=4, M=2.0, F=16, B=4, delta_b=delta_b)
@@ -126,9 +126,9 @@ def test_oracle_equivalence_grid():
     for b, l in fixed_l_shapes(12):
         k = b * l
         schedule = core.make_fixed_L_schedule(k, b, l)
-        for delta_b in range(1, b + 1):
+        histogram = analytics.brute_force_eta_histogram(schedule)
+        for delta_b, counts in enumerate(histogram, 1):
             cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
-            counts = analytics.brute_force_eta_histogram(schedule, delta_b)
             for s in range(1, k + 1):
                 brute_total = sum(counts[s, y] * y for y in range(k + 1))
                 assert analytics.Q_count(s, cfg) == brute_total, (b, l, delta_b, s)

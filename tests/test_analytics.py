@@ -6,11 +6,15 @@ one reading.
 """
 
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_counting
+import reference_partition
 from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams, OutOfRange, TooLarge
@@ -44,9 +48,23 @@ class TestBCount:
     def test_brute_force_grid(self):
         for y in range(1, 5):
             for l in range(1, 5):
+                counts = analytics.brute_force_b(y, l)
                 for alpha in range(y, y * l + 1):
-                    expected = analytics.brute_force_b(y, alpha, l)
-                    assert analytics.b_count(y, alpha, l) == expected, (y, alpha, l)
+                    assert analytics.b_count(y, alpha, l) == counts[alpha], (y, alpha, l)
+
+    def test_oracle_matches_reference(self):
+        for y in range(1, 13):
+            for l in range(1, 12 // y + 1):
+                want = [reference_counting.brute_force_b(y, a, l) for a in range(y * l + 1)]
+                assert analytics.brute_force_b(y, l).tolist() == want, (y, l)
+
+    def test_oracle_refuses_large_before_allocating(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("subsets allocated before the size check")
+
+        monkeypatch.setattr(np, "arange", fail)
+        with pytest.raises(TooLarge):
+            analytics.brute_force_b(3, 7)
 
 
 class TestQPieces:
@@ -63,7 +81,7 @@ class TestQPieces:
         assert analytics.q2_count(s=2, Y=2, delta_b=2, L=1, B=4) == 1
         assert analytics.q_count(2, 2, cfg(delta_b=2)) == 3
         schedule = core.make_fixed_L_schedule(4, 4, 1)
-        assert analytics.brute_force_eta_histogram(schedule, 2)[2, 2] == 3
+        assert analytics.brute_force_eta_histogram(schedule)[2 - 1, 2, 2] == 3
 
     def test_q1_q2_sum_matches_q(self):
         for delta_b in (2, 3):
@@ -111,10 +129,10 @@ class TestQCount:
     def test_matches_brute_force_per_y(self):
         for b, l in ((4, 1), (3, 2)):
             k = b * l
-            for delta_b in range(1, b + 1):
+            schedule = core.make_fixed_L_schedule(k, b, l)
+            histogram = analytics.brute_force_eta_histogram(schedule)
+            for delta_b, counts in enumerate(histogram, 1):
                 c = cfg(K=k, B=b, L=l, delta_b=delta_b)
-                schedule = core.make_fixed_L_schedule(k, b, l)
-                counts = analytics.brute_force_eta_histogram(schedule, delta_b)
                 for s in range(1, k + 1):
                     for y in analytics.y_range(s, c):
                         assert analytics.q_count(s, y, c) == counts[s, y], (
@@ -142,34 +160,25 @@ class TestBruteForceQ:
     def test_matches_counting_small_grids(self):
         for b, l in ((4, 1), (3, 2)):
             k = b * l
+            Q = analytics.brute_force_Q(core.make_fixed_L_schedule(k, b, l))
+            assert len(Q) == b
             for delta_b in range(1, b + 1):
                 c = cfg(K=k, B=b, L=l, delta_b=delta_b)
-                schedule = core.make_fixed_L_schedule(k, b, l)
-                assert analytics.brute_force_Q(schedule, delta_b) == [
-                    analytics.Q_count(s, c) for s in range(1, k + 1)
-                ]
+                assert Q[delta_b - 1] == [analytics.Q_count(s, c) for s in range(1, k + 1)]
 
     def test_single_set_full_delay(self):
         schedule = core.make_fixed_L_schedule(4, 4, 1)
-        assert analytics.brute_force_Q(schedule, 4)[4 - 1] == 1
+        assert analytics.brute_force_Q(schedule)[4 - 1][4 - 1] == 1
 
     def test_schedule_relabeling_invariance(self):
         # The totals do not depend on which F-APs land in which slot.
         canonical = core.make_fixed_L_schedule(6, 3, 2)
         shuffled = core.make_fixed_L_schedule(6, 3, 2, seed=11)
-        assert analytics.brute_force_Q(canonical, 2) == analytics.brute_force_Q(
-            shuffled, 2
-        )
+        assert analytics.brute_force_Q(canonical) == analytics.brute_force_Q(shuffled)
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
-            analytics.brute_force_Q(core.make_fixed_L_schedule(25, 25, 1), 2)
-
-    def test_delay_range(self):
-        schedule = core.make_fixed_L_schedule(4, 4, 1)
-        for delta_b in (0, 5):
-            with pytest.raises(InvalidParams):
-                analytics.brute_force_Q(schedule, delta_b)
+            analytics.brute_force_Q(core.make_fixed_L_schedule(25, 25, 1))
 
 
 def random_schedules(max_k):
@@ -182,14 +191,38 @@ def random_schedules(max_k):
     )
 
 
+class TestBruteForceEtaHistogram:
+    @settings(max_examples=30, deadline=None)
+    @given(random_schedules(max_k=8))
+    def test_matches_reference_partition(self, schedule):
+        # every nonempty set cut by the paper's literal partition
+        K = schedule.K
+        want = np.zeros((schedule.B, K + 1, K + 1), dtype=np.int64)
+        for s in range(1, K + 1):
+            for members in combinations(range(1, K + 1), s):
+                for delta_b in range(1, schedule.B + 1):
+                    y = reference_partition.partition_encoding_set(
+                        members, schedule, delta_b
+                    ).eta
+                    want[delta_b - 1, s, y] += 1
+        got = analytics.brute_force_eta_histogram(schedule)
+        assert got.dtype == np.int64 and np.array_equal(got, want), schedule.slots
+
+
 class TestScheduleQ:
     @settings(max_examples=100, deadline=None)
     @given(random_schedules(max_k=12))
     def test_matches_brute_force_on_random_schedules(self, schedule):
-        for delta_b in range(1, schedule.B + 1):
-            assert analytics.schedule_Q(schedule, delta_b) == analytics.brute_force_Q(
+        for delta_b, Q in enumerate(analytics.brute_force_Q(schedule), 1):
+            assert analytics.schedule_Q(schedule, delta_b) == Q, (schedule.slots, delta_b)
+
+    def test_matches_counter_reference(self):
+        # exact big integers, past where a brute force can go
+        for K, B, delta_b, seed in ((200, 40, 7, 3), (30, 7, 1, 0), (30, 7, 7, 1)):
+            schedule = core.make_random_schedule(K, B, seed)
+            assert analytics.schedule_Q(schedule, delta_b) == reference_counting.schedule_Q(
                 schedule, delta_b
-            ), (schedule.slots, delta_b)
+            ), (K, B, delta_b)
 
     @settings(max_examples=30, deadline=None)
     @given(random_schedules(max_k=7), st.sampled_from([0.25, 0.5, 0.75]))

@@ -521,3 +521,18 @@ class TestVerify:
         )
         assert proc.returncode == 0
         assert "1.4375" in proc.stdout
+
+    def test_no_masked_array_import(self):
+        # numpy.ma is slow to import, and no command needs it
+        code = (
+            "import sys\n"
+            "from fogcoded import cli\n"
+            "assert cli.main(['verify', '--max-k', '4']) == 0\n"
+            "for mode in ('analytic', 'bitexact'):\n"
+            "    assert cli.main(['simulate', '--k', '6', '--b', '3', '--random',"
+            " '--trials', '3', '--mode', mode, '--f', '64']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"

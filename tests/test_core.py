@@ -212,6 +212,21 @@ class TestRandomSchedule:
         with pytest.raises(InvalidParams):
             core.make_random_schedule(4, 5, seed=0)
 
+    @pytest.mark.parametrize("K, B, seed, slots", [
+        # the slot of F-AP k, one hex digit per F-AP
+        (3, 2, 0, "221"),
+        (6, 3, 1, "223311"),
+        (8, 5, 2, "41315235"),
+        (10, 4, 3, "2243223313"),
+        (9, 8, 6, "725186344"),
+        (13, 12, 4, "c9b3162a54887"),
+        (16, 5, 7, "5445345212255135"),
+        (14, 14, 8, "26d3ea845cb179"),
+    ])
+    def test_seed_to_slots_pinned(self, K, B, seed, slots):
+        sched = core.make_random_schedule(K, B, seed)
+        assert "".join(format(sched.slot_of(k), "x") for k in range(1, K + 1)) == slots
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=2, max_value=6),

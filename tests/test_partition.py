@@ -4,6 +4,7 @@ paper's literal partition in ``reference_partition``, its oracle."""
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -149,10 +150,20 @@ class TestMaskEta:
                 sched.slots, member_sets, delta_b,
             )
 
-    @pytest.mark.parametrize("delta_b", [0, 5])
+    @pytest.mark.parametrize("delta_b", [0, 5, [[1], [5]]])
     def test_delay_range(self, delta_b):
         with pytest.raises(InvalidParams):
             partition.eta([0b1011], 4, delta_b)
+
+    def test_delay_array_broadcasts(self):
+        # one scan under every delay gives each delay's own counts
+        B = 6
+        masks = np.arange(1 << B)
+        delays = np.arange(1, B + 1)[:, None]
+        table = partition.eta(masks, B, delays)
+        assert table.shape == (B, 1 << B)
+        for delta_b in range(1, B + 1):
+            assert np.array_equal(table[delta_b - 1], partition.eta(masks, B, delta_b))
 
 
 class TestMeanSubsetCurve:

@@ -40,6 +40,17 @@ def assert_same_events(got, want):
             assert np.array_equal(g.payload, w.payload), i
 
 
+def assert_same_report(got, want):
+    """Two LoadReports bit for bit, number types included: bit-exact
+    per-slot sums are ints, totals are floats."""
+    assert got == want
+    for name in ("total_bits", "normalized_load", "transmission_count"):
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+    assert list(got.per_slot_bits) == list(want.per_slot_bits)
+    for slot, bits in got.per_slot_bits.items():
+        assert type(bits) is type(want.per_slot_bits[slot]), slot
+
+
 def assert_same_partition(got, want):
     """A package table against a reference table: every class with its
     dtype, the live and length arrays, and the bits each requester holds."""
@@ -104,7 +115,24 @@ def test_delivery_matches_reference(schedule, ratio, seed):
             got = delivery.run_delivery(schedule, table, params)
             want = reference.run_delivery(schedule, ref_table, params)
             assert_same_events(got.events, want.events)
-            assert got.report == want.report
+            assert_same_report(got.report, want.report)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+def test_measured_load_sums_like_the_row_loop(dtype):
+    # lengths whose float sums round differently in another order
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(0, 80))
+        slot = np.sort(rng.integers(1, 7, size=n))
+        bits = (rng.random(n) * 10.0 ** rng.integers(0, 12, size=n)).astype(dtype)
+        included = rng.integers(0, 2, size=n)
+        zeros = np.zeros(n, dtype=np.int64)
+        events = delivery.Transmissions(slot, zeros, zeros, zeros, included, bits)
+        assert_same_report(
+            delivery.measured_load(events, 1000),
+            reference.measured_load(reference.rows_of(events), 1000),
+        )
 
 
 @settings(max_examples=60, deadline=None)
