@@ -107,7 +107,13 @@ def q2_count(s: int, Y: int, delta_b: int, L: int, B: int) -> int:
 
 def q_count(s: int, Y: int, config: FixedLConfig) -> int:
     """Number of type-s encoding sets that split into exactly Y subsets."""
-    B, L, delta_b = config.B, config.L, config.delta_b
+    return _q_count(s, Y, config.B, config.L, config.delta_b)
+
+
+@lru_cache(maxsize=None)
+def _q_count(s: int, Y: int, B: int, L: int, delta_b: int) -> int:
+    # cached per shape: the counting oracle asks for every q twice, and
+    # closed forms at several cache ratios share their counts
     total = q2_count(s, Y, delta_b, L, B)
     for dbp in range(1, delta_b):
         total += q1_count(s, Y, dbp, delta_b, L, B)

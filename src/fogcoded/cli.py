@@ -107,7 +107,8 @@ def _bitexact_delivery(
     subfile records from the trial's seed streams, then delivery."""
     lib_seed, place_seed, _ = _trial_seeds(seed, trial)
     library = core.generate_library(params, lib_seed)
-    caches = core.place_caches(library, params, place_seed)
+    files = set(schedule.demand.values())
+    caches = core.place_caches(library, params, place_seed, files)
     records = core.partition_into_subfiles(library, caches, schedule)
     return library, caches, records, delivery.run_delivery(schedule, records, params)
 

@@ -154,35 +154,67 @@ def generate_library(params: SystemParams, seed: int) -> Library:
 
 @dataclass(frozen=True)
 class CacheLayout:
-    """Which F-APs cache each bit, as one signature per bit.
+    """Which F-APs cache each bit of the placed files, one signature per bit.
 
-    Bit k-1 of ``signature[n-1, p]`` is set when F-AP k holds bit p of
-    file n; the dtype is the smallest unsigned one that holds K bits.
+    ``files`` lists the placed file ids in ascending order, and
+    ``signature[i, p]`` describes bit p of file ``files[i]``: bit k-1 is
+    set when F-AP k holds it.  The dtype is the smallest unsigned one that
+    holds K bits.  ``rows`` maps file ids to signature rows.
     """
 
     K: int
+    files: tuple[int, ...]
     signature: np.ndarray
 
+    def rows(self, files) -> np.ndarray:
+        """The signature row of each file id; raises InvalidParams naming
+        the first file that was not placed."""
+        ids = np.asarray(files, dtype=np.int64)
+        row = np.searchsorted(self.files, ids)
+        # a miss lands on a neighbour's row or past the end: file 0 never
+        # matches, since ids start at 1
+        found = np.append(self.files, 0)[row] == ids
+        if not found.all():
+            raise InvalidParams(f"file {ids[np.argmin(found)]} was not placed")
+        return row
 
-def place_caches(library: Library, params: SystemParams, seed: int) -> CacheLayout:
-    """Decentralized placement: every F-AP independently caches a uniform
-    random subset of round(M*F/N) bit positions of every file."""
+
+def place_caches(
+    library: Library, params: SystemParams, seed: int, files: Iterable[int]
+) -> CacheLayout:
+    """Decentralized placement of the given files: every F-AP independently
+    caches a uniform random subset of round(M*F/N) bit positions of each.
+
+    File n draws from its own seed stream, spawned from ``seed`` with key
+    (n,), one pick per F-AP in order 1..K; so its bits depend neither on N
+    nor on which other files are placed.  Files never requested need no
+    placement: delivery and decoding read only the requested ones.
+    """
     quota = params.cached_bits_per_file
     if not (0 <= quota <= params.F):
         raise InvalidParams(f"per-file cache quota {quota} outside [0, F]")
     check_delivery_size(params.K)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    ids = list(files)
+    for n in ids:
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= params.N):
+            raise InvalidParams(f"file id {n} is not an integer in [1, N={params.N}]")
+    placed = sorted(set(map(int, ids)))
+    if len(placed) != len(ids):
+        raise InvalidParams(f"file ids repeat: {ids}")
     dtype = np.min_scalar_type((1 << params.K) - 1)
-    signature = np.zeros((params.N, params.F), dtype=dtype)
+    signature = np.zeros((len(placed), params.F), dtype=dtype)
     # one F-AP's picks of one file, ORed into the file's signatures whole:
     # faster than a fancy-indexed |=, which reads and writes every pick
     picked = np.zeros(params.F, dtype=dtype)
-    for k in range(params.K):
-        for n in range(params.N):
+    for row, n in zip(signature, placed):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(n,)))
+        )
+        for k in range(params.K):
             picked.fill(0)
             picked[rng.choice(params.F, size=quota, replace=False)] = 1 << k
-            signature[n] |= picked
-    return CacheLayout(params.K, signature)
+            row |= picked
+    return CacheLayout(params.K, tuple(placed), signature)
 
 
 @dataclass(frozen=True)
@@ -330,9 +362,10 @@ def partition_into_subfiles(
     check_delivery_size(K)
     length = np.zeros((K, 1 << K), dtype=np.int64)
     positions, values = [], []
+    rows = caches.rows([schedule.demand[k] for k in range(1, K + 1)])
     for k in range(1, K + 1):
         n = schedule.demand[k]
-        signature = caches.signature[n - 1]
+        signature = caches.signature[rows[k - 1]]
         foreign = np.flatnonzero((signature & (1 << (k - 1))) == 0)
         columns = signature[foreign] | (1 << (k - 1))
         pos = foreign[np.argsort(columns, kind="stable")]

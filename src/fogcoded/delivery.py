@@ -253,13 +253,16 @@ def decode_fap(
     one array step, the operands back to back in canonical order.  Raises
     DecodeFailure, naming the first operand in that order, if an operand
     holds a bit k does not cache, or if any bit of the file is neither
-    cached locally nor recoverable from the log.
+    cached locally nor recoverable from the log.  Raises InvalidParams,
+    naming the file, if `caches` did not place every requested file.
     """
     if records.bit_values is None:
         raise InvalidParams("decoding needs a bit-exact record table")
     kb = 1 << (k - 1)
     n = records.demand[k]
-    have = (caches.signature[n - 1] & kb) != 0
+    demand = np.array([records.demand[i] for i in range(1, records.K + 1)])
+    cache_row = caches.rows(demand)
+    have = (caches.signature[cache_row[k - 1]] & kb) != 0
     out = np.where(have, library.file(n), 0)
     carries = (events.included & kb) != 0
     if upto_slot is not None:
@@ -271,18 +274,18 @@ def decode_fap(
     others = ((events.included[carries] & ~kb)[:, None] >> np.arange(records.K)) & 1
     rows, j = np.nonzero(others)
     sizes = records.length[j, S[rows]]
-    file_of = np.array([records.demand[i] - 1 for i in range(1, records.K + 1)])
-    # each operand bit's flat index into the (N, F) signature and library
-    # arrays: bit p of file d_j
-    flat = np.repeat(file_of[j] * records.F, sizes)
-    flat += records.bit_positions[_spans(records.start[j, S[rows]], sizes)]
+    # each operand bit p of file d_j, as flat indexes into the (D, F)
+    # signature and the (N, F) library arrays
+    bit = records.bit_positions[_spans(records.start[j, S[rows]], sizes)]
+    in_cache = np.repeat(cache_row[j] * records.F, sizes) + bit
+    in_library = np.repeat((demand[j] - 1) * records.F, sizes) + bit
     # every other operand must live in k's own cache of file d_j
-    uncached = (np.take(caches.signature, flat) & kb) == 0
+    uncached = (np.take(caches.signature, in_cache) & kb) == 0
     if uncached.any():
         i = np.searchsorted(np.cumsum(sizes), np.argmax(uncached), side="right")
         other = (int(j[i]) + 1, int(S[rows[i]]) & ~(1 << int(j[i])))
         raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
-    np.bitwise_xor.at(acc, _spans(acc_start[rows], sizes), np.take(library.bits, flat))
+    np.bitwise_xor.at(acc, _spans(acc_start[rows], sizes), np.take(library.bits, in_library))
     own = records.length[k - 1, S]
     pos = records.bit_positions[_spans(records.start[k - 1, S], own)]
     out[pos] = acc[_spans(acc_start, own)]

@@ -281,8 +281,10 @@ def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:
 
 @dataclass(frozen=True)
 class ReferenceCaches:
-    """``cached[k-1, n-1, p]`` is True when F-AP k holds bit p of file n."""
+    """``cached[k-1, i, p]`` is True when F-AP k holds bit p of file
+    ``files[i]``; the files ascend."""
 
+    files: tuple[int, ...]
     cached: np.ndarray
 
     @property
@@ -291,20 +293,25 @@ class ReferenceCaches:
 
     def file_matrix(self, n: int) -> np.ndarray:
         """(K, F) bool view of who caches each bit of file n."""
-        return self.cached[:, n - 1, :]
+        return self.cached[:, self.files.index(n), :]
 
 
-def place_caches(library: Library, params: SystemParams, seed: int) -> ReferenceCaches:
-    """Decentralized placement: every F-AP independently caches a uniform
-    random subset of round(M*F/N) bit positions of every file."""
+def place_caches(
+    library: Library, params: SystemParams, seed: int, files
+) -> ReferenceCaches:
+    """Decentralized placement of the given files: every F-AP independently
+    caches a uniform random subset of round(M*F/N) bit positions of each,
+    file n from its own seed stream with spawn key (n,), F-AP 1 first."""
     quota = params.cached_bits_per_file
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cached = np.zeros((params.K, params.N, params.F), dtype=bool)
-    for k in range(params.K):
-        for n in range(params.N):
+    files = tuple(sorted(set(files)))
+    cached = np.zeros((params.K, len(files), params.F), dtype=bool)
+    for i, n in enumerate(files):
+        seq = np.random.SeedSequence(seed, spawn_key=(n,))
+        rng = np.random.Generator(np.random.PCG64(seq))
+        for k in range(params.K):
             picks = rng.choice(params.F, size=quota, replace=False)
-            cached[k, n, picks] = True
-    return ReferenceCaches(cached)
+            cached[k, i, picks] = True
+    return ReferenceCaches(files, cached)
 
 
 def partition_into_subfiles(

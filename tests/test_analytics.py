@@ -102,6 +102,23 @@ class TestQPieces:
 
 
 class TestQCount:
+    def test_memoized_per_shape(self, monkeypatch):
+        # the cache ratio is not part of the count: configs that differ
+        # only in M share it
+        analytics._q_count.cache_clear()
+        calls = []
+        original = analytics.q2_count
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(analytics, "q2_count", counted)
+        first = analytics.q_count(2, 1, cfg(M=1.0))
+        assert analytics.q_count(2, 1, cfg(M=3.0)) == first == 3
+        assert len(calls) == 1
+        analytics._q_count.cache_clear()
+
     def test_full_delay(self):
         c = cfg(delta_b=4)
         for s in range(1, 5):

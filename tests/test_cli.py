@@ -23,44 +23,44 @@ def read_csv(path):
 # seed-to-bits mapping of place_caches.
 BITEXACT_SIMULATE = (
     "K=8 N=20 M=5.0 F=4096 B=4 delta_b=2 schedule=fixed L=2 mode=bitexact trials=3 seed=5\n"
-    "measured load (worst case): 4.12744140625\n"
-    "measured load (mean):       4.123697916666667\n"
+    "measured load (worst case): 4.141357421875\n"
+    "measured load (mean):       4.128092447916667\n"
     "closed-form load:           3.9198760986328125\n"
     "bounds:                     [2.6996612548828125, 5.399322509765625]\n"
     "uncoded / synchronous:      6.0 / 2.6996612548828125\n"
-    "transmissions:              464\n"
+    "transmissions:              465\n"
 )
 
 BITEXACT_TABLES = (
     "slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits\tcontent\n"
-    "2\t4\t1\t{1}\t{2,3,4}\t{1,2}\t1\tW[1,{2,3,4}]\n"
-    "2\t3\t1\t{1}\t{2,3}\t{1,2}\t2\tW[1,{2,3}]\n"
-    "2\t3\t1\t{1}\t{2,4}\t{1,2}\t2\tW[1,{2,4}]^W[2,{1,4}]\n"
-    "2\t3\t1\t{1}\t{3,4}\t{1}\t2\tW[1,{3,4}]\n"
-    "2\t2\t1\t{1}\t{2}\t{1,2}\t0\t-\n"
-    "2\t2\t1\t{1}\t{3}\t{1}\t0\t-\n"
-    "2\t2\t1\t{1}\t{4}\t{1}\t0\t-\n"
-    "2\t1\t1\t{1}\t{}\t{1}\t2\tW[1,{}]\n"
+    "2\t4\t1\t{1}\t{2,3,4}\t{1,2}\t0\t-\n"
+    "2\t3\t1\t{1}\t{2,3}\t{1,2}\t1\tW[1,{2,3}]^W[2,{1,3}]\n"
+    "2\t3\t1\t{1}\t{2,4}\t{1,2}\t0\t-\n"
+    "2\t3\t1\t{1}\t{3,4}\t{1}\t0\t-\n"
+    "2\t2\t1\t{1}\t{2}\t{1,2}\t1\tW[1,{2}]^W[2,{1}]\n"
+    "2\t2\t1\t{1}\t{3}\t{1}\t2\tW[1,{3}]\n"
+    "2\t2\t1\t{1}\t{4}\t{1}\t4\tW[1,{4}]\n"
+    "2\t1\t1\t{1}\t{}\t{1}\t0\t-\n"
     "3\t4\t1\t{2}\t{1,3,4}\t{2,3}\t0\t-\n"
     "3\t3\t1\t{2}\t{1,3}\t{2,3}\t0\t-\n"
-    "3\t3\t1\t{2}\t{1,4}\t{2}\t0\t-\n"
-    "3\t3\t1\t{2}\t{3,4}\t{2,3}\t1\tW[2,{3,4}]\n"
-    "3\t2\t1\t{2}\t{1}\t{2}\t1\tW[2,{1}]\n"
-    "3\t2\t1\t{2}\t{3}\t{2,3}\t2\tW[2,{3}]^W[3,{2}]\n"
+    "3\t3\t1\t{2}\t{1,4}\t{2}\t3\tW[2,{1,4}]\n"
+    "3\t3\t1\t{2}\t{3,4}\t{2,3}\t2\tW[2,{3,4}]^W[3,{2,4}]\n"
+    "3\t2\t1\t{2}\t{1}\t{2}\t0\t-\n"
+    "3\t2\t1\t{2}\t{3}\t{2,3}\t1\tW[2,{3}]\n"
     "3\t2\t1\t{2}\t{4}\t{2}\t0\t-\n"
-    "3\t1\t1\t{2}\t{}\t{2}\t2\tW[2,{}]\n"
+    "3\t1\t1\t{2}\t{}\t{2}\t0\t-\n"
     "4\t4\t2\t{3,4}\t{1,2}\t{3,4}\t2\tW[3,{1,2,4}]^W[4,{1,2,3}]\n"
-    "4\t3\t1\t{3}\t{1,2}\t{3}\t1\tW[3,{1,2}]\n"
-    "4\t3\t1\t{4}\t{1,2}\t{4}\t0\t-\n"
-    "4\t3\t2\t{3,4}\t{1}\t{3,4}\t1\tW[3,{1,4}]^W[4,{1,3}]\n"
+    "4\t3\t1\t{3}\t{1,2}\t{3}\t3\tW[3,{1,2}]\n"
+    "4\t3\t1\t{4}\t{1,2}\t{4}\t2\tW[4,{1,2}]\n"
+    "4\t3\t2\t{3,4}\t{1}\t{3,4}\t1\tW[3,{1,4}]\n"
     "4\t3\t2\t{3,4}\t{2}\t{3,4}\t1\tW[4,{2,3}]\n"
     "4\t2\t1\t{3}\t{1}\t{3}\t1\tW[3,{1}]\n"
     "4\t2\t1\t{3}\t{2}\t{3}\t0\t-\n"
-    "4\t2\t1\t{4}\t{1}\t{4}\t3\tW[4,{1}]\n"
-    "4\t2\t1\t{4}\t{2}\t{4}\t1\tW[4,{2}]\n"
-    "4\t2\t2\t{3,4}\t{}\t{3,4}\t1\tW[3,{4}]\n"
+    "4\t2\t1\t{4}\t{1}\t{4}\t0\t-\n"
+    "4\t2\t1\t{4}\t{2}\t{4}\t0\t-\n"
+    "4\t2\t2\t{3,4}\t{}\t{3,4}\t1\tW[4,{3}]\n"
     "4\t1\t1\t{3}\t{}\t{3}\t1\tW[3,{}]\n"
-    "4\t1\t1\t{4}\t{}\t{4}\t1\tW[4,{}]\n"
+    "4\t1\t1\t{4}\t{}\t{4}\t2\tW[4,{}]\n"
 )
 
 

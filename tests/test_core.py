@@ -90,14 +90,14 @@ class TestGenerateLibrary:
 
 def cached_at(caches, k, n):
     """(F,) bool: which bits of file n F-AP k caches."""
-    return (caches.signature[n - 1] >> (k - 1)) & 1 == 1
+    return (caches.signature[caches.rows([n])[0]] >> (k - 1)) & 1 == 1
 
 
 class TestPlaceCaches:
     def test_exact_quota(self):
         p = params()
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=1)
+        caches = core.place_caches(lib, p, 1, range(1, 5))
         for k in range(1, 5):
             for n in range(1, 5):
                 assert cached_at(caches, k, n).sum() == 8
@@ -107,7 +107,7 @@ class TestPlaceCaches:
     def test_tiny_cache_is_empty(self):
         p = core.SystemParams(K=2, N=100, M=0.001, F=100, B=2, delta_b=1)
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=0)
+        caches = core.place_caches(lib, p, 0, range(1, 101))
         assert not caches.signature.any()
 
     def test_overlap_concentration(self):
@@ -115,7 +115,7 @@ class TestPlaceCaches:
         # hypergeometric draw with mean F/4, bounded here by 3 binomial sigma.
         p = core.SystemParams(K=2, N=2, M=1.0, F=100_000, B=2, delta_b=1)
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=42)
+        caches = core.place_caches(lib, p, 42, (1, 2))
         F = p.F
         for n in (1, 2):
             sets = [set(np.flatnonzero(cached_at(caches, k, n))) for k in (1, 2)]
@@ -127,7 +127,7 @@ class TestPlaceCaches:
     def test_independent_across_faps(self):
         p = params(F=4096)
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=3)
+        caches = core.place_caches(lib, p, 3, (1,))
         assert not np.array_equal(cached_at(caches, 1, 1), cached_at(caches, 2, 1))
 
     def test_refuses_large_k_before_drawing(self, monkeypatch):
@@ -138,7 +138,60 @@ class TestPlaceCaches:
         monkeypatch.setattr(np.random, "PCG64", fail)
         p = params(K=17, N=17, F=8, B=17, delta_b=2)
         with pytest.raises(TooLarge):
-            core.place_caches(core.Library(np.zeros((17, 8), dtype=np.uint8)), p, seed=1)
+            core.place_caches(
+                core.Library(np.zeros((17, 8), dtype=np.uint8)), p, 1, range(1, 18)
+            )
+
+    @pytest.mark.parametrize("files", [(1, 3, 1), (0, 2), (2, 5), (1.0,)])
+    def test_refuses_bad_file_ids_before_drawing(self, monkeypatch, files):
+        # a repeat, ids outside 1..N, a non-integer: nothing is drawn
+        def fail(*args):
+            raise AssertionError("caches drawn before the file check")
+
+        p = params()
+        lib = core.generate_library(p, seed=0)
+        monkeypatch.setattr(np.random, "PCG64", fail)
+        with pytest.raises(InvalidParams, match="file id"):
+            core.place_caches(lib, p, 1, files)
+
+    def test_places_only_the_given_files(self):
+        p = params(N=6)
+        caches = core.place_caches(core.generate_library(p, seed=0), p, 1, [5, 2])
+        assert caches.files == (2, 5)
+        assert caches.signature.shape == (2, p.F)
+        assert caches.rows([5, 2, 5]).tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize("missing", [1, 3, 5])
+    def test_rows_refuse_an_unplaced_file(self, missing):
+        # before the first placed id, between two, past the last: a sorted
+        # search alone would return a neighbour's row
+        p = params(N=8)
+        caches = core.place_caches(core.generate_library(p, seed=0), p, 1, [2, 4])
+        with pytest.raises(InvalidParams, match=f"file {missing} was not placed"):
+            caches.rows([2, missing, 4])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=12),
+        st.sets(st.integers(min_value=1, max_value=12), max_size=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_file_bits_depend_on_nothing_else(self, K, n, others, seed):
+        # file n's rows are the same whatever else is placed and whatever N
+        F = 64
+
+        def rows_of_n(N, files):
+            p = core.SystemParams(K=K, N=N, M=N / 3, F=F, B=2, delta_b=1)
+            lib = core.Library(np.zeros((N, F), dtype=np.uint8))
+            caches = core.place_caches(lib, p, seed, files)
+            return caches.signature[caches.rows([n])[0]]
+
+        N = max(n, K, 3)
+        alone = rows_of_n(N, [n])
+        wide = max([N, *others]) + 5
+        assert np.array_equal(rows_of_n(wide, {n} | others), alone)
+        assert np.array_equal(rows_of_n(N, {n} | {m for m in others if m <= N}), alone)
 
 
 def expected_size(p, s):
@@ -269,7 +322,7 @@ class TestPartitionIntoSubfiles:
         sched = core.RequestSchedule((frozenset({1}),), {1: 1})
         p = core.SystemParams(K=1, N=1, M=0.5, F=16, B=2, delta_b=1)
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=1)
+        caches = core.place_caches(lib, p, 1, (1,))
         table = core.partition_into_subfiles(lib, caches, sched)
         assert list(classes_of(table)) == [(1, 0)]
         assert table.live.tolist() == [[False, True]]
@@ -279,8 +332,8 @@ class TestPartitionIntoSubfiles:
     def test_classes_partition_file(self):
         p = params()
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=1)
         sched = core.make_fixed_L_schedule(4, 4, 1)
+        caches = core.place_caches(lib, p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         assert table.length.dtype == np.int64
         classes = classes_of(table)
@@ -304,8 +357,8 @@ class TestPartitionIntoSubfiles:
         # Bits in class (k, E) are cached at exactly the F-APs in E.
         p = params(F=64)
         lib = core.generate_library(p, seed=5)
-        caches = core.place_caches(lib, p, seed=6)
         sched = core.make_fixed_L_schedule(4, 4, 1)
+        caches = core.place_caches(lib, p, 6, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         for (k, mask), (pos, _) in classes_of(table).items():
             n = sched.demand[k]
@@ -322,8 +375,8 @@ class TestPartitionIntoSubfiles:
         # Every class length within 5 binomial sigma of its expectation.
         p = params(F=100_000)
         lib = core.generate_library(p, seed=0)
-        caches = core.place_caches(lib, p, seed=7)
         sched = core.make_fixed_L_schedule(4, 4, 1)
+        caches = core.place_caches(lib, p, 7, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         for k in range(1, 5):
             for S in range(1 << 4):
@@ -339,7 +392,8 @@ class TestPartitionIntoSubfiles:
         # place_caches refuses K = 17 too, so the layout is built by hand
         p = params(K=17, N=17, F=8, B=17, delta_b=2)
         lib = core.generate_library(p, seed=0)
-        caches = core.CacheLayout(17, np.zeros((17, 8), dtype=np.uint32))
+        files = tuple(range(1, 18))
+        caches = core.CacheLayout(17, files, np.zeros((17, 8), dtype=np.uint32))
         with pytest.raises(TooLarge):
             core.partition_into_subfiles(lib, caches, core.make_fixed_L_schedule(17, 17, 1))
 

@@ -6,7 +6,7 @@ import pytest
 from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.core import iter_ids, mask_of
-from fogcoded.errors import DeadlineViolation, DecodeFailure, InvalidParams
+from fogcoded.errors import DeadlineViolation, DecodeFailure, FogcodedError, InvalidParams
 from reference_delivery import cell, classes_of, rows_of
 from test_reference_engine import assert_same_events
 
@@ -208,7 +208,7 @@ class TestMeasuredLoad:
         params = core.SystemParams(K=2, N=2, M=1.9, F=1, B=2, delta_b=1)
         schedule = core.make_fixed_L_schedule(2, 2, 1)
         library = core.generate_library(params, 0)
-        caches = core.place_caches(library, params, 1)
+        caches = core.place_caches(library, params, 1, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
         assert len(result.events) == 4 and not result.events.included.any()
@@ -343,7 +343,7 @@ class TestDelayMonotonicity:
             schedule = core.make_random_schedule(8, 5, seed)
             base = core.SystemParams(K=8, N=8, M=4.0, F=4000, B=5, delta_b=1)
             library = core.generate_library(base, seed)
-            caches = core.place_caches(library, base, seed + 99)
+            caches = core.place_caches(library, base, seed + 99, schedule.demand.values())
             loads = []
             for delta_b in range(1, 6):
                 params = core.SystemParams(K=8, N=8, M=4.0, F=4000, B=5, delta_b=delta_b)
@@ -358,7 +358,7 @@ class TestBitExactDelivery:
     @staticmethod
     def bitexact_run(params, schedule, seed):
         library = core.generate_library(params, seed)
-        caches = core.place_caches(library, params, seed + 1)
+        caches = core.place_caches(library, params, seed + 1, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
         return library, caches, records, result
@@ -401,9 +401,36 @@ class TestBitExactDelivery:
         library, caches, records, result = self.bitexact_run(params, schedule, 17)
         other = key(2, {1})
         positions, _ = classes_of(records)[other]
-        caches.signature[schedule.demand[2] - 1, positions[0]] &= ~np.uint8(1)
+        row = caches.rows([schedule.demand[2]])[0]
+        caches.signature[row, positions[0]] &= ~np.uint8(1)
         with pytest.raises(DecodeFailure, match=r"operand \(2, 1\) not reconstructible"):
             delivery.decode_fap(1, result.events, library, caches, records)
+
+    def test_decode_sparse_repeated_demands(self):
+        # placed rows are not file ids minus one, and two F-APs share a file
+        params = core.SystemParams(K=4, N=10, M=4.0, F=2048, B=4, delta_b=2)
+        slots = core.make_fixed_L_schedule(4, 4, 1).slots
+        schedule = core.RequestSchedule(slots, {1: 9, 2: 3, 3: 9, 4: 6})
+        library = core.generate_library(params, 5)
+        caches = core.place_caches(library, params, 6, {9, 3, 6})
+        records = core.partition_into_subfiles(library, caches, schedule)
+        result = delivery.run_delivery(schedule, records, params)
+        for k in range(1, 5):
+            decoded = delivery.decode_fap(
+                k, result.events, library, caches, records,
+                upto_slot=schedule.deadline_slot(k, 2),
+            )
+            assert np.array_equal(decoded, library.file(schedule.demand[k]))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_unplaced_file_is_named(self, k):
+        # F-AP 1 requests file 1; F-AP 2 needs it as an operand
+        params = demo_params(2, F=2048)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+        without = core.CacheLayout(4, caches.files[1:], caches.signature[1:])
+        with pytest.raises(FogcodedError, match="file 1 was not placed"):
+            delivery.decode_fap(k, result.events, library, without, records)
 
     def test_single_fap_uncoded(self):
         # Degenerate one-F-AP system: the lone class travels uncoded and the
@@ -411,7 +438,7 @@ class TestBitExactDelivery:
         sched = core.RequestSchedule((frozenset({1}),), {1: 1})
         p = core.SystemParams(K=1, N=1, M=0.5, F=64, B=2, delta_b=1)
         library = core.generate_library(p, seed=3)
-        caches = core.place_caches(library, p, seed=4)
+        caches = core.place_caches(library, p, 4, (1,))
         records = core.partition_into_subfiles(library, caches, sched)
         k = (1, 0)
         sent = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
@@ -440,7 +467,7 @@ class TestBitExactDelivery:
         params = demo_params(2, F=512)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library = core.generate_library(params, 31)
-        caches = core.place_caches(library, params, 32)
+        caches = core.place_caches(library, params, 32, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         original = delivery.should_transmit
         monkeypatch.setattr(
@@ -458,7 +485,7 @@ class TestRepeatability:
         params = demo_params(F=256)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library = core.generate_library(params, 3)
-        caches = core.place_caches(library, params, 4)
+        caches = core.place_caches(library, params, 4, schedule.demand.values())
         for records in (
             core.analytic_subfile_table(params, schedule),
             core.partition_into_subfiles(library, caches, schedule),

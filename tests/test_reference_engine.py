@@ -82,10 +82,11 @@ def test_signatures_match_cube(K, N, M, F, seed):
     # signature = sum over k of cube[k] * 2^(k-1), from the same rng calls
     params = core.SystemParams(K=K, N=N, M=M, F=F, B=2, delta_b=1)
     library = core.generate_library(params, seed)
-    got = core.place_caches(library, params, seed + 1)
-    cube = reference.place_caches(library, params, seed + 1).cached
+    files = range(1, N + 1)
+    got = core.place_caches(library, params, seed + 1, files)
+    cube = reference.place_caches(library, params, seed + 1, files).cached
     weights = (1 << np.arange(K, dtype=np.uint64))[:, None, None]
-    assert got.K == K
+    assert got.K == K and got.files == tuple(files)
     assert got.signature.dtype == (np.uint8 if K <= 8 else np.uint16)
     assert np.array_equal(got.signature, (cube * weights).sum(axis=0))
 
@@ -101,8 +102,9 @@ def test_delivery_matches_reference(schedule, ratio, seed):
     K, B = schedule.K, schedule.B
     base = core.SystemParams(K=K, N=K, M=ratio * K, F=200, B=B, delta_b=1)
     library = core.generate_library(base, seed)
-    caches = core.place_caches(library, base, seed + 1)
-    cube = reference.place_caches(library, base, seed + 1)
+    files = schedule.demand.values()
+    caches = core.place_caches(library, base, seed + 1, files)
+    cube = reference.place_caches(library, base, seed + 1, files)
     for delta_b in range(1, B + 1):
         params = replace(base, delta_b=delta_b)
         pairs = [
@@ -147,10 +149,11 @@ def test_partition_matches_reference(K, extra_files, ratio, F, seed):
     N = K + extra_files
     params = core.SystemParams(K=K, N=N, M=ratio * N, F=F, B=2, delta_b=1)
     library = core.generate_library(params, seed)
-    caches = core.place_caches(library, params, seed + 1)
-    cube = reference.place_caches(library, params, seed + 1)
     rng = np.random.default_rng(seed)
     demand = {k: int(rng.integers(1, N + 1)) for k in range(1, K + 1)}
+    files = set(demand.values())
+    caches = core.place_caches(library, params, seed + 1, files)
+    cube = reference.place_caches(library, params, seed + 1, files)
     schedule = core.RequestSchedule((frozenset(range(1, K + 1)),), demand)
     assert_same_partition(
         core.partition_into_subfiles(library, caches, schedule),
