@@ -17,6 +17,7 @@ All counts are exact integers; loads are floats normalized by F.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -184,59 +185,45 @@ def brute_force_eta_histogram(schedule: RequestSchedule) -> np.ndarray:
 
 
 def brute_force_Q(schedule: RequestSchedule) -> list[list[int]]:
-    """Oracle for Q_count and schedule_Q: Q[delta_b - 1][s - 1] for every
+    """Oracle for Q_count and schedule_load: Q[delta_b - 1][s - 1] for every
     delta_b = 1..B and s = 1..K, the eta of every type-s encoding set summed
     by exhaustive enumeration."""
     counts = brute_force_eta_histogram(schedule)
     return (counts @ np.arange(schedule.K + 1))[:, 1:].tolist()
 
 
-def schedule_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:
-    """Exact Q(s) for s = 1..K under any schedule, by one scan over the slots.
-
-    eta(S) is the number of delta_b-slot windows that the greedy partition
-    lays over the slots S occupies, each window starting at the first
-    occupied slot not yet covered.  The scan's state r is the number of
-    slots, from the current one on, that the open window still covers; for
-    each r it keeps, per set size, the number of partial sets and their eta
-    sum.
-    """
-    if not (1 <= delta_b <= schedule.B):
-        raise InvalidParams(f"delta_b must be in [1, B], got {delta_b}")
-    K = schedule.K
-    sets = [[0] * (K + 1) for _ in range(delta_b)]
-    etas = [[0] * (K + 1) for _ in range(delta_b)]
-    sets[0][0] = 1
-    for slot in schedule.slots:
-        ways = [math.comb(len(slot), j) for j in range(len(slot) + 1)]
-        new_sets = [[0] * (K + 1) for _ in range(delta_b)]
-        new_etas = [[0] * (K + 1) for _ in range(delta_b)]
-        for r in range(delta_b):
-            # an open window moves on to r - 1 whatever the slot adds; with
-            # none open (r = 0), taking no member stays at 0 and taking any
-            # opens a window
-            kept_sets, kept_etas = new_sets[max(r - 1, 0)], new_etas[max(r - 1, 0)]
-            opened_sets, opened_etas = new_sets[-1], new_etas[-1]
-            for size, count in enumerate(sets[r]):
-                if not count:
-                    continue
-                eta_sum = etas[r][size]
-                for to, w in enumerate(ways if r else ways[:1], size):
-                    kept_sets[to] += count * w
-                    kept_etas[to] += eta_sum * w
-                if not r:
-                    for to, w in enumerate(ways[1:], size + 1):
-                        opened_sets[to] += count * w
-                        opened_etas[to] += (eta_sum + count) * w
-        sets, etas = new_sets, new_etas
-    return [sum(column) for column in zip(*etas)][1:]
+def schedule_load(params: SystemParams, schedule: RequestSchedule) -> tuple[float, int]:
+    """(normalized load, transmission count) of any schedule by one scan over
+    its slot sizes: ((1 - p)/p) * E[eta(S)], p = M/N, for S holding each F-AP
+    with probability p, and sum_S eta(S) = sum_s Q(s).  The state r is the
+    number of slots the open window still covers; a slot of n F-APs weighs the
+    sets missing it by idle and all sets by total, ((1 - p)^n, 1) or (1, 2^n)."""
+    if not (1 <= params.delta_b <= schedule.B):
+        raise InvalidParams(f"delta_b must be in [1, B], got {params.delta_b}")
+    miss = 1.0 - params.cache_ratio
+    sums = []
+    for weights in (lambda n: (miss**n, 1.0), lambda n: (1, 1 << n)):
+        at, eta = [1] + [0] * (params.delta_b - 1), 0
+        for slot in schedule.slots:
+            idle, total = weights(len(slot))
+            stays, opened = at[0] * idle, at[0] * (total - idle)
+            eta = eta * total + opened
+            at = [w * total for w in at[1:]] + [opened]
+            at[0] += stays
+        sums.append(eta)
+    return miss / params.cache_ratio * sums[0], sums[1]
 
 
 def load_of(params: SystemParams, Q: list[int]) -> float:
     """Normalized fronthaul load sum_s f(s) * Q(s): each of the Q(s) subsets
     carved out of the type-s encoding sets costs one coded content of the
-    type-s subfile size."""
-    return sum(params.subfile_fraction(s) * Q[s - 1] for s in range(1, params.K + 1))
+    type-s subfile size.  A Q(s) past the float range is multiplied in logs."""
+    p = params.cache_ratio
+    return sum(
+        params.subfile_fraction(s) * q if q <= sys.float_info.max
+        else math.exp((s - 1) * math.log(p) + (params.K - s + 1) * math.log1p(-p) + math.log(q))
+        for s, q in enumerate(Q, 1)
+    )
 
 
 def closed_form_load(config: FixedLConfig) -> float:

@@ -116,14 +116,17 @@ def _bitexact_delivery(
 def _one_trial(config: ExperimentConfig, trial: int) -> tuple[float, int]:
     """(normalized load, transmission count) of one seeded trial."""
     params = config.system_params()
+    # every fixed-L schedule has the same slot sizes, so analytic ones need no draw
+    if config.mode == "analytic" and not config.random_schedule:
+        Q = [analytics.Q_count(s, params) for s in range(1, config.K + 1)]
+        return analytics.load_of(params, Q), sum(Q)
     sched_seed = _trial_seeds(config.seed, trial)[2]
     if config.random_schedule:
         schedule = core.make_random_schedule(config.K, config.B, sched_seed)
     else:
         schedule = core.make_fixed_L_schedule(config.K, config.B, config.L, sched_seed)
     if config.mode == "analytic":
-        Q = analytics.schedule_Q(schedule, params.delta_b)
-        return analytics.load_of(params, Q), sum(Q)
+        return analytics.schedule_load(params, schedule)
     report = _bitexact_delivery(params, schedule, config.seed, trial)[-1].report
     return report.normalized_load, report.transmission_count
 
@@ -284,17 +287,24 @@ def check_counting_oracle(
     return results
 
 
-def check_schedule_Q(max_k: int = 8, seed: int = 0) -> CheckResult:
-    """schedule_Q, which gives every analytic random-schedule load, against
-    exhaustive enumeration on seeded random schedules."""
+def check_window_chain(max_k: int = 8, seed: int = 0) -> CheckResult:
+    """schedule_load on seeded random schedules: against exhaustive enumeration,
+    and within the bounds, which meet at the synchronous baseline at delta_b = B."""
     bad = []
     for k in range(2, min(max_k, 10) + 1):
         for b in range(2, k + 1):
             schedule = core.make_random_schedule(k, b, seed)
             for delta_b, Q in enumerate(analytics.brute_force_Q(schedule), 1):
-                if analytics.schedule_Q(schedule, delta_b) != Q:
-                    bad.append((k, b, delta_b))
-    return _verdict("schedule-Q oracle", bad, "mismatches at (K, B, delta_b)")
+                params = core.SystemParams(K=k, N=k, M=k / 4, F=1, B=b, delta_b=delta_b)
+                load, count = analytics.schedule_load(params, schedule)
+                lower, upper = analytics.load_bounds(params.M, k, k, b, delta_b)
+                if count != sum(Q):
+                    bad.append(("count", k, b, delta_b))
+                if abs(load - analytics.load_of(params, Q)) > 1e-12 * load:
+                    bad.append(("load", k, b, delta_b))
+                if not lower * (1 - 1e-12) <= load <= upper * (1 + 1e-12):
+                    bad.append(("bounds", k, b, delta_b))
+    return _verdict("window-chain oracle", bad, "failures at (kind, K, B, delta_b)")
 
 
 def check_b_count(max_y: int = 4, max_l: int = 4) -> CheckResult:
@@ -400,7 +410,7 @@ def run_verification(max_k: int = 8, seed: int = 0) -> list[CheckResult]:
     _check_seed(seed)
     checks: list[CheckResult] = []
     checks.extend(check_counting_oracle(max_k))
-    checks.append(check_schedule_Q(max_k, seed))
+    checks.append(check_window_chain(max_k, seed))
     checks.append(check_b_count())
     checks.append(check_sync_equality(min(max_k, 8)))
     checks.append(check_bounds_sandwich(min(max_k, 8)))

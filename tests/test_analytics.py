@@ -6,6 +6,7 @@ one reading.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -227,19 +228,30 @@ class TestBruteForceEtaHistogram:
 
 
 class TestScheduleQ:
+    """schedule_load: the window chain that sums Q(s) and the load of any
+    schedule."""
+
     @settings(max_examples=100, deadline=None)
-    @given(random_schedules(max_k=12))
-    def test_matches_brute_force_on_random_schedules(self, schedule):
+    @given(random_schedules(max_k=12), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+    def test_matches_brute_force_on_random_schedules(self, schedule, ratio):
+        K = schedule.K
         for delta_b, Q in enumerate(analytics.brute_force_Q(schedule), 1):
-            assert analytics.schedule_Q(schedule, delta_b) == Q, (schedule.slots, delta_b)
+            params = core.SystemParams(
+                K=K, N=K + 3, M=ratio * (K + 3), F=1, B=schedule.B, delta_b=delta_b
+            )
+            load, count = analytics.schedule_load(params, schedule)
+            assert count == sum(Q), (schedule.slots, delta_b)
+            assert load == pytest.approx(analytics.load_of(params, Q), rel=1e-12)
 
     def test_matches_counter_reference(self):
         # exact big integers, past where a brute force can go
         for K, B, delta_b, seed in ((200, 40, 7, 3), (30, 7, 1, 0), (30, 7, 7, 1)):
             schedule = core.make_random_schedule(K, B, seed)
-            assert analytics.schedule_Q(schedule, delta_b) == reference_counting.schedule_Q(
-                schedule, delta_b
-            ), (K, B, delta_b)
+            params = core.SystemParams(K=K, N=2 * K, M=K / 3, F=1, B=B, delta_b=delta_b)
+            Q = reference_counting.schedule_Q(schedule, delta_b)
+            load, count = analytics.schedule_load(params, schedule)
+            assert count == sum(Q), (K, B, delta_b)
+            assert load == pytest.approx(analytics.load_of(params, Q), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(random_schedules(max_k=7), st.sampled_from([0.25, 0.5, 0.75]))
@@ -252,11 +264,9 @@ class TestScheduleQ:
             )
             records = core.analytic_subfile_table(params, schedule)
             report = delivery.run_delivery(schedule, records, params).report
-            Q = analytics.schedule_Q(schedule, delta_b)
-            assert report.transmission_count == sum(Q)
-            assert analytics.load_of(params, Q) == pytest.approx(
-                report.normalized_load, rel=1e-12
-            )
+            load, count = analytics.schedule_load(params, schedule)
+            assert count == report.transmission_count
+            assert load == pytest.approx(report.normalized_load, rel=1e-12)
 
     def test_fixed_l_matches_counting_formula(self):
         for b, l in ((2, 1), (4, 1), (3, 2), (4, 3), (5, 4), (3, 8)):
@@ -264,18 +274,46 @@ class TestScheduleQ:
             for delta_b in range(1, b + 1):
                 c = cfg(K=k, B=b, L=l, delta_b=delta_b)
                 schedule = core.make_fixed_L_schedule(k, b, l, seed=delta_b)
-                Q = analytics.schedule_Q(schedule, delta_b)
-                assert Q == [analytics.Q_count(s, c) for s in range(1, k + 1)]
-                assert analytics.load_of(c, Q) == analytics.closed_form_load(c)
+                Q = [analytics.Q_count(s, c) for s in range(1, k + 1)]
+                assert reference_counting.schedule_Q(schedule, delta_b) == Q
+                load, count = analytics.schedule_load(c, schedule)
+                assert count == sum(Q)
+                assert load == pytest.approx(analytics.closed_form_load(c), rel=1e-12)
+
+    def test_large_k_is_finite_and_bounded(self):
+        K, B = 2000, 200
+        schedule = core.make_random_schedule(K, B, 5)
+        for delta_b in (1, 7, B):
+            params = core.SystemParams(K=K, N=2 * K, M=K / 2, F=1, B=B, delta_b=delta_b)
+            load, count = analytics.schedule_load(params, schedule)
+            lower, upper = analytics.load_bounds(params.M, params.N, K, B, delta_b)
+            assert math.isfinite(load)
+            assert lower * (1 - 1e-12) <= load <= upper * (1 + 1e-12)
+            if delta_b == B:
+                # one window: every nonempty set is one subset
+                assert load == pytest.approx(
+                    analytics.mn_sync_load(params.M, params.N, K), rel=1e-12
+                )
+                assert count == 2**K - 1
 
     def test_delay_range(self):
         schedule = core.make_fixed_L_schedule(4, 4, 1)
-        for delta_b in (0, 5):
-            with pytest.raises(InvalidParams):
-                analytics.schedule_Q(schedule, delta_b)
+        params = core.SystemParams(K=4, N=4, M=2.0, F=16, B=5, delta_b=5)
+        with pytest.raises(InvalidParams):
+            analytics.schedule_load(params, schedule)
 
 
 class TestClosedFormLoad:
+    def test_load_of_past_the_float_range(self):
+        # Q(s) around C(K, s) * 2^200 passes 2^1024 where the terms that
+        # matter lie, and f(s) underflows where the terms do not
+        K, p = 1100, Fraction(1, 4)
+        params = core.SystemParams(K=K, N=4 * K, M=K, F=1, B=K, delta_b=1)
+        Q = [math.comb(K, s) << 200 for s in range(1, K + 1)]
+        assert max(Q) > 2**1024
+        exact = sum(p ** (s - 1) * (1 - p) ** (K - s + 1) * Q[s - 1] for s in range(1, K + 1))
+        assert analytics.load_of(params, Q) == pytest.approx(float(exact), rel=1e-12)
+
     def test_worked_ladder(self):
         loads = [
             analytics.closed_form_load(cfg(delta_b=d, N=4, M=2.0)) for d in (1, 2, 3, 4)

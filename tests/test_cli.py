@@ -134,6 +134,7 @@ class TestSimulate:
 
         monkeypatch.setattr(delivery, "run_delivery", fail)
         monkeypatch.setattr(core, "analytic_subfile_table", fail)
+        monkeypatch.setattr(core, "make_fixed_L_schedule", fail)
         for b, l, delta_b in ((4, 2, 2), (5, 3, 3), (6, 2, 1)):
             row = cli.run_single(ExperimentConfig(
                 K=b * l, N=20, M=5.0, F=10_000, B=b, delta_b=delta_b, L=l,
@@ -477,17 +478,28 @@ class TestVerify:
         assert result.ok is False
         assert "('q', 2, 2)" in result.detail and "sum_q" not in result.detail
 
-    def test_off_by_one_schedule_Q_fails_its_check(self, monkeypatch, capsys):
-        original = analytics.schedule_Q
+    def test_off_by_one_chain_count_fails_its_check(self, monkeypatch, capsys):
+        original = analytics.schedule_load
 
-        def off_by_one(schedule, delta_b):
-            Q = original(schedule, delta_b)
-            return Q[:-1] + [Q[-1] + 1]
+        def off_by_one(params, schedule):
+            load, count = original(params, schedule)
+            return load, count + 1
 
-        monkeypatch.setattr(analytics, "schedule_Q", off_by_one)
-        assert cli.check_schedule_Q(max_k=4).ok is False
+        monkeypatch.setattr(analytics, "schedule_load", off_by_one)
+        result = cli.check_window_chain(max_k=4)
+        assert result.ok is False
+        assert "('count', 2, 2, 1)" in result.detail and "'load'" not in result.detail
         assert cli.main(["verify", "--max-k", "4"]) == 1
-        assert "FAIL  schedule-Q oracle" in capsys.readouterr().out
+        assert "FAIL  window-chain oracle" in capsys.readouterr().out
+
+    def test_shifted_bounds_fail_window_chain_check(self, monkeypatch):
+        original = analytics.load_bounds
+        monkeypatch.setattr(
+            analytics, "load_bounds", lambda *a: tuple(2 * x for x in original(*a))
+        )
+        result = cli.check_window_chain(max_k=3)
+        assert result.ok is False
+        assert "('bounds', 2, 2, 1)" in result.detail and "'load'" not in result.detail
 
     def test_halved_delivery_load_fails_closed_form_check(self, monkeypatch):
         original = delivery.run_delivery
