@@ -106,8 +106,8 @@ def _bitexact_delivery(
     """The bit-exact pipeline of one seeded trial: library, caches and
     subfile records from the trial's seed streams, then delivery."""
     lib_seed, place_seed, _ = _trial_seeds(seed, trial)
-    library = core.generate_library(params, lib_seed)
     files = set(schedule.demand.values())
+    library = core.generate_library(params, lib_seed, files)
     caches = core.place_caches(library, params, place_seed, files)
     records = core.partition_into_subfiles(library, caches, schedule)
     return library, caches, records, delivery.run_delivery(schedule, records, params)
@@ -116,10 +116,6 @@ def _bitexact_delivery(
 def _one_trial(config: ExperimentConfig, trial: int) -> tuple[float, int]:
     """(normalized load, transmission count) of one seeded trial."""
     params = config.system_params()
-    # every fixed-L schedule has the same slot sizes, so analytic ones need no draw
-    if config.mode == "analytic" and not config.random_schedule:
-        Q = [analytics.Q_count(s, params) for s in range(1, config.K + 1)]
-        return analytics.load_of(params, Q), sum(Q)
     sched_seed = _trial_seeds(config.seed, trial)[2]
     if config.random_schedule:
         schedule = core.make_random_schedule(config.K, config.B, sched_seed)
@@ -158,7 +154,13 @@ def run_single(config: ExperimentConfig) -> ResultRow:
     if config.trials < 1:
         raise InvalidParams("trials must be >= 1")
     params = _checked_params(config)
-    trials = [_one_trial(config, t) for t in range(config.trials)]
+    if config.mode == "analytic" and not config.random_schedule:
+        # every fixed-L schedule has the same slot sizes: one count serves
+        # every trial
+        Q = [analytics.Q_count(s, params) for s in range(1, config.K + 1)]
+        trials = [(analytics.load_of(params, Q), sum(Q))] * config.trials
+    else:
+        trials = [_one_trial(config, t) for t in range(config.trials)]
     row = ResultRow(config)
     # max() keeps the first of several equal worst loads
     row.measured_load, row.transmission_count = max(trials, key=lambda lc: lc[0])
@@ -171,6 +173,8 @@ def run_single(config: ExperimentConfig) -> ResultRow:
     row.uncoded_load = analytics.uncoded_load(config.M, config.N, config.K)
     row.mn_sync_load = analytics.mn_sync_load(config.M, config.N, config.K)
     if not config.random_schedule:
+        # evaluated on its own, not copied from the trials: it is the check
+        # that the measured load is held against
         if config.mode == "bitexact" and params.rounding_error() > 1e-6:
             row.error = "closed-form comparison skipped: M*F/N too far from integer"
         else:

@@ -122,34 +122,68 @@ class SystemParams:
         return (p ** (s - 1)) * ((1.0 - p) ** (self.K - (s - 1)))
 
 
+def _file_ids(params: SystemParams, files: Iterable[int]) -> tuple[int, ...]:
+    """The file ids in ascending order; raises InvalidParams on an id
+    outside 1..N, a non-integer or a repeat."""
+    ids = list(files)
+    for n in ids:
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= params.N):
+            raise InvalidParams(f"file id {n} is not an integer in [1, N={params.N}]")
+    placed = tuple(sorted(set(map(int, ids))))
+    if len(placed) != len(ids):
+        raise InvalidParams(f"file ids repeat: {ids}")
+    return placed
+
+
+def _rows(placed: tuple[int, ...], files) -> np.ndarray:
+    """The row of each file id among the ids `placed`; raises
+    InvalidParams naming the first file that is not there."""
+    rows = []
+    for n in files:
+        if n not in placed:
+            raise InvalidParams(f"file {n} was not placed")
+        rows.append(placed.index(n))
+    return np.array(rows, dtype=np.int64)
+
+
+def _file_stream(seed: int, n: int) -> np.random.Generator:
+    """File n's own random stream, spawned from ``seed`` with key (n,)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(n,))))
+
+
 @dataclass(frozen=True)
 class Library:
-    """N files of F bits each, stored as a (N, F) uint8 array of 0/1."""
+    """The drawn files, F bits each: ``bits[i]`` holds file ``files[i]``
+    as uint8 0/1, the ids ascending."""
 
+    files: tuple[int, ...]
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.bits.ndim != 2:
-            raise InvalidParams("library bits must be a 2-D array")
-
-    @property
-    def N(self) -> int:
-        return self.bits.shape[0]
+        if self.bits.ndim != 2 or self.bits.shape[0] != len(self.files):
+            raise InvalidParams("library bits must be a 2-D array, one row per file")
 
     @property
     def F(self) -> int:
         return self.bits.shape[1]
 
     def file(self, n: int) -> np.ndarray:
-        """Bits of file n (1-based)."""
-        return self.bits[n - 1]
+        """Bits of file n; raises InvalidParams if it was not drawn."""
+        return self.bits[_rows(self.files, [n])[0]]
 
 
-def generate_library(params: SystemParams, seed: int) -> Library:
-    """Draw N uniformly random files of F bits; deterministic given seed."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bits = rng.integers(0, 2, size=(params.N, params.F), dtype=np.uint8)
-    return Library(bits)
+def generate_library(params: SystemParams, seed: int, files: Iterable[int]) -> Library:
+    """Draw the given files as uniformly random F-bit strings.
+
+    File n draws from its own seed stream, spawned from ``seed`` with key
+    (n,), so its bits depend neither on N nor on which other files are
+    drawn.  A trial needs only the files it demands.
+    """
+    placed = _file_ids(params, files)
+    bits = np.empty((len(placed), params.F), dtype=np.uint8)
+    for row, n in zip(bits, placed):
+        row[:] = _file_stream(seed, n).integers(0, 2, size=params.F, dtype=np.uint8)
+    return Library(placed, bits)
 
 
 @dataclass(frozen=True)
@@ -169,14 +203,7 @@ class CacheLayout:
     def rows(self, files) -> np.ndarray:
         """The signature row of each file id; raises InvalidParams naming
         the first file that was not placed."""
-        ids = np.asarray(files, dtype=np.int64)
-        row = np.searchsorted(self.files, ids)
-        # a miss lands on a neighbour's row or past the end: file 0 never
-        # matches, since ids start at 1
-        found = np.append(self.files, 0)[row] == ids
-        if not found.all():
-            raise InvalidParams(f"file {ids[np.argmin(found)]} was not placed")
-        return row
+        return _rows(self.files, files)
 
 
 def place_caches(
@@ -194,27 +221,19 @@ def place_caches(
     if not (0 <= quota <= params.F):
         raise InvalidParams(f"per-file cache quota {quota} outside [0, F]")
     check_delivery_size(params.K)
-    ids = list(files)
-    for n in ids:
-        if not (isinstance(n, (int, np.integer)) and 1 <= n <= params.N):
-            raise InvalidParams(f"file id {n} is not an integer in [1, N={params.N}]")
-    placed = sorted(set(map(int, ids)))
-    if len(placed) != len(ids):
-        raise InvalidParams(f"file ids repeat: {ids}")
+    placed = _file_ids(params, files)
     dtype = np.min_scalar_type((1 << params.K) - 1)
     signature = np.zeros((len(placed), params.F), dtype=dtype)
     # one F-AP's picks of one file, ORed into the file's signatures whole:
     # faster than a fancy-indexed |=, which reads and writes every pick
     picked = np.zeros(params.F, dtype=dtype)
     for row, n in zip(signature, placed):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(n,)))
-        )
+        rng = _file_stream(seed, n)
         for k in range(params.K):
             picked.fill(0)
             picked[rng.choice(params.F, size=quota, replace=False)] = 1 << k
             row |= picked
-    return CacheLayout(params.K, tuple(placed), signature)
+    return CacheLayout(params.K, placed, signature)
 
 
 @dataclass(frozen=True)
@@ -333,7 +352,10 @@ class SubfileRecordTable:
     underflows to 0.0.  Bit-exact tables also hold every entry's bit
     positions and bit values, the entries back to back in row-major
     order, in ``bit_positions`` and ``bit_values``; entry (k, E) starts at
-    ``start[k-1, S]`` and its positions ascend.
+    ``start[k-1, S]`` and its positions ascend.  Positions take the
+    smallest unsigned dtype that holds F - 1 (uint16 up to F = 65,536),
+    values are uint8, and both arrays are written once, in place: the
+    table is never held twice.
     """
 
     K: int
@@ -356,22 +378,27 @@ def partition_into_subfiles(
     cached at k has k's signature bit clear, so its signature is the
     exclusivity mask E of its class and E | k its column.  One stable sort
     of k's uncached positions by signature lays the classes out in
-    ascending column order with ascending positions.
+    ascending column order with ascending positions, written straight
+    into k's slice of the table.
     """
     K, F = caches.K, library.F
     check_delivery_size(K)
-    length = np.zeros((K, 1 << K), dtype=np.int64)
-    positions, values = [], []
     rows = caches.rows([schedule.demand[k] for k in range(1, K + 1)])
+    # one count pass sizes the table, so it is written once, in place
+    held = sum(np.count_nonzero(caches.signature[r] & (1 << i)) for i, r in enumerate(rows))
+    positions = np.empty(K * F - held, dtype=np.min_scalar_type(F - 1))
+    values = np.empty(positions.size, dtype=np.uint8)
+    length = np.zeros((K, 1 << K), dtype=np.int64)
+    end = 0
     for k in range(1, K + 1):
-        n = schedule.demand[k]
         signature = caches.signature[rows[k - 1]]
         foreign = np.flatnonzero((signature & (1 << (k - 1))) == 0)
         columns = signature[foreign] | (1 << (k - 1))
-        pos = foreign[np.argsort(columns, kind="stable")]
-        positions.append(pos)
-        values.append(library.file(n)[pos])
+        pos = positions[end : end + foreign.size]
+        np.take(foreign, np.argsort(columns, kind="stable"), out=pos)
+        np.take(library.file(schedule.demand[k]), pos, out=values[end : end + pos.size])
         length[k - 1] = np.bincount(columns, minlength=1 << K)
+        end += pos.size
     # columns without k hold no bits, so row-major order is entry order
     flat = length.ravel()
     return SubfileRecordTable(
@@ -381,8 +408,8 @@ def partition_into_subfiles(
         live=length > 0,
         length=length,
         start=(np.cumsum(flat) - flat).reshape(K, 1 << K),
-        bit_positions=np.concatenate(positions),
-        bit_values=np.concatenate(values),
+        bit_positions=positions,
+        bit_values=values,
     )
 
 

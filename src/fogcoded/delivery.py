@@ -104,9 +104,16 @@ def should_transmit(live: np.ndarray, deadline: np.ndarray) -> np.ndarray:
 
 def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     """The indices start[i] .. start[i] + length[i] - 1 of every span, the
-    spans back to back."""
-    index = np.repeat(start - (np.cumsum(length) - length), length)
-    index += np.arange(index.size)
+    spans back to back, as one int64 array: unit steps with a jump at the
+    first index of each span, summed in place."""
+    keep = length > 0
+    start, length = start[keep], length[keep]
+    end = length.cumsum()
+    index = np.ones(end[-1] if end.size else 0, dtype=np.int64)
+    if index.size:
+        index[0] = start[0]
+        index[end[:-1]] = start[1:] - start[:-1] - length[:-1] + 1
+        index.cumsum(out=index)
     return index
 
 
@@ -128,12 +135,11 @@ def build_coded_content(
     buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
     rows, cols = np.nonzero(included)
     sizes = length[rows, cols]
+    # the operand bits are gathered before their payload offsets are built,
+    # so one per-bit index is alive at a time
+    operands = records.bit_values[_spans(records.start[rows, sets[cols]], sizes)]
     # bit i of an operand lands at offset + i of its set's payload
-    np.bitwise_xor.at(
-        buffer,
-        _spans((np.cumsum(bits) - bits)[cols], sizes),
-        records.bit_values[_spans(records.start[rows, sets[cols]], sizes)],
-    )
+    np.bitwise_xor.at(buffer, _spans((np.cumsum(bits) - bits)[cols], sizes), operands)
     return bits, buffer
 
 
@@ -205,10 +211,12 @@ def run_delivery(
         slots.append(_emit_slot(b, deadline, active, live, records, ranks))
         active &= ~deadline
     columns, buffers = zip(*slots)
-    events = Transmissions(
-        *map(np.concatenate, zip(*columns)),
-        buffer=None if records.bit_values is None else np.concatenate(buffers),
-    )
+    # each per-slot piece is released once its concatenation exists
+    del slots
+    buffer = None if records.bit_values is None else np.concatenate(buffers)
+    del buffers
+    events = Transmissions(*map(np.concatenate, zip(*columns)), buffer=buffer)
+    del columns
     return DeliveryResult(events=events, report=measured_load(events, params.F))
 
 
@@ -254,16 +262,19 @@ def decode_fap(
     DecodeFailure, naming the first operand in that order, if an operand
     holds a bit k does not cache, or if any bit of the file is neither
     cached locally nor recoverable from the log.  Raises InvalidParams,
-    naming the file, if `caches` did not place every requested file.
+    naming the file, if `caches` did not place every requested file, and
+    if `library` and `caches` do not hold the same files.
     """
     if records.bit_values is None:
         raise InvalidParams("decoding needs a bit-exact record table")
     kb = 1 << (k - 1)
-    n = records.demand[k]
-    demand = np.array([records.demand[i] for i in range(1, records.K + 1)])
-    cache_row = caches.rows(demand)
-    have = (caches.signature[cache_row[k - 1]] & kb) != 0
-    out = np.where(have, library.file(n), 0)
+    row = caches.rows([records.demand[i] for i in range(1, records.K + 1)])
+    if library.files != caches.files:
+        raise InvalidParams(
+            f"library files {library.files} differ from placed files {caches.files}"
+        )
+    have = (caches.signature[row[k - 1]] & kb) != 0
+    out = np.where(have, library.bits[row[k - 1]], 0)
     carries = (events.included & kb) != 0
     if upto_slot is not None:
         carries &= events.slot <= upto_slot
@@ -274,18 +285,19 @@ def decode_fap(
     others = ((events.included[carries] & ~kb)[:, None] >> np.arange(records.K)) & 1
     rows, j = np.nonzero(others)
     sizes = records.length[j, S[rows]]
-    # each operand bit p of file d_j, as flat indexes into the (D, F)
-    # signature and the (N, F) library arrays
-    bit = records.bit_positions[_spans(records.start[j, S[rows]], sizes)]
-    in_cache = np.repeat(cache_row[j] * records.F, sizes) + bit
-    in_library = np.repeat((demand[j] - 1) * records.F, sizes) + bit
+    # each operand bit p of file d_j, as one flat index into the (D, F)
+    # signature and library arrays, which hold the same files row by row
+    index = np.repeat(row[j] * records.F, sizes)
+    index += records.bit_positions[_spans(records.start[j, S[rows]], sizes)]
     # every other operand must live in k's own cache of file d_j
-    uncached = (np.take(caches.signature, in_cache) & kb) == 0
+    uncached = (np.take(caches.signature, index) & kb) == 0
     if uncached.any():
         i = np.searchsorted(np.cumsum(sizes), np.argmax(uncached), side="right")
         other = (int(j[i]) + 1, int(S[rows[i]]) & ~(1 << int(j[i])))
         raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
-    np.bitwise_xor.at(acc, _spans(acc_start[rows], sizes), np.take(library.bits, in_library))
+    operands = np.take(library.bits, index)
+    del index  # before the payload offsets are built: one per-bit index at a time
+    np.bitwise_xor.at(acc, _spans(acc_start[rows], sizes), operands)
     own = records.length[k - 1, S]
     pos = records.bit_positions[_spans(records.start[k - 1, S], own)]
     out[pos] = acc[_spans(acc_start, own)]

@@ -70,22 +70,53 @@ class TestSystemParams:
 class TestGenerateLibrary:
     def test_single_file_reproducible(self):
         p = core.SystemParams(K=1, N=1, M=0.5, F=8, B=2, delta_b=1)
-        lib1 = core.generate_library(p, seed=0)
-        lib2 = core.generate_library(p, seed=0)
+        lib1 = core.generate_library(p, 0, (1,))
+        lib2 = core.generate_library(p, 0, (1,))
         assert lib1.bits.shape == (1, 8)
         assert np.array_equal(lib1.bits, lib2.bits)
 
     def test_shape(self):
         p = core.SystemParams(K=2, N=4, M=1, F=16, B=2, delta_b=1)
-        lib = core.generate_library(p, seed=7)
-        assert lib.N == 4 and lib.F == 16
+        lib = core.generate_library(p, 7, [3, 1])
+        assert lib.files == (1, 3) and lib.F == 16
+        assert lib.bits.shape == (2, 16) and lib.bits.dtype == np.uint8
         assert set(np.unique(lib.bits)) <= {0, 1}
+        assert np.array_equal(lib.file(3), lib.bits[1])
 
     def test_seed_changes_content(self):
         p = core.SystemParams(K=2, N=4, M=1, F=256, B=2, delta_b=1)
-        a = core.generate_library(p, seed=1)
-        b = core.generate_library(p, seed=2)
+        a = core.generate_library(p, 1, range(1, 5))
+        b = core.generate_library(p, 2, range(1, 5))
         assert not np.array_equal(a.bits, b.bits)
+
+    @pytest.mark.parametrize("missing", [1, 3, 5])
+    def test_file_refuses_an_undrawn_file(self, missing):
+        p = params(N=8)
+        lib = core.generate_library(p, 0, [2, 4])
+        with pytest.raises(InvalidParams, match=f"file {missing} was not placed"):
+            lib.file(missing)
+
+    @pytest.mark.parametrize("files", [(1, 3, 1), (0, 2), (2, 5), (1.0,)])
+    def test_refuses_bad_file_ids(self, files):
+        with pytest.raises(InvalidParams, match="file id"):
+            core.generate_library(params(), 0, files)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sets(st.integers(min_value=1, max_value=12), max_size=4),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_file_bits_depend_on_nothing_else(self, n, others, seed):
+        # file n's bits are the same whatever else is drawn and whatever N
+        def bits_of_n(N, files):
+            p = core.SystemParams(K=1, N=N, M=1.0, F=64, B=2, delta_b=1)
+            return core.generate_library(p, seed, files).file(n)
+
+        N = max(n, 3)
+        alone = bits_of_n(N, [n])
+        assert np.array_equal(bits_of_n(max([N, *others]) + 5, {n} | others), alone)
+        assert np.array_equal(bits_of_n(N, {n} | {m for m in others if m <= N}), alone)
 
 
 def cached_at(caches, k, n):
@@ -96,7 +127,7 @@ def cached_at(caches, k, n):
 class TestPlaceCaches:
     def test_exact_quota(self):
         p = params()
-        lib = core.generate_library(p, seed=0)
+        lib = core.generate_library(p, 0, range(1, 5))
         caches = core.place_caches(lib, p, 1, range(1, 5))
         for k in range(1, 5):
             for n in range(1, 5):
@@ -106,7 +137,7 @@ class TestPlaceCaches:
 
     def test_tiny_cache_is_empty(self):
         p = core.SystemParams(K=2, N=100, M=0.001, F=100, B=2, delta_b=1)
-        lib = core.generate_library(p, seed=0)
+        lib = core.generate_library(p, 0, range(1, 101))
         caches = core.place_caches(lib, p, 0, range(1, 101))
         assert not caches.signature.any()
 
@@ -114,7 +145,7 @@ class TestPlaceCaches:
         # Two F-APs each cache exactly half of the file; their overlap is a
         # hypergeometric draw with mean F/4, bounded here by 3 binomial sigma.
         p = core.SystemParams(K=2, N=2, M=1.0, F=100_000, B=2, delta_b=1)
-        lib = core.generate_library(p, seed=0)
+        lib = core.generate_library(p, 0, (1, 2))
         caches = core.place_caches(lib, p, 42, (1, 2))
         F = p.F
         for n in (1, 2):
@@ -126,7 +157,7 @@ class TestPlaceCaches:
 
     def test_independent_across_faps(self):
         p = params(F=4096)
-        lib = core.generate_library(p, seed=0)
+        lib = core.generate_library(p, 0, (1,))
         caches = core.place_caches(lib, p, 3, (1,))
         assert not np.array_equal(cached_at(caches, 1, 1), cached_at(caches, 2, 1))
 
@@ -139,7 +170,8 @@ class TestPlaceCaches:
         p = params(K=17, N=17, F=8, B=17, delta_b=2)
         with pytest.raises(TooLarge):
             core.place_caches(
-                core.Library(np.zeros((17, 8), dtype=np.uint8)), p, 1, range(1, 18)
+                core.Library(tuple(range(1, 18)), np.zeros((17, 8), dtype=np.uint8)),
+                p, 1, range(1, 18),
             )
 
     @pytest.mark.parametrize("files", [(1, 3, 1), (0, 2), (2, 5), (1.0,)])
@@ -149,14 +181,14 @@ class TestPlaceCaches:
             raise AssertionError("caches drawn before the file check")
 
         p = params()
-        lib = core.generate_library(p, seed=0)
+        lib = core.generate_library(p, 0, range(1, p.N + 1))
         monkeypatch.setattr(np.random, "PCG64", fail)
         with pytest.raises(InvalidParams, match="file id"):
             core.place_caches(lib, p, 1, files)
 
     def test_places_only_the_given_files(self):
         p = params(N=6)
-        caches = core.place_caches(core.generate_library(p, seed=0), p, 1, [5, 2])
+        caches = core.place_caches(core.generate_library(p, 0, [5, 2]), p, 1, [5, 2])
         assert caches.files == (2, 5)
         assert caches.signature.shape == (2, p.F)
         assert caches.rows([5, 2, 5]).tolist() == [1, 0, 1]
@@ -166,7 +198,7 @@ class TestPlaceCaches:
         # before the first placed id, between two, past the last: a sorted
         # search alone would return a neighbour's row
         p = params(N=8)
-        caches = core.place_caches(core.generate_library(p, seed=0), p, 1, [2, 4])
+        caches = core.place_caches(core.generate_library(p, 0, [2, 4]), p, 1, [2, 4])
         with pytest.raises(InvalidParams, match=f"file {missing} was not placed"):
             caches.rows([2, missing, 4])
 
@@ -183,7 +215,7 @@ class TestPlaceCaches:
 
         def rows_of_n(N, files):
             p = core.SystemParams(K=K, N=N, M=N / 3, F=F, B=2, delta_b=1)
-            lib = core.Library(np.zeros((N, F), dtype=np.uint8))
+            lib = core.Library(tuple(range(1, N + 1)), np.zeros((N, F), dtype=np.uint8))
             caches = core.place_caches(lib, p, seed, files)
             return caches.signature[caches.rows([n])[0]]
 
@@ -321,7 +353,7 @@ class TestPartitionIntoSubfiles:
         # bit, and the cached bits stay in the locally held class.
         sched = core.RequestSchedule((frozenset({1}),), {1: 1})
         p = core.SystemParams(K=1, N=1, M=0.5, F=16, B=2, delta_b=1)
-        lib = core.generate_library(p, seed=0)
+        lib = core.generate_library(p, 0, (1,))
         caches = core.place_caches(lib, p, 1, (1,))
         table = core.partition_into_subfiles(lib, caches, sched)
         assert list(classes_of(table)) == [(1, 0)]
@@ -331,8 +363,8 @@ class TestPartitionIntoSubfiles:
 
     def test_classes_partition_file(self):
         p = params()
-        lib = core.generate_library(p, seed=0)
         sched = core.make_fixed_L_schedule(4, 4, 1)
+        lib = core.generate_library(p, 0, sched.demand.values())
         caches = core.place_caches(lib, p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         assert table.length.dtype == np.int64
@@ -356,8 +388,8 @@ class TestPartitionIntoSubfiles:
     def test_exclusivity(self):
         # Bits in class (k, E) are cached at exactly the F-APs in E.
         p = params(F=64)
-        lib = core.generate_library(p, seed=5)
         sched = core.make_fixed_L_schedule(4, 4, 1)
+        lib = core.generate_library(p, 5, sched.demand.values())
         caches = core.place_caches(lib, p, 6, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         for (k, mask), (pos, _) in classes_of(table).items():
@@ -374,8 +406,8 @@ class TestPartitionIntoSubfiles:
     def test_size_concentration(self):
         # Every class length within 5 binomial sigma of its expectation.
         p = params(F=100_000)
-        lib = core.generate_library(p, seed=0)
         sched = core.make_fixed_L_schedule(4, 4, 1)
+        lib = core.generate_library(p, 0, sched.demand.values())
         caches = core.place_caches(lib, p, 7, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         for k in range(1, 5):
@@ -387,12 +419,27 @@ class TestPartitionIntoSubfiles:
                 sigma = math.sqrt(p.F * prob * (1 - prob))
                 assert abs(table.length[k - 1, S] - expect) <= 5 * sigma
 
+    @pytest.mark.parametrize("F, dtype", [
+        (256, np.uint8), (257, np.uint16), (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_positions_take_the_narrowest_dtype(self, F, dtype):
+        p = core.SystemParams(K=2, N=2, M=1.0, F=F, B=2, delta_b=1)
+        sched = core.make_fixed_L_schedule(2, 2, 1)
+        lib = core.generate_library(p, 0, sched.demand.values())
+        caches = core.place_caches(lib, p, 1, sched.demand.values())
+        table = core.partition_into_subfiles(lib, caches, sched)
+        assert table.bit_positions.dtype == dtype
+        assert table.bit_values.dtype == np.uint8
+        # requester 1's entries come first: every bit it does not cache, by value
+        first = table.bit_positions[: table.length[0].sum()]
+        assert np.array_equal(np.sort(first), np.flatnonzero(~cached_at(caches, 1, 1)))
+
     def test_partition_refuses_large_k(self):
         # the table's arrays have 2^K columns, as many as delivery enumerates;
         # place_caches refuses K = 17 too, so the layout is built by hand
         p = params(K=17, N=17, F=8, B=17, delta_b=2)
-        lib = core.generate_library(p, seed=0)
         files = tuple(range(1, 18))
+        lib = core.Library(files, np.zeros((17, 8), dtype=np.uint8))
         caches = core.CacheLayout(17, files, np.zeros((17, 8), dtype=np.uint32))
         with pytest.raises(TooLarge):
             core.partition_into_subfiles(lib, caches, core.make_fixed_L_schedule(17, 17, 1))

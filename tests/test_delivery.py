@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
@@ -146,6 +148,21 @@ class TestShouldTransmit:
         ).any()
 
 
+class TestSpans:
+    @given(st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 40)), max_size=30,
+    ))
+    def test_matches_repeat_formula(self, spans):
+        # empty input, a single span and zero lengths included
+        start = np.array([s for s, _ in spans], dtype=np.int64)
+        length = np.array([n for _, n in spans], dtype=np.int64)
+        want = np.repeat(start - (np.cumsum(length) - length), length)
+        want += np.arange(want.size)
+        got = delivery._spans(start, length)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
 class TestBuildCodedContent:
     @staticmethod
     def synthetic_records(lengths):
@@ -207,7 +224,7 @@ class TestMeasuredLoad:
         # missing and every candidate is skipped.
         params = core.SystemParams(K=2, N=2, M=1.9, F=1, B=2, delta_b=1)
         schedule = core.make_fixed_L_schedule(2, 2, 1)
-        library = core.generate_library(params, 0)
+        library = core.generate_library(params, 0, schedule.demand.values())
         caches = core.place_caches(library, params, 1, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
@@ -342,7 +359,7 @@ class TestDelayMonotonicity:
         for seed in (0, 1, 2, 3):
             schedule = core.make_random_schedule(8, 5, seed)
             base = core.SystemParams(K=8, N=8, M=4.0, F=4000, B=5, delta_b=1)
-            library = core.generate_library(base, seed)
+            library = core.generate_library(base, seed, schedule.demand.values())
             caches = core.place_caches(library, base, seed + 99, schedule.demand.values())
             loads = []
             for delta_b in range(1, 6):
@@ -357,7 +374,7 @@ class TestDelayMonotonicity:
 class TestBitExactDelivery:
     @staticmethod
     def bitexact_run(params, schedule, seed):
-        library = core.generate_library(params, seed)
+        library = core.generate_library(params, seed, schedule.demand.values())
         caches = core.place_caches(library, params, seed + 1, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
@@ -411,7 +428,7 @@ class TestBitExactDelivery:
         params = core.SystemParams(K=4, N=10, M=4.0, F=2048, B=4, delta_b=2)
         slots = core.make_fixed_L_schedule(4, 4, 1).slots
         schedule = core.RequestSchedule(slots, {1: 9, 2: 3, 3: 9, 4: 6})
-        library = core.generate_library(params, 5)
+        library = core.generate_library(params, 5, {9, 3, 6})
         caches = core.place_caches(library, params, 6, {9, 3, 6})
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
@@ -421,6 +438,15 @@ class TestBitExactDelivery:
                 upto_slot=schedule.deadline_slot(k, 2),
             )
             assert np.array_equal(decoded, library.file(schedule.demand[k]))
+
+    def test_library_must_hold_the_placed_files(self):
+        # the decoder reads the library and the signature through one row index
+        params = core.SystemParams(K=4, N=6, M=3.0, F=256, B=4, delta_b=2)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        _, caches, records, result = self.bitexact_run(params, schedule, 17)
+        wider = core.generate_library(params, 17, range(1, 6))
+        with pytest.raises(InvalidParams, match="differ from placed files"):
+            delivery.decode_fap(1, result.events, wider, caches, records)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unplaced_file_is_named(self, k):
@@ -437,7 +463,7 @@ class TestBitExactDelivery:
         # decoder merges it with the locally cached half.
         sched = core.RequestSchedule((frozenset({1}),), {1: 1})
         p = core.SystemParams(K=1, N=1, M=0.5, F=64, B=2, delta_b=1)
-        library = core.generate_library(p, seed=3)
+        library = core.generate_library(p, 3, (1,))
         caches = core.place_caches(library, p, 4, (1,))
         records = core.partition_into_subfiles(library, caches, sched)
         k = (1, 0)
@@ -466,7 +492,7 @@ class TestBitExactDelivery:
         # deadline violation or an undecodable F-AP.
         params = demo_params(2, F=512)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
-        library = core.generate_library(params, 31)
+        library = core.generate_library(params, 31, schedule.demand.values())
         caches = core.place_caches(library, params, 32, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         original = delivery.should_transmit
@@ -484,7 +510,7 @@ class TestRepeatability:
         # run_delivery leaves the table as it found it
         params = demo_params(F=256)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
-        library = core.generate_library(params, 3)
+        library = core.generate_library(params, 3, schedule.demand.values())
         caches = core.place_caches(library, params, 4, schedule.demand.values())
         for records in (
             core.analytic_subfile_table(params, schedule),

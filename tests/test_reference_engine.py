@@ -52,16 +52,20 @@ def assert_same_report(got, want):
 
 
 def assert_same_partition(got, want):
-    """A package table against a reference table: every class with its
-    dtype, the live and length arrays, and the bits each requester holds."""
+    """A package table against a reference table: every class, the live
+    and length arrays, and the bits each requester holds.  Contents,
+    live and length match in dtype too; positions match by value and take
+    the smallest unsigned dtype that holds F - 1."""
     classes = reference.classes_of(got)
     assert list(classes) == list(want.positions)
     for name in ("live", "length"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.bit_positions.dtype == np.min_scalar_type(got.F - 1)
     for key, (positions, contents) in classes.items():
-        for a, b in ((positions, want.positions[key]), (contents, want.contents[key])):
-            assert a.dtype == b.dtype and np.array_equal(a, b), key
+        assert np.array_equal(positions, want.positions[key]), key
+        b = want.contents[key]
+        assert contents.dtype == b.dtype and np.array_equal(contents, b), key
     # what the table leaves out of k's file is what k caches itself
     held = np.ones((got.K, got.F), dtype=bool)
     for (k, _), (positions, _) in classes.items():
@@ -81,8 +85,8 @@ def assert_same_partition(got, want):
 def test_signatures_match_cube(K, N, M, F, seed):
     # signature = sum over k of cube[k] * 2^(k-1), from the same rng calls
     params = core.SystemParams(K=K, N=N, M=M, F=F, B=2, delta_b=1)
-    library = core.generate_library(params, seed)
     files = range(1, N + 1)
+    library = core.generate_library(params, seed, files)
     got = core.place_caches(library, params, seed + 1, files)
     cube = reference.place_caches(library, params, seed + 1, files).cached
     weights = (1 << np.arange(K, dtype=np.uint64))[:, None, None]
@@ -101,8 +105,8 @@ def test_signatures_match_cube(K, N, M, F, seed):
 def test_delivery_matches_reference(schedule, ratio, seed):
     K, B = schedule.K, schedule.B
     base = core.SystemParams(K=K, N=K, M=ratio * K, F=200, B=B, delta_b=1)
-    library = core.generate_library(base, seed)
     files = schedule.demand.values()
+    library = core.generate_library(base, seed, files)
     caches = core.place_caches(library, base, seed + 1, files)
     cube = reference.place_caches(library, base, seed + 1, files)
     for delta_b in range(1, B + 1):
@@ -148,10 +152,10 @@ def test_measured_load_sums_like_the_row_loop(dtype):
 def test_partition_matches_reference(K, extra_files, ratio, F, seed):
     N = K + extra_files
     params = core.SystemParams(K=K, N=N, M=ratio * N, F=F, B=2, delta_b=1)
-    library = core.generate_library(params, seed)
     rng = np.random.default_rng(seed)
     demand = {k: int(rng.integers(1, N + 1)) for k in range(1, K + 1)}
     files = set(demand.values())
+    library = core.generate_library(params, seed, files)
     caches = core.place_caches(library, params, seed + 1, files)
     cube = reference.place_caches(library, params, seed + 1, files)
     schedule = core.RequestSchedule((frozenset(range(1, K + 1)),), demand)
