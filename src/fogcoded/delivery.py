@@ -7,9 +7,12 @@ in S1 still misses its subfile for S; the subfiles of other active F-APs
 in S ride along opportunistically and are marked recovered.  Record key
 (k, S minus k) belongs to exactly one encoding set, S itself, so no
 candidate's decision or payload depends on another candidate of the same
-slot: a slot is one array step over all 2^K sets S.  With delta_b = B
-nothing is sent before the last slot, where all requests are served
-together.
+slot.  A run is two passes.  The first decides every slot on one member
+mask per set of the F-APs that still miss their subfile for it; the
+second lays the payloads out once: every entry has been sent exactly
+once, so each requester's table row, read in order, XORs straight into
+the payloads of the sets that carried it.  With delta_b = B nothing is
+sent before the last slot, where all requests are served together.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class Transmissions:
     `S`, `s1` (its deadline part) and `collapsed` (its members still
     active) are F-AP masks; s, chi and S2 are `S.bit_count()`,
     `s1.bit_count()` and `S ^ s1`.  `included` masks the members whose
-    subfile (k, S minus k) the candidate carries, 0 when it is skipped.
+    subfile (k, S minus k) the candidate carries, 0 when it is skipped;
+    every entry of the record table is carried by exactly one candidate.
     `bits` is the payload length, the longest included subfile (operands
     are zero-padded to it), in the record table's length dtype; skipped
     candidates hold 0.  Bit-exact runs keep the payloads back to back in
@@ -81,25 +85,30 @@ def _candidates(deadline: int, ranks) -> np.ndarray:
     """The sets S that meet the deadline set, in the canonical order:
     s descending, chi ascending, then S1 and S2 lexicographic."""
     sets, size, rev = ranks
+    K, full = len(sets).bit_length() - 1, len(sets) - 1
     cand = sets[(sets & deadline) != 0]
     s1 = cand & deadline
     # among sets of one size, lexicographic order of the sorted members is
-    # descending order of the bit-reversed mask
-    return cand[np.lexsort((-rev[cand ^ s1], -rev[s1], size[s1], -size[cand]))]
+    # descending order of the bit-reversed mask; the four fields, K - s and
+    # chi in 5 bits each and the two complemented reversals in K bits each,
+    # fit one int64 key, unique per set
+    key = (K - size[cand]) << (2 * K + 5)
+    key |= size[s1] << (2 * K)
+    key |= (full - rev[s1]) << K
+    key |= full - rev[cand ^ s1]
+    # stable although the keys are unique: numpy's default int64 argsort
+    # maps another 0.13 MB of library code (peak RSS of `verify`)
+    return cand[np.argsort(key, kind="stable")]
 
 
-def _members(mask: int, K: int) -> np.ndarray:
-    return ((mask >> np.arange(K)) & 1).astype(bool)
-
-
-def should_transmit(live: np.ndarray, deadline: np.ndarray) -> np.ndarray:
+def should_transmit(live: np.ndarray, deadline: int) -> np.ndarray:
     """Per candidate set, True when some deadline F-AP still needs its
     subfile for that set.
 
-    `live[k-1, j]` says whether F-AP k still misses its subfile for the
-    j-th candidate set; `deadline` flags the slot's deadline F-APs.
+    `live[j]` masks the F-APs that still miss their subfile for the j-th
+    candidate set; `deadline` masks the slot's deadline F-APs.
     """
-    return live[deadline].any(axis=0)
+    return (live & deadline) != 0
 
 
 def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -123,69 +132,56 @@ def build_coded_content(
     """Payload length of each set's transmission and, for bit-exact tables,
     the payloads back to back in one buffer.
 
-    `included[k-1, j]` puts F-AP k's subfile for `sets[j]` into that set's
-    transmission; a set with none has length 0.  A payload is as long as
+    `included[j]` masks the F-APs whose subfile for `sets[j]` rides in that
+    set's transmission; every live entry of the table must be included
+    exactly once.  A set with none has length 0.  A payload is as long as
     its longest operand and XORs the operands zero-padded to that length.
     Analytic tables have no payloads: the buffer is None.
     """
-    length = records.length[:, sets]
-    bits = np.where(included, length, 0).max(axis=0)
+    K = records.K
+    bits = np.zeros(len(sets), dtype=records.length.dtype)
+    carriers = []
+    for k in range(K):
+        # the candidates carrying row k, at most one per column
+        at = np.flatnonzero(included & (1 << k))
+        bits[at] = np.maximum(bits[at], records.length[k, sets[at]])
+        carriers.append(at)
     if records.bit_values is None:
         return bits, None
+    start = np.cumsum(bits) - bits
     buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
-    rows, cols = np.nonzero(included)
-    sizes = length[rows, cols]
-    # the operand bits are gathered before their payload offsets are built,
-    # so one per-bit index is alive at a time
-    operands = records.bit_values[_spans(records.start[rows, sets[cols]], sizes)]
-    # bit i of an operand lands at offset + i of its set's payload
-    np.bitwise_xor.at(buffer, _spans((np.cumsum(bits) - bits)[cols], sizes), operands)
+    offset = np.zeros(1 << K, dtype=np.int64)
+    for k, at in enumerate(carriers):
+        if not at.size:
+            continue
+        # row k in table order: ascending columns, its bits back to back;
+        # the targets of one row are disjoint
+        offset[sets[at]] = start[at]
+        cols = np.flatnonzero(records.live[k])
+        size = records.length[k, cols]
+        first = records.start[k, cols[0]]
+        buffer[_spans(offset[cols], size)] ^= records.bit_values[first : first + size.sum()]
     return bits, buffer
 
 
-def _assert_deadline_met(live: np.ndarray, deadline: np.ndarray, slot: int) -> None:
-    rows = np.flatnonzero(deadline)
-    missed = live[rows]
+def _assert_deadline_met(sets: np.ndarray, live: np.ndarray, deadline: int, slot: int) -> None:
+    """Raise DeadlineViolation, naming the smallest k, then the smallest S,
+    if a deadline F-AP still misses a subfile in a candidate set: every
+    entry of a deadline F-AP lies in one."""
+    missed = live & deadline
     if missed.any():
-        i, S = np.argwhere(missed)[0].tolist()
-        k = int(rows[i]) + 1
+        union = int(np.bitwise_or.reduce(missed))
+        k = (union & -union).bit_length()
+        S = int(sets[(missed >> (k - 1)) & 1 != 0].min())
         key = (k, S & ~(1 << (k - 1)))
         raise DeadlineViolation(f"F-AP {k} still misses subfile {key} after slot {slot}")
-
-
-def _emit_slot(
-    slot: int,
-    deadline: int,
-    active: int,
-    live: np.ndarray,
-    records: SubfileRecordTable,
-    ranks,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
-    """Decide and send every candidate of one slot, in canonical order:
-    the slot's Transmissions columns and payload buffer.
-
-    Clears the live flags of every subfile sent, then checks that no
-    deadline F-AP misses anything.
-    """
-    K = live.shape[0]
-    due = _members(deadline, K)
-    sets = _candidates(deadline, ranks)
-    cand_live = live[:, sets]
-    included = cand_live & should_transmit(cand_live, due) & _members(active, K)[:, None]
-    live[:, sets] = cand_live & ~included
-    bits, buffer = build_coded_content(sets, included, records)
-    _assert_deadline_met(live, due, slot)
-    columns = (
-        np.full(len(sets), slot), sets, sets & deadline, sets & active,
-        (1 << np.arange(K)) @ included, bits,
-    )
-    return columns, buffer
 
 
 def run_delivery(
     schedule: RequestSchedule, records: SubfileRecordTable, params: SystemParams
 ) -> DeliveryResult:
-    """Execute the delivery phase over all B slots.
+    """Execute the delivery phase over all B slots: decide every slot on
+    the member masks, then build every payload with `build_coded_content`.
 
     Leaves `records` unchanged.  Returns every enumerated candidate (sent
     and skipped) plus the load report over actual transmissions.
@@ -195,10 +191,10 @@ def run_delivery(
     if records.K != params.K:
         raise InvalidParams("record table does not match system parameters")
     check_delivery_size(params.K)
-    B, delta_b = params.B, params.delta_b
-    live = records.live.copy()
-    ranks = set_ranks(params.K)
-    slots = []
+    K, B, delta_b = params.K, params.B, params.delta_b
+    live = (1 << np.arange(K)) @ records.live
+    ranks = set_ranks(K)
+    columns = []
     active = 0
     for b in range(1, B + 1):
         active |= schedule.slot_mask(b)
@@ -208,15 +204,18 @@ def run_delivery(
             deadline = active
         else:
             continue
-        slots.append(_emit_slot(b, deadline, active, live, records, ranks))
+        sets = _candidates(deadline, ranks)
+        missing = live[sets]
+        included = np.where(should_transmit(missing, deadline), missing & active, 0)
+        missing ^= included
+        live[sets] = missing
+        _assert_deadline_met(sets, missing, deadline, b)
+        columns.append((np.full(len(sets), b), sets, sets & deadline, sets & active, included))
         active &= ~deadline
-    columns, buffers = zip(*slots)
-    # each per-slot piece is released once its concatenation exists
-    del slots
-    buffer = None if records.bit_values is None else np.concatenate(buffers)
-    del buffers
-    events = Transmissions(*map(np.concatenate, zip(*columns)), buffer=buffer)
+    slot, S, s1, collapsed, included = map(np.concatenate, zip(*columns))
     del columns
+    bits, buffer = build_coded_content(S, included, records)
+    events = Transmissions(slot, S, s1, collapsed, included, bits, buffer)
     return DeliveryResult(events=events, report=measured_load(events, params.F))
 
 
@@ -257,9 +256,10 @@ def decode_fap(
     For every transmission whose XOR includes k's subfile, the other
     operands are reconstructed from k's cache (each one is cached at k by
     construction), XORed out, and the recovered class bits are placed at
-    their original positions.  All of k's transmissions are handled as
-    one array step, the operands back to back in canonical order.  Raises
-    DecodeFailure, naming the first operand in that order, if an operand
+    their original positions.  All of k's transmissions are handled in
+    one array pass, the operands back to back by F-AP j and XORed out with
+    one fancy XOR per j.  Raises DecodeFailure, naming the first operand
+    in canonical order (by transmission, then ascending j), if an operand
     holds a bit k does not cache, or if any bit of the file is neither
     cached locally nor recoverable from the log.  Raises InvalidParams,
     naming the file, if `caches` did not place every requested file, and
@@ -281,10 +281,11 @@ def decode_fap(
     S, bits = events.S[carries], events.bits[carries]
     acc = events.buffer[_spans(events.start[carries], bits)]
     acc_start = np.cumsum(bits) - bits
-    # the other operands (j, S minus j), by transmission, then ascending j
-    others = ((events.included[carries] & ~kb)[:, None] >> np.arange(records.K)) & 1
-    rows, j = np.nonzero(others)
+    # the other operands (j, S minus j), by ascending j, then by transmission
+    others = ((events.included[carries] & ~kb) >> np.arange(records.K)[:, None]) & 1
+    j, rows = np.nonzero(others)
     sizes = records.length[j, S[rows]]
+    ends = np.cumsum(sizes)
     # each operand bit p of file d_j, as one flat index into the (D, F)
     # signature and library arrays, which hold the same files row by row
     index = np.repeat(row[j] * records.F, sizes)
@@ -292,12 +293,19 @@ def decode_fap(
     # every other operand must live in k's own cache of file d_j
     uncached = (np.take(caches.signature, index) & kb) == 0
     if uncached.any():
-        i = np.searchsorted(np.cumsum(sizes), np.argmax(uncached), side="right")
+        # name the first in canonical order: by transmission, then ascending j
+        bad = np.searchsorted(ends, np.flatnonzero(uncached), side="right")
+        i = bad[np.lexsort((j[bad], rows[bad]))[0]]
         other = (int(j[i]) + 1, int(S[rows[i]]) & ~(1 << int(j[i])))
         raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
     operands = np.take(library.bits, index)
     del index  # before the payload offsets are built: one per-bit index at a time
-    np.bitwise_xor.at(acc, _spans(acc_start[rows], sizes), operands)
+    target = _spans(acc_start[rows], sizes)
+    # a transmission carries at most one operand of each j, so the targets
+    # of one j are disjoint and one fancy XOR applies them
+    edge = np.concatenate(([0], ends))[np.searchsorted(j, np.arange(records.K + 1))]
+    for lo, hi in zip(edge[:-1].tolist(), edge[1:].tolist()):
+        acc[target[lo:hi]] ^= operands[lo:hi]
     own = records.length[k - 1, S]
     pos = records.bit_positions[_spans(records.start[k - 1, S], own)]
     out[pos] = acc[_spans(acc_start, own)]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogcoded import analytics, core, delivery
@@ -103,20 +103,24 @@ class TestGoldenTables:
         assert ride_along.transmitted
 
 
+def live_masks(live, sets):
+    # per set, the mask of the F-APs whose entry for it is live
+    return (1 << np.arange(live.shape[0])) @ live[:, sets]
+
+
 def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
     # The transmission of encoding set S, a one-candidate Transmissions:
     # the live subfiles of its active members, put together by
     # build_coded_content.
     sets = np.array([s_mask])
-    active = np.array([(active_mask >> i) & 1 for i in range(records.K)], dtype=bool)
-    included = records.live[:, sets] & active[:, None]
+    included = live_masks(records.live, sets) & active_mask
     bits, buffer = delivery.build_coded_content(sets, included, records)
     return delivery.Transmissions(
         slot=np.array([slot]),
         S=sets,
         s1=sets & deadline_mask,
         collapsed=sets & active_mask,
-        included=(1 << np.arange(records.K)) @ included,
+        included=included,
         bits=bits,
         buffer=buffer,
     )
@@ -131,10 +135,9 @@ class TestShouldTransmit:
         live = records.live.copy()
         live[cell(key(2, {1, 3, 4}))] = False
         sets = [mask_of({1, 2, 3, 4}), mask_of({2, 3})]
-        deadline = np.array([False, True, False, False])
-        assert delivery.should_transmit(live[:, sets], deadline).tolist() == [
-            False, True
-        ]
+        assert delivery.should_transmit(
+            live_masks(live, sets), mask_of({2})
+        ).tolist() == [False, True]
 
     def test_all_recovered_is_false(self):
         params = demo_params()
@@ -142,9 +145,8 @@ class TestShouldTransmit:
         records = core.analytic_subfile_table(params, schedule)
         live = records.live.copy()
         live[cell(key(1, {2}))] = False
-        deadline = np.array([True, False, False, False])
         assert not delivery.should_transmit(
-            live[:, [mask_of({1, 2})]], deadline
+            live_masks(live, [mask_of({1, 2})]), mask_of({1})
         ).any()
 
 
@@ -161,6 +163,22 @@ class TestSpans:
         got = delivery._spans(start, length)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+
+
+class TestCandidates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_lexsort_formula(self, data):
+        K = data.draw(st.integers(1, 16))
+        deadline = data.draw(st.integers(1, (1 << K) - 1))
+        ranks = core.set_ranks(K)
+        sets, size, rev = ranks
+        cand = sets[(sets & deadline) != 0]
+        s1 = cand & deadline
+        # s descending, chi ascending, then S1 and S2 lexicographic, as
+        # four sort keys
+        want = cand[np.lexsort((-rev[cand ^ s1], -rev[s1], size[s1], -size[cand]))]
+        assert np.array_equal(delivery._candidates(deadline, ranks), want)
 
 
 class TestBuildCodedContent:
@@ -290,6 +308,30 @@ class TestNoRedundancy:
                     for k in e.included:
                         assert k not in seen
                         seen.add(k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_entry_sent_exactly_once(self, data):
+        # the payload pass XORs each table row in whole: every live entry
+        # must ride in exactly one candidate
+        K = data.draw(st.integers(2, 9))
+        B = data.draw(st.integers(2, K))
+        seed = data.draw(st.integers(0, 2**16))
+        schedule = core.make_random_schedule(K, B, seed)
+        base = core.SystemParams(K=K, N=K, M=K / 3, F=64, B=B, delta_b=1)
+        library = core.generate_library(base, seed, schedule.demand.values())
+        caches = core.place_caches(library, base, seed + 1, schedule.demand.values())
+        for delta_b in range(1, B + 1):
+            params = core.SystemParams(K=K, N=K, M=K / 3, F=64, B=B, delta_b=delta_b)
+            for records in (
+                core.analytic_subfile_table(params, schedule),
+                core.partition_into_subfiles(library, caches, schedule),
+            ):
+                events = delivery.run_delivery(schedule, records, params).events
+                sent = np.zeros(1 << K, dtype=np.int64)
+                np.add.at(sent, events.S, events.included)
+                sets = np.arange(1 << K)
+                assert np.array_equal(sent, live_masks(records.live, sets))
 
     def test_record_structure(self):
         # collapsed within S, included requesters within collapsed, payload

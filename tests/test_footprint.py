@@ -1,8 +1,9 @@
 """Memory footprint of one seeded bit-exact trial, traced with tracemalloc.
 
 The partition writes its table once, in place, with narrow positions; the
-delivery engine holds at most one int64 index per operand bit at a time
-and drops each slot's pieces once they are concatenated.
+delivery engine decides every slot on one mask per set, then allocates the
+payload buffer once and XORs the table into it one requester row at a
+time, so its int64 indexes cover one row's bits, not the run's.
 """
 
 import tracemalloc
@@ -46,7 +47,8 @@ def test_bitexact_trial_footprint(traced):
     base = tracemalloc.get_traced_memory()[0]
     delivery.run_delivery(schedule, table, params)
     peak = tracemalloc.get_traced_memory()[1] - base
-    # every operand bit of the run is sent once; one int64 index per operand
-    # bit covers the payloads, the bit values and the candidate columns too
+    # every operand bit of the run is sent once; three bytes per operand bit
+    # cover the one-byte payloads, one row's int64 index and the candidate
+    # columns
     operand_bits = int(table.length.sum())
-    assert peak <= 8 * operand_bits
+    assert peak <= 3 * operand_bits
