@@ -8,8 +8,10 @@ starting at a slot that contributes at least one member; windows have
 delta_b slots except possibly the last, which may be truncated by the end
 of the timeline.  q1 counts placements whose last window is truncated to
 delta_b' < delta_b slots (it then ends exactly at slot B); q2 counts
-placements of Y full windows.  Every binomial with out-of-range arguments
-is taken as 0, which silently prunes infeasible placements.
+placements of Y full windows.  Both are polynomial coefficients: the
+window starts pick members by G_Y = ((1+x)^L - 1)^Y and the other window
+slots by a binomial, so one product per Y gives every s.  Every binomial
+with out-of-range arguments is 0, which prunes infeasible placements.
 
 All counts are exact integers; loads are floats normalized by F.
 """
@@ -54,27 +56,53 @@ def _comb0(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _binomials(n: int, top: int) -> list[int]:
+    """C(n, t) for t = 0..top: the coefficients of (1+x)^n up to x^top."""
+    row = [1]
+    for t in range(top):
+        row.append(row[-1] * (n - t) // (t + 1))
+    return row
+
+
+def _product(a, b, n: int) -> list[int]:
+    """The first n coefficients of the product of two polynomials."""
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[:n - i]):
+                out[i + j] += ai * bj
+    return out
+
+
 @lru_cache(maxsize=None)
+def _g_poly(Y: int, L: int) -> tuple[int, ...]:
+    """Coefficients of G_Y = ((1+x)^L - 1)^Y: [x^alpha] G_Y = b(Y, alpha, L)."""
+    if Y == 0:
+        return (1,)
+    return tuple(_product(_g_poly(Y - 1, L), [0, *_binomials(L, L)[1:]], Y * L + 1))
+
+
 def b_count(Y: int, alpha: int, L: int) -> int:
     """Ways to pick alpha F-APs from Y slots of L requesters, >= 1 per slot."""
     if Y < 1 or L < 1:
         raise OutOfRange(f"need Y >= 1 and L >= 1, got Y={Y}, L={L}")
     if alpha < Y or alpha > Y * L:
         raise OutOfRange(f"alpha={alpha} outside [Y, Y*L] = [{Y}, {Y * L}]")
-    if Y == 1:
-        return math.comb(L, alpha)
-    # recursive split on how many come from the first slot; branches whose
-    # remainder exceeds the remaining capacity contribute nothing
-    return sum(
-        math.comb(L, v) * _b0(Y - 1, alpha - v, L)
-        for v in range(1, min(L, alpha - (Y - 1)) + 1)
-    )
+    return _g_poly(Y, L)[alpha]
 
 
-def _b0(Y: int, alpha: int, L: int) -> int:
-    if alpha < Y or alpha > Y * L:
-        return 0
-    return b_count(Y, alpha, L)
+def _windows(Y: int, delta_b: int, L: int, B: int) -> list[tuple[int, int]]:
+    """(d, n) for each length delta_b' = 1..delta_b of the last window: d
+    placements of the Y windows and n requesters in their non-start slots.
+    delta_b' = delta_b is q2's term, the others are q1's."""
+    base = (Y - 1) * (delta_b - 1)
+    truncated = [(_comb0(B - j - base, Y - 1), (base + j - 1) * L) for j in range(1, delta_b)]
+    return truncated + [(_comb0(B - Y * (delta_b - 1), Y), Y * (delta_b - 1) * L)]
+
+
+def _piece(s: int, Y: int, L: int, d: int, n: int) -> int:
+    """d * [x^s] G_Y * (1+x)^n."""
+    return d and d * sum(b * _comb0(n, s - alpha) for alpha, b in enumerate(_g_poly(Y, L)))
 
 
 def q1_count(s: int, Y: int, delta_b_prime: int, delta_b: int, L: int, B: int) -> int:
@@ -82,43 +110,40 @@ def q1_count(s: int, Y: int, delta_b_prime: int, delta_b: int, L: int, B: int) -
     delta_b' < delta_b slots, ending exactly at slot B."""
     if not (1 <= delta_b_prime < delta_b):
         return 0
-    d1 = _comb0(B - delta_b_prime - (Y - 1) * (delta_b - 1), Y - 1)
-    if d1 == 0:
-        return 0
-    spare_slots = (Y - 1) * delta_b + delta_b_prime - Y
-    p1 = sum(
-        _b0(Y, alpha, L) * _comb0(spare_slots * L, s - alpha)
-        for alpha in range(max(Y, s - spare_slots * L), min(s, Y * L) + 1)
-    )
-    return d1 * p1
+    return _piece(s, Y, L, *_windows(Y, delta_b, L, B)[delta_b_prime - 1])
 
 
 def q2_count(s: int, Y: int, delta_b: int, L: int, B: int) -> int:
     """Type-s sets with Y full delta_b-slot windows."""
-    d2 = _comb0(B - Y * (delta_b - 1), Y)
-    if d2 == 0:
-        return 0
-    spare_slots = Y * (delta_b - 1)
-    p2 = sum(
-        _b0(Y, alpha, L) * _comb0(spare_slots * L, s - alpha)
-        for alpha in range(max(Y, s - spare_slots * L), min(s, Y * L) + 1)
-    )
-    return d2 * p2
+    return _piece(s, Y, L, *_windows(Y, delta_b, L, B)[-1])
+
+
+@lru_cache(maxsize=None)
+def _q_table(B: int, L: int, delta_b: int) -> tuple[tuple[int, ...], ...]:
+    """q[Y][s] = q(s, Y, delta_b) for Y = 0..ceil(B/delta_b) and s = 0..K:
+    [x^s] G_Y * H_Y, where H_Y sums d * (1+x)^n over _windows, so one product
+    gives a row's q1 and q2 terms.  Cached per shape, without the cache
+    ratio, on which no count depends."""
+    K = B * L
+    table = [(0,) * (K + 1)]
+    for Y in range(1, -(-B // delta_b) + 1):
+        top = min(K, Y * (delta_b - 1) * L)  # the largest n of _windows
+        terms = [[d * c for c in _binomials(n, top)] for d, n in _windows(Y, delta_b, L, B) if d]
+        tail = [sum(column) for column in zip(*terms)]
+        table.append(tuple(_product(_g_poly(Y, L), tail, K + 1)))
+    return tuple(table)
+
+
+def _table_for(s: int, config: FixedLConfig) -> tuple[tuple[int, ...], ...]:
+    if not (1 <= s <= config.K):
+        raise OutOfRange(f"type s must be in [1, K], got s={s}, K={config.K}")
+    return _q_table(config.B, config.L, config.delta_b)
 
 
 def q_count(s: int, Y: int, config: FixedLConfig) -> int:
     """Number of type-s encoding sets that split into exactly Y subsets."""
-    return _q_count(s, Y, config.B, config.L, config.delta_b)
-
-
-@lru_cache(maxsize=None)
-def _q_count(s: int, Y: int, B: int, L: int, delta_b: int) -> int:
-    # cached per shape: the counting oracle asks for every q twice, and
-    # closed forms at several cache ratios share their counts
-    total = q2_count(s, Y, delta_b, L, B)
-    for dbp in range(1, delta_b):
-        total += q1_count(s, Y, dbp, delta_b, L, B)
-    return total
+    table = _table_for(s, config)
+    return table[Y][s] if 0 <= Y < len(table) else 0
 
 
 def y_range(s: int, config: FixedLConfig) -> range:
@@ -129,7 +154,7 @@ def y_range(s: int, config: FixedLConfig) -> range:
 
 def Q_count(s: int, config: FixedLConfig) -> int:
     """Total number of subsets all type-s encoding sets split into."""
-    return sum(q_count(s, Y, config) * Y for Y in y_range(s, config))
+    return sum(Y * row[s] for Y, row in enumerate(_table_for(s, config)))
 
 
 def brute_force_b(Y: int, L: int) -> np.ndarray:

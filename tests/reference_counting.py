@@ -1,18 +1,21 @@
-"""Reference counting: the first, plainest versions of two counting
+"""Reference counting: the first, plainest versions of the counting
 routines in ``fogcoded.analytics``, kept as oracles for the faster ones.
 
 ``brute_force_b`` walks ``itertools.combinations`` one alpha at a time;
-``schedule_Q`` runs the slot scan over ``Counter``s keyed by (r, size).
+``schedule_Q`` runs the slot scan over ``Counter``s keyed by (r, size);
+``q1_count``, ``q2_count`` and ``_q_count`` sum the paper's q pieces over
+alpha, one (s, Y, delta_b') at a time, on the recursive ``b_count``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 from fogcoded.core import RequestSchedule
-from fogcoded.errors import InvalidParams
+from fogcoded.errors import InvalidParams, OutOfRange
 
 
 def brute_force_b(Y: int, alpha: int, L: int) -> int:
@@ -49,3 +52,70 @@ def schedule_Q(schedule: RequestSchedule, delta_b: int) -> list[int]:
     for (_, size), eta_sum in etas.items():
         Q[size] += eta_sum
     return Q[1:]
+
+
+def _comb0(n: int, k: int) -> int:
+    """Binomial coefficient with the all-out-of-range-is-zero convention."""
+    if k < 0 or n < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+@lru_cache(maxsize=None)
+def b_count(Y: int, alpha: int, L: int) -> int:
+    """Ways to pick alpha F-APs from Y slots of L requesters, >= 1 per slot."""
+    if Y < 1 or L < 1:
+        raise OutOfRange(f"need Y >= 1 and L >= 1, got Y={Y}, L={L}")
+    if alpha < Y or alpha > Y * L:
+        raise OutOfRange(f"alpha={alpha} outside [Y, Y*L] = [{Y}, {Y * L}]")
+    if Y == 1:
+        return math.comb(L, alpha)
+    # recursive split on how many come from the first slot; branches whose
+    # remainder exceeds the remaining capacity contribute nothing
+    return sum(
+        math.comb(L, v) * _b0(Y - 1, alpha - v, L)
+        for v in range(1, min(L, alpha - (Y - 1)) + 1)
+    )
+
+
+def _b0(Y: int, alpha: int, L: int) -> int:
+    if alpha < Y or alpha > Y * L:
+        return 0
+    return b_count(Y, alpha, L)
+
+
+def q1_count(s: int, Y: int, delta_b_prime: int, delta_b: int, L: int, B: int) -> int:
+    """Type-s sets with Y windows whose last window is truncated to
+    delta_b' < delta_b slots, ending exactly at slot B."""
+    if not (1 <= delta_b_prime < delta_b):
+        return 0
+    d1 = _comb0(B - delta_b_prime - (Y - 1) * (delta_b - 1), Y - 1)
+    if d1 == 0:
+        return 0
+    spare_slots = (Y - 1) * delta_b + delta_b_prime - Y
+    p1 = sum(
+        _b0(Y, alpha, L) * _comb0(spare_slots * L, s - alpha)
+        for alpha in range(max(Y, s - spare_slots * L), min(s, Y * L) + 1)
+    )
+    return d1 * p1
+
+
+def q2_count(s: int, Y: int, delta_b: int, L: int, B: int) -> int:
+    """Type-s sets with Y full delta_b-slot windows."""
+    d2 = _comb0(B - Y * (delta_b - 1), Y)
+    if d2 == 0:
+        return 0
+    spare_slots = Y * (delta_b - 1)
+    p2 = sum(
+        _b0(Y, alpha, L) * _comb0(spare_slots * L, s - alpha)
+        for alpha in range(max(Y, s - spare_slots * L), min(s, Y * L) + 1)
+    )
+    return d2 * p2
+
+
+@lru_cache(maxsize=None)
+def _q_count(s: int, Y: int, B: int, L: int, delta_b: int) -> int:
+    total = q2_count(s, Y, delta_b, L, B)
+    for dbp in range(1, delta_b):
+        total += q1_count(s, Y, dbp, delta_b, L, B)
+    return total

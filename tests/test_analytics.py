@@ -103,22 +103,28 @@ class TestQPieces:
 
 
 class TestQCount:
-    def test_memoized_per_shape(self, monkeypatch):
+    def test_memoized_per_shape(self):
         # the cache ratio is not part of the count: configs that differ
-        # only in M share it
-        analytics._q_count.cache_clear()
-        calls = []
-        original = analytics.q2_count
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(analytics, "q2_count", counted)
+        # only in M share one table build
+        analytics._q_table.cache_clear()
         first = analytics.q_count(2, 1, cfg(M=1.0))
         assert analytics.q_count(2, 1, cfg(M=3.0)) == first == 3
-        assert len(calls) == 1
-        analytics._q_count.cache_clear()
+        assert analytics.Q_count(2, cfg(M=2.0)) == 9
+        assert analytics._q_table.cache_info().misses == 1
+        analytics._q_table.cache_clear()
+
+    @pytest.mark.parametrize("s", [0, -1, 5])
+    def test_s_outside_1_to_k_is_refused(self, s):
+        with pytest.raises(OutOfRange, match=f"got s={s}, K=4"):
+            analytics.q_count(s, 1, cfg())
+        with pytest.raises(OutOfRange, match=f"got s={s}, K=4"):
+            analytics.Q_count(s, cfg())
+
+    def test_y_outside_y_range_counts_zero(self):
+        c = cfg(delta_b=2)
+        assert list(analytics.y_range(2, c)) == [1, 2]
+        for y in (-1, 0, 3, 99):
+            assert analytics.q_count(2, y, c) == 0
 
     def test_full_delay(self):
         c = cfg(delta_b=4)
@@ -172,6 +178,48 @@ class TestQTotal:
         c = cfg(delta_b=1)
         for s in range(1, 5):
             assert analytics.Q_count(s, c) == s * math.comb(4, s)
+
+
+class TestQTable:
+    """The per-shape q table against the alpha-sum it replaced and the
+    slot scan, at sizes past the brute-force limit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_alpha_sum_reference(self, data):
+        b = data.draw(st.integers(2, 24), label="B")
+        l = data.draw(st.integers(1, 48 // b), label="L")
+        delta_b = data.draw(st.integers(1, b), label="delta_b")
+        c = cfg(K=b * l, B=b, L=l, delta_b=delta_b)
+        for s in range(1, b * l + 1):
+            for y in range(b + 2):
+                want = reference_counting._q_count(s, y, b, l, delta_b)
+                assert analytics.q_count(s, y, c) == want, (s, y)
+            for y in analytics.y_range(s, c):
+                assert analytics.q2_count(s, y, delta_b, l, b) == (
+                    reference_counting.q2_count(s, y, delta_b, l, b)
+                )
+                for dbp in range(1, delta_b):
+                    assert analytics.q1_count(s, y, dbp, delta_b, l, b) == (
+                        reference_counting.q1_count(s, y, dbp, delta_b, l, b)
+                    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_q_row_matches_slot_scan(self, data):
+        b = data.draw(st.integers(2, 30), label="B")
+        l = data.draw(st.integers(1, 60 // b), label="L")
+        delta_b = data.draw(st.integers(1, b), label="delta_b")
+        c = cfg(K=b * l, B=b, L=l, delta_b=delta_b)
+        schedule = core.make_fixed_L_schedule(b * l, b, l)
+        Q = [analytics.Q_count(s, c) for s in range(1, b * l + 1)]
+        assert Q == reference_counting.schedule_Q(schedule, delta_b)
+
+    def test_closed_form_exact_at_k_200(self):
+        c = cfg(K=200, B=40, L=5, delta_b=7, N=400, M=100.0)
+        schedule = core.make_fixed_L_schedule(200, 40, 5, seed=11)
+        Q = reference_counting.schedule_Q(schedule, 7)
+        assert analytics.closed_form_load(c) == analytics.load_of(c, Q)
 
 
 class TestBruteForceQ:
