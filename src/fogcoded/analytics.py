@@ -6,12 +6,12 @@ that split into exactly Y delay-feasible subsets.  The counting views the
 timeline as Y disjoint windows placed in chronological order, each
 starting at a slot that contributes at least one member; windows have
 delta_b slots except possibly the last, which may be truncated by the end
-of the timeline.  q1 counts placements whose last window is truncated to
-delta_b' < delta_b slots (it then ends exactly at slot B); q2 counts
-placements of Y full windows.  Both are polynomial coefficients: the
-window starts pick members by G_Y = ((1+x)^L - 1)^Y and the other window
-slots by a binomial, so one product per Y gives every s.  Every binomial
-with out-of-range arguments is 0, which prunes infeasible placements.
+of the timeline (it then ends exactly at slot B).  q is a polynomial
+coefficient: the window starts pick members by G_Y = ((1+x)^L - 1)^Y and
+the other window slots by a binomial, so one product per Y gives every s.
+Every binomial with out-of-range arguments is 0, which prunes infeasible
+placements.  The load itself needs no coefficient: it is the same
+polynomials evaluated at one point (fixed_l_load).
 
 All counts are exact integers; loads are floats normalized by F.
 """
@@ -76,10 +76,12 @@ def _product(a, b, n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _g_poly(Y: int, L: int) -> tuple[int, ...]:
-    """Coefficients of G_Y = ((1+x)^L - 1)^Y: [x^alpha] G_Y = b(Y, alpha, L)."""
-    if Y == 0:
-        return (1,)
-    return tuple(_product(_g_poly(Y - 1, L), [0, *_binomials(L, L)[1:]], Y * L + 1))
+    """Coefficients of G_Y = ((1+x)^L - 1)^Y: [x^alpha] G_Y = b(Y, alpha, L),
+    by Y short products in a loop."""
+    g, step = [1], [0, *_binomials(L, L)[1:]]
+    for y in range(1, Y + 1):
+        g = _product(g, step, y * L + 1)
+    return tuple(g)
 
 
 def b_count(Y: int, alpha: int, L: int) -> int:
@@ -94,28 +96,10 @@ def b_count(Y: int, alpha: int, L: int) -> int:
 def _windows(Y: int, delta_b: int, L: int, B: int) -> list[tuple[int, int]]:
     """(d, n) for each length delta_b' = 1..delta_b of the last window: d
     placements of the Y windows and n requesters in their non-start slots.
-    delta_b' = delta_b is q2's term, the others are q1's."""
+    delta_b' = delta_b is the paper's q2 term, the others are its q1 terms."""
     base = (Y - 1) * (delta_b - 1)
     truncated = [(_comb0(B - j - base, Y - 1), (base + j - 1) * L) for j in range(1, delta_b)]
     return truncated + [(_comb0(B - Y * (delta_b - 1), Y), Y * (delta_b - 1) * L)]
-
-
-def _piece(s: int, Y: int, L: int, d: int, n: int) -> int:
-    """d * [x^s] G_Y * (1+x)^n."""
-    return d and d * sum(b * _comb0(n, s - alpha) for alpha, b in enumerate(_g_poly(Y, L)))
-
-
-def q1_count(s: int, Y: int, delta_b_prime: int, delta_b: int, L: int, B: int) -> int:
-    """Type-s sets with Y windows whose last window is truncated to
-    delta_b' < delta_b slots, ending exactly at slot B."""
-    if not (1 <= delta_b_prime < delta_b):
-        return 0
-    return _piece(s, Y, L, *_windows(Y, delta_b, L, B)[delta_b_prime - 1])
-
-
-def q2_count(s: int, Y: int, delta_b: int, L: int, B: int) -> int:
-    """Type-s sets with Y full delta_b-slot windows."""
-    return _piece(s, Y, L, *_windows(Y, delta_b, L, B)[-1])
 
 
 @lru_cache(maxsize=None)
@@ -251,9 +235,32 @@ def load_of(params: SystemParams, Q: list[int]) -> float:
     )
 
 
+def fixed_l_load(config: FixedLConfig) -> tuple[float, int]:
+    """(normalized load, transmission count) of the scheme under fixed-L
+    schedules, without the q table.  With t = p/(1 - p), p = M/N, the load
+    sum_s f(s) * Q(s) is ((1 - p)^(K+1)/p) * sum_Y Y * G_Y(t) * H_Y(t), where
+    1 + t = 1/(1 - p): one log-space term per (Y, window) pair.  The count
+    sum_s Q(s) is the same sum at t = 1, in exact integers."""
+    B, L, delta_b = config.B, config.L, config.delta_b
+    p = config.cache_ratio
+    log_miss = math.log1p(-p)
+    log_g = -L * log_miss + math.log(-math.expm1(L * log_miss))  # log G_1(t)
+    base = (config.K + 1) * log_miss - math.log(p)
+    load, count, g_at_1 = 0.0, 0, 1
+    for Y in range(1, -(-B // delta_b) + 1):
+        g_at_1 *= (1 << L) - 1
+        h_at_1 = 0
+        for d, n in _windows(Y, delta_b, L, B):
+            if d:
+                load += math.exp(base + Y * log_g - n * log_miss + math.log(Y * d))
+                h_at_1 += d << n
+        count += Y * g_at_1 * h_at_1
+    return load, count
+
+
 def closed_form_load(config: FixedLConfig) -> float:
     """Normalized fronthaul load of the scheme under fixed-L schedules."""
-    return load_of(config, [Q_count(s, config) for s in range(1, config.K + 1)])
+    return fixed_l_load(config)[0]
 
 
 def mn_sync_load(M: float, N: int, K: int) -> float:

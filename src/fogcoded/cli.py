@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytics, core, delivery
 from .analytics import FixedLConfig
-from .errors import FogcodedError, InvalidParams
+from .errors import FogcodedError, InvalidParams, TooLarge
 
 CSV_COLUMNS = [
     "K", "N", "M", "F", "B", "deltaB", "L", "mode", "trials", "seed",
@@ -33,6 +33,9 @@ CSV_COLUMNS = [
 ]
 
 BITEXACT_MAX_F = 2_000_000  # larger files are analytic-mode only
+# an analytic count is below K * 2^K: 3,015 digits at K = 10^4, within the
+# 4,300 that str() of an int allows by default
+ANALYTIC_MAX_K = 10_000
 
 
 @dataclass(frozen=True)
@@ -134,18 +137,22 @@ def _check_seed(seed: int) -> None:
 
 
 def _checked_params(config: ExperimentConfig) -> core.SystemParams:
-    """Validated system parameters, checked against the delivery engine's
-    K cap and the bit-exact file-size cap before anything is built."""
+    """Validated system parameters, checked before anything is built:
+    bit-exact runs against the delivery engine's K cap and the file-size
+    cap, analytic runs against ANALYTIC_MAX_K."""
     if config.mode not in ("analytic", "bitexact"):
         raise InvalidParams(f"unknown mode {config.mode!r}")
     _check_seed(config.seed)
     params = config.system_params()
-    delivery.check_delivery_size(params.K)
-    if config.mode == "bitexact" and config.F > BITEXACT_MAX_F:
-        raise InvalidParams(
-            f"bit-exact mode is limited to F <= {BITEXACT_MAX_F}; "
-            "use --mode analytic for larger files"
-        )
+    if config.mode == "bitexact":
+        delivery.check_delivery_size(params.K)
+        if config.F > BITEXACT_MAX_F:
+            raise InvalidParams(
+                f"bit-exact mode is limited to F <= {BITEXACT_MAX_F}; "
+                "use --mode analytic for larger files"
+            )
+    elif params.K > ANALYTIC_MAX_K:
+        raise TooLarge(f"analytic runs need K <= {ANALYTIC_MAX_K}, got {params.K}")
     return params
 
 
@@ -157,8 +164,7 @@ def run_single(config: ExperimentConfig) -> ResultRow:
     if config.mode == "analytic" and not config.random_schedule:
         # every fixed-L schedule has the same slot sizes: one count serves
         # every trial
-        Q = [analytics.Q_count(s, params) for s in range(1, config.K + 1)]
-        trials = [(analytics.load_of(params, Q), sum(Q))] * config.trials
+        trials = [analytics.fixed_l_load(params)] * config.trials
     else:
         trials = [_one_trial(config, t) for t in range(config.trials)]
     row = ResultRow(config)
@@ -260,8 +266,8 @@ def _fixed_l_shapes(max_k: int) -> list[tuple[int, int]]:
 def check_counting_oracle(
     max_k: int = 8, shapes: list[tuple[int, int]] | None = None
 ) -> list[CheckResult]:
-    """Q_count and every q_count against exhaustive enumeration, plus
-    sum_Y q = C(K, s)."""
+    """Q_count, every q_count and fixed_l_load's load and count against
+    exhaustive enumeration, plus sum_Y q = C(K, s)."""
     results = []
     for b, l in shapes if shapes is not None else _fixed_l_shapes(max_k):
         k = b * l
@@ -276,7 +282,12 @@ def check_counting_oracle(
         bad = []
         for delta_b, counts in enumerate(histogram, 1):
             cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
-            Q = counts @ np.arange(k + 1)
+            Q = (counts @ np.arange(k + 1)).tolist()
+            load, count = analytics.fixed_l_load(cfg)
+            if abs(load - analytics.load_of(cfg, Q[1:])) > 1e-12 * load:
+                bad.append(("load", 0, delta_b))
+            if count != sum(Q):
+                bad.append(("count", 0, delta_b))
             for s in range(1, k + 1):
                 if analytics.Q_count(s, cfg) != Q[s]:
                     bad.append(("Q", s, delta_b))
@@ -437,6 +448,7 @@ def render_tables(config: ExperimentConfig) -> list[str]:
     if config.random_schedule:
         raise InvalidParams("tables need a fixed-L schedule (--l)")
     params = _checked_params(config)
+    delivery.check_delivery_size(params.K)
     schedule = core.make_fixed_L_schedule(config.K, config.B, config.L)
     if config.mode == "bitexact":
         result = _bitexact_delivery(params, schedule, config.seed, 0)[-1]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -311,29 +312,53 @@ def make_fixed_L_schedule(
     return RequestSchedule(slots, _worst_case_demand(K))
 
 
+@lru_cache(maxsize=1)
+def _open_chances(K: int, B: int) -> np.ndarray:
+    """chance[e, j] = e * c(e - 1, j) / c(e, j), that the next F-AP opens a
+    slot when e slots are empty and e + j F-APs are left, where c(e, j) =
+    (B - e) * c(e, j - 1) + e * c(e - 1, j) counts the ways to finish and
+    c(0, j) = B^j.  Row e comes from row e - 1 in log floats, summed along
+    j as sum_i (B - e)^(j - i) * e * c(e - 1, i).  Cached for one shape."""
+    j = np.arange(K - B + 1)
+    log_ways = j * math.log(B)
+    chance = np.zeros((B + 1, j.size))
+    for e in range(1, B + 1):
+        opened = math.log(e) + log_ways
+        if e < B:
+            stays = j * math.log(B - e)
+            log_ways = stays + np.logaddexp.accumulate(opened - stays)
+        else:
+            log_ways = opened
+        chance[e] = np.exp(opened - log_ways)
+    chance.flags.writeable = False
+    return chance
+
+
 def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
     """Uniformly random surjective assignment of the K F-APs to B slots.
 
-    Sampled by rejection from the uniform assignment distribution, which is
-    exactly uniform over surjections.  K = B short-circuits to a random
-    permutation (the surjections are then the bijections).
+    Drawn exactly, F-AP by F-AP: each opens a new slot with the share of
+    the surjections that do so (_open_chances), or else joins one of the
+    slots filled so far, chosen uniformly.  A random permutation then
+    relabels the slots, which are numbered in opening order until then.
     """
     if K < B:
         raise InvalidParams(f"need K >= B for nonempty slots, got K={K}, B={B}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    if K == B:
-        perm = rng.permutation(K) + 1
-        slots = tuple(frozenset({int(perm[b])}) for b in range(B))
-        return RequestSchedule(slots, _worst_case_demand(K))
-    while True:
-        assign = rng.integers(1, B + 1, size=K)
-        if np.bincount(assign, minlength=B + 1)[1:].all():
-            break
-    slots = tuple(
-        frozenset(int(k + 1) for k in np.flatnonzero(assign == b))
-        for b in range(1, B + 1)
-    )
-    return RequestSchedule(slots, _worst_case_demand(K))
+    chance = _open_chances(K, B)
+    e, j, slot = B, K - B, []
+    for u, v in rng.random((K, 2)).tolist():
+        if u < chance.item(e, j):
+            slot.append(B - e)  # the next slot in opening order
+            e -= 1
+        else:
+            slot.append(int(v * (B - e)))  # one of the B - e filled ones
+            j -= 1
+    label = rng.permutation(B).tolist()
+    members: list[list[int]] = [[] for _ in range(B)]
+    for k, b in enumerate(slot, 1):
+        members[label[b]].append(k)
+    return RequestSchedule(tuple(map(frozenset, members)), _worst_case_demand(K))
 
 
 @dataclass

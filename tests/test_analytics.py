@@ -28,6 +28,11 @@ def cfg(K=4, B=4, L=1, delta_b=2, N=None, M=None, F=16):
 
 
 class TestBCount:
+    def test_large_y_from_a_cold_cache(self):
+        # G_Y is built in a loop: no recursion depth grows with Y
+        analytics._g_poly.cache_clear()
+        assert analytics.b_count(1200, 1200, 1) == 1
+
     def test_single_group(self):
         assert analytics.b_count(1, 2, 3) == 3
 
@@ -69,17 +74,20 @@ class TestBCount:
 
 
 class TestQPieces:
+    """The paper's q1 and q2 pieces, as the alpha-sum reference computes
+    them, against brute force and the q table."""
+
     def test_q1_empty_alpha_range_is_zero(self):
         # A truncated last window too short to hold the leftover members.
-        assert analytics.q1_count(s=4, Y=1, delta_b_prime=1, delta_b=2, L=1, B=4) == 0
+        assert reference_counting.q1_count(s=4, Y=1, delta_b_prime=1, delta_b=2, L=1, B=4) == 0
 
     def test_q1_oracle_decided_value(self):
         # For one full window plus a one-slot window pinned at the end of a
         # four-slot timeline there are exactly two placements, each carrying
         # one valid member choice; brute force fixes the total at q = 3
         # together with the single two-full-window placement.
-        assert analytics.q1_count(s=2, Y=2, delta_b_prime=1, delta_b=2, L=1, B=4) == 2
-        assert analytics.q2_count(s=2, Y=2, delta_b=2, L=1, B=4) == 1
+        assert reference_counting.q1_count(s=2, Y=2, delta_b_prime=1, delta_b=2, L=1, B=4) == 2
+        assert reference_counting.q2_count(s=2, Y=2, delta_b=2, L=1, B=4) == 1
         assert analytics.q_count(2, 2, cfg(delta_b=2)) == 3
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         assert analytics.brute_force_eta_histogram(schedule)[2 - 1, 2, 2] == 3
@@ -88,18 +96,18 @@ class TestQPieces:
         for delta_b in (2, 3):
             for s in range(1, 5):
                 for y in analytics.y_range(s, cfg(delta_b=delta_b)):
-                    total = analytics.q2_count(s, y, delta_b, 1, 4) + sum(
-                        analytics.q1_count(s, y, dbp, delta_b, 1, 4)
+                    total = reference_counting.q2_count(s, y, delta_b, 1, 4) + sum(
+                        reference_counting.q1_count(s, y, dbp, delta_b, 1, 4)
                         for dbp in range(1, delta_b)
                     )
                     assert total == analytics.q_count(s, y, cfg(delta_b=delta_b))
 
     def test_q2_unit_delay(self):
-        assert analytics.q2_count(s=2, Y=2, delta_b=1, L=1, B=4) == 6
+        assert reference_counting.q2_count(s=2, Y=2, delta_b=1, L=1, B=4) == 6
 
     def test_q2_infeasible_placement_is_zero(self):
         # Two full three-slot windows cannot fit in four slots.
-        assert analytics.q2_count(s=2, Y=2, delta_b=3, L=1, B=4) == 0
+        assert reference_counting.q2_count(s=2, Y=2, delta_b=3, L=1, B=4) == 0
 
 
 class TestQCount:
@@ -195,14 +203,6 @@ class TestQTable:
             for y in range(b + 2):
                 want = reference_counting._q_count(s, y, b, l, delta_b)
                 assert analytics.q_count(s, y, c) == want, (s, y)
-            for y in analytics.y_range(s, c):
-                assert analytics.q2_count(s, y, delta_b, l, b) == (
-                    reference_counting.q2_count(s, y, delta_b, l, b)
-                )
-                for dbp in range(1, delta_b):
-                    assert analytics.q1_count(s, y, dbp, delta_b, l, b) == (
-                        reference_counting.q1_count(s, y, dbp, delta_b, l, b)
-                    )
 
     @settings(max_examples=25, deadline=None)
     @given(st.data())
@@ -219,7 +219,43 @@ class TestQTable:
         c = cfg(K=200, B=40, L=5, delta_b=7, N=400, M=100.0)
         schedule = core.make_fixed_L_schedule(200, 40, 5, seed=11)
         Q = reference_counting.schedule_Q(schedule, 7)
-        assert analytics.closed_form_load(c) == analytics.load_of(c, Q)
+        assert [analytics.Q_count(s, c) for s in range(1, 201)] == Q
+        load, count = analytics.fixed_l_load(c)
+        assert count == sum(Q)
+        assert analytics.closed_form_load(c) == load
+        assert load == pytest.approx(analytics.load_of(c, Q), rel=1e-13, abs=0)
+
+
+class TestFixedLLoad:
+    """The point evaluation of the closed form against the q table it
+    replaces on the run path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_q_table(self, data):
+        b = data.draw(st.integers(2, 16), label="B")
+        l = data.draw(st.integers(1, 64 // b), label="L")
+        delta_b = data.draw(st.integers(1, b), label="delta_b")
+        ratio = data.draw(st.floats(0.01, 0.99), label="M/N")
+        c = cfg(K=b * l, B=b, L=l, delta_b=delta_b, N=2 * b * l, M=ratio * 2 * b * l)
+        Q = [analytics.Q_count(s, c) for s in range(1, b * l + 1)]
+        load, count = analytics.fixed_l_load(c)
+        assert count == sum(Q)
+        assert load == pytest.approx(analytics.load_of(c, Q), rel=1e-12, abs=0)
+
+    def test_finite_past_the_float_range_of_its_terms(self):
+        # (1 - p)^(-L) overflows a float here; the log-space terms do not
+        c = cfg(K=400, B=2, L=200, delta_b=1, N=1000, M=999.0)
+        load, _ = analytics.fixed_l_load(c)
+        assert 0 < load <= analytics.uncoded_load(999.0, 1000, 400)
+
+    def test_k_4000_within_the_bounds(self):
+        # the count is below K * 2^K, the bound behind the CLI's analytic K cap
+        c = cfg(K=4000, B=400, L=10, delta_b=7, N=8000, M=2000.0)
+        load, count = analytics.fixed_l_load(c)
+        lower, upper = analytics.load_bounds(2000.0, 8000, 4000, 400, 7)
+        assert lower <= load <= upper
+        assert count.bit_length() <= 4000 + (4000).bit_length()
 
 
 class TestBruteForceQ:

@@ -25,7 +25,7 @@ BITEXACT_SIMULATE = (
     "K=8 N=20 M=5.0 F=4096 B=4 delta_b=2 schedule=fixed L=2 mode=bitexact trials=3 seed=5\n"
     "measured load (worst case): 4.141357421875\n"
     "measured load (mean):       4.128092447916667\n"
-    "closed-form load:           3.9198760986328125\n"
+    "closed-form load:           3.9198760986328134\n"
     "bounds:                     [2.6996612548828125, 5.399322509765625]\n"
     "uncoded / synchronous:      6.0 / 2.6996612548828125\n"
     "transmissions:              465\n"
@@ -117,6 +117,32 @@ class TestSimulate:
                 K=17, N=17, M=4.0, F=200_000, B=5, delta_b=2, L=None,
                 mode="bitexact", trials=1, seed=0,
             ))
+
+    def test_analytic_runs_past_the_engine_cap(self):
+        # analytic runs count, so only bit-exact runs keep K <= 16
+        for L in (None, 2):
+            row = cli.run_single(ExperimentConfig(
+                K=40, N=80, M=20.0, F=1000, B=20, delta_b=3, L=L,
+                mode="analytic", trials=4, seed=2,
+            ))
+            assert row.lower_bound <= row.measured_load <= row.upper_bound
+
+    def test_analytic_k_cap_both_sides(self, monkeypatch, capsys):
+        k = cli.ANALYTIC_MAX_K
+        argv = ["simulate", "--n", str(2 * k + 2), "--m", "5000", "--delta-b", "7",
+                "--trials", "1"]
+        assert cli.main([*argv, "--k", str(k), "--b", str(k // 10), "--l", "10"]) == 0
+        count = capsys.readouterr().out.split("transmissions:")[1].split()[0]
+        assert count.isdigit() and len(count) > 3000
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a schedule was drawn before the K check")
+
+        monkeypatch.setattr(core, "make_random_schedule", fail)
+        monkeypatch.setattr(analytics, "fixed_l_load", fail)
+        for shape in (["--b", "1000", "--random"], ["--b", "73", "--l", "137"]):
+            assert cli.main([*argv, "--k", str(k + 1), *shape]) == 2
+            assert f"K <= {k}" in capsys.readouterr().err
 
     def test_negative_seed_rejected_before_any_trial(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -422,6 +448,18 @@ class TestTables:
         assert cli.main(["tables", "--mode", "bitexact", "--f", "1000000000"]) == 2
         assert "analytic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["analytic", "bitexact"])
+    def test_engine_cap_checked_before_any_table(self, monkeypatch, capsys, mode):
+        def fail(*args, **kwargs):
+            raise AssertionError("a record table was built before the K check")
+
+        monkeypatch.setattr(core, "analytic_subfile_table", fail)
+        monkeypatch.setattr(core, "generate_library", fail)
+        argv = ["tables", "--k", "17", "--n", "17", "--b", "17", "--l", "1", "--mode", mode]
+        assert cli.main(argv) == 2
+        assert "K must be <= 16" in capsys.readouterr().err
+        with pytest.raises(TooLarge):
+            cli.render_tables(replace(cli.TABLES_DEFAULTS, K=17, N=17, B=17, mode=mode))
 
     def test_negative_seed_rejected_before_library(self, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -477,6 +515,19 @@ class TestVerify:
         [result] = cli.check_counting_oracle(shapes=[(4, 1)])
         assert result.ok is False
         assert "('q', 2, 2)" in result.detail and "sum_q" not in result.detail
+
+    @pytest.mark.parametrize("kind, shift", [("load", (1e-9, 0)), ("count", (0, 1))])
+    def test_perturbed_point_evaluation_fails_counting_oracle(self, monkeypatch, kind, shift):
+        original = analytics.fixed_l_load
+
+        def perturbed(config):
+            load, count = original(config)
+            return load * (1 + shift[0]), count + shift[1]
+
+        monkeypatch.setattr(analytics, "fixed_l_load", perturbed)
+        [result] = cli.check_counting_oracle(shapes=[(3, 2)])
+        assert result.ok is False
+        assert f"('{kind}', 0, 1)" in result.detail and "'Q'" not in result.detail
 
     def test_off_by_one_chain_count_fails_its_check(self, monkeypatch, capsys):
         original = analytics.schedule_load

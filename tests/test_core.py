@@ -2,6 +2,7 @@
 
 import math
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -297,20 +298,46 @@ class TestRandomSchedule:
         with pytest.raises(InvalidParams):
             core.make_random_schedule(4, 5, seed=0)
 
-    @pytest.mark.parametrize("K, B, seed, slots", [
-        # the slot of F-AP k, one hex digit per F-AP
-        (3, 2, 0, "221"),
-        (6, 3, 1, "223311"),
-        (8, 5, 2, "41315235"),
-        (10, 4, 3, "2243223313"),
-        (9, 8, 6, "725186344"),
-        (13, 12, 4, "c9b3162a54887"),
-        (16, 5, 7, "5445345212255135"),
-        (14, 14, 8, "26d3ea845cb179"),
-    ])
+    # the slot of F-AP k, one hex digit per F-AP; the ids name only the
+    # shape and the seed, so that a re-pin keeps them
+    PINNED = [
+        (3, 2, 0, "122"),
+        (6, 3, 1, "231323"),
+        (8, 5, 2, "24351255"),
+        (10, 4, 3, "3314311421"),
+        (9, 8, 6, "822736145"),
+        (13, 12, 4, "a75bc86512349"),
+        (16, 5, 7, "5312333122451413"),
+        (14, 14, 8, "da291bc34765e8"),
+    ]
+
+    @pytest.mark.parametrize(
+        "K, B, seed, slots", PINNED, ids=[f"{k}-{b}-{seed}" for k, b, seed, _ in PINNED]
+    )
     def test_seed_to_slots_pinned(self, K, B, seed, slots):
         sched = core.make_random_schedule(K, B, seed)
         assert "".join(format(sched.slot_of(k), "x") for k in range(1, K + 1)) == slots
+
+    @pytest.mark.parametrize("K, B, draws", [(5, 3, 3000), (6, 4, 23_400)])
+    def test_uniform_over_surjections(self, K, B, draws):
+        # chi-square over all B! S(K, B) surjections, 15 or more expected
+        # draws each: every one must be drawn, and the z-score of the
+        # statistic stays within 4 (exceeded with odds of about 1e-4 by a
+        # uniform sampler)
+        seen = Counter(
+            tuple(core.make_random_schedule(K, B, seed).slots) for seed in range(draws)
+        )
+        cells = sum((-1) ** i * math.comb(B, i) * (B - i) ** K for i in range(B + 1))
+        assert len(seen) == cells
+        expected = draws / cells
+        chi2 = sum((n - expected) ** 2 / expected for n in seen.values())
+        assert abs(chi2 - (cells - 1)) / math.sqrt(2 * (cells - 1)) < 4
+
+    def test_valid_one_slot_short_of_bijection(self):
+        for seed in range(3):
+            sched = core.make_random_schedule(60, 59, seed)
+            assert sched.B == 59 and sched.K == 60
+            assert sorted(map(len, sched.slots)) == [1] * 58 + [2]
 
     @settings(max_examples=40, deadline=None)
     @given(
