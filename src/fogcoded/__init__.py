@@ -6,7 +6,6 @@ from .analytics import (
     b_count,
     brute_force_Q,
     closed_form_load,
-    fixed_l_load,
     load_bounds,
     mn_sync_load,
     q_count,
@@ -67,7 +66,6 @@ __all__ = [
     "closed_form_load",
     "decode_fap",
     "eta",
-    "fixed_l_load",
     "generate_library",
     "load_bounds",
     "make_fixed_L_schedule",

@@ -10,8 +10,10 @@ of the timeline (it then ends exactly at slot B).  q is a polynomial
 coefficient: the window starts pick members by G_Y = ((1+x)^L - 1)^Y and
 the other window slots by a binomial, so one product per Y gives every s.
 Every binomial with out-of-range arguments is 0, which prunes infeasible
-placements.  The load itself needs no coefficient: it is the same
-polynomials evaluated at one point (fixed_l_load).
+placements.  The q table is the paper's counting formula, checked against
+brute force; no load is read from it.  The load and transmission count of
+any schedule, the fixed-L closed form included, come from one window chain
+over its slot sizes (schedule_load).
 
 All counts are exact integers; loads are floats normalized by F.
 """
@@ -22,6 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -201,24 +204,37 @@ def brute_force_Q(schedule: RequestSchedule) -> list[list[int]]:
     return (counts @ np.arange(schedule.K + 1))[:, 1:].tolist()
 
 
-def schedule_load(params: SystemParams, schedule: RequestSchedule) -> tuple[float, int]:
-    """(normalized load, transmission count) of any schedule by one scan over
-    its slot sizes: ((1 - p)/p) * E[eta(S)], p = M/N, for S holding each F-AP
-    with probability p, and sum_S eta(S) = sum_s Q(s).  The state r is the
-    number of slots the open window still covers; a slot of n F-APs weighs the
-    sets missing it by idle and all sets by total, ((1 - p)^n, 1) or (1, 2^n)."""
-    if not (1 <= params.delta_b <= schedule.B):
-        raise InvalidParams(f"delta_b must be in [1, B], got {params.delta_b}")
+def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, int]:
+    """(normalized load, transmission count) of a schedule whose B slots hold
+    the given numbers of F-APs, by one window chain over them:
+    ((1 - p)/p) * E[eta(S)], p = M/N, for S holding each F-AP with
+    probability p, and sum_S eta(S) = sum_s Q(s).  The ring at turns one
+    place per slot: at[(now + r) % delta_b] weighs the sets whose open
+    window still covers r more slots.  A slot of n F-APs splits the weight w
+    of the sets with none open into those missing it and those opening a
+    window there: (w * (1 - p)^n, w * (1 - (1 - p)^n)) for the load, and
+    (w >> n, w - (w >> n)) for the count, which starts from all 2^K sets,
+    so every split is exact."""
+    sizes = list(sizes)
+    if len(sizes) != params.B:
+        raise InvalidParams(f"need B={params.B} slot sizes, got {len(sizes)}")
+    if sum(sizes) != params.K:
+        raise InvalidParams(f"slot sizes must sum to K={params.K}, got {sum(sizes)}")
+    if min(sizes) < 1:
+        raise InvalidParams(f"every slot needs an F-AP, got a size of {min(sizes)}")
     miss = 1.0 - params.cache_ratio
     sums = []
-    for weights in (lambda n: (miss**n, 1.0), lambda n: (1, 1 << n)):
-        at, eta = [1] + [0] * (params.delta_b - 1), 0
-        for slot in schedule.slots:
-            idle, total = weights(len(slot))
-            stays, opened = at[0] * idle, at[0] * (total - idle)
-            eta = eta * total + opened
-            at = [w * total for w in at[1:]] + [opened]
-            at[0] += stays
+    for whole, split in (
+        (1.0, lambda w, n: (w * miss**n, w * (1.0 - miss**n))),
+        (1 << params.K, lambda w, n: (w >> n, w - (w >> n))),
+    ):
+        at, eta, now = [whole] + [0] * (params.delta_b - 1), 0, 0
+        for n in sizes:
+            stays, opened = split(at[now], n)
+            eta += opened
+            at[now] = opened
+            now = (now + 1) % params.delta_b
+            at[now] += stays
         sums.append(eta)
     return miss / params.cache_ratio * sums[0], sums[1]
 
@@ -235,32 +251,10 @@ def load_of(params: SystemParams, Q: list[int]) -> float:
     )
 
 
-def fixed_l_load(config: FixedLConfig) -> tuple[float, int]:
-    """(normalized load, transmission count) of the scheme under fixed-L
-    schedules, without the q table.  With t = p/(1 - p), p = M/N, the load
-    sum_s f(s) * Q(s) is ((1 - p)^(K+1)/p) * sum_Y Y * G_Y(t) * H_Y(t), where
-    1 + t = 1/(1 - p): one log-space term per (Y, window) pair.  The count
-    sum_s Q(s) is the same sum at t = 1, in exact integers."""
-    B, L, delta_b = config.B, config.L, config.delta_b
-    p = config.cache_ratio
-    log_miss = math.log1p(-p)
-    log_g = -L * log_miss + math.log(-math.expm1(L * log_miss))  # log G_1(t)
-    base = (config.K + 1) * log_miss - math.log(p)
-    load, count, g_at_1 = 0.0, 0, 1
-    for Y in range(1, -(-B // delta_b) + 1):
-        g_at_1 *= (1 << L) - 1
-        h_at_1 = 0
-        for d, n in _windows(Y, delta_b, L, B):
-            if d:
-                load += math.exp(base + Y * log_g - n * log_miss + math.log(Y * d))
-                h_at_1 += d << n
-        count += Y * g_at_1 * h_at_1
-    return load, count
-
-
 def closed_form_load(config: FixedLConfig) -> float:
-    """Normalized fronthaul load of the scheme under fixed-L schedules."""
-    return fixed_l_load(config)[0]
+    """Normalized fronthaul load of the scheme under fixed-L schedules: the
+    window chain over B slots of L F-APs each."""
+    return schedule_load(config, [config.L] * config.B)[0]
 
 
 def mn_sync_load(M: float, N: int, K: int) -> float:

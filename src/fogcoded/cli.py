@@ -116,16 +116,17 @@ def _bitexact_delivery(
     return library, caches, records, delivery.run_delivery(schedule, records, params)
 
 
-def _one_trial(config: ExperimentConfig, trial: int) -> tuple[float, int]:
+def _one_trial(
+    config: ExperimentConfig, params: core.SystemParams, trial: int
+) -> tuple[float, int]:
     """(normalized load, transmission count) of one seeded trial."""
-    params = config.system_params()
     sched_seed = _trial_seeds(config.seed, trial)[2]
     if config.random_schedule:
         schedule = core.make_random_schedule(config.K, config.B, sched_seed)
     else:
         schedule = core.make_fixed_L_schedule(config.K, config.B, config.L, sched_seed)
     if config.mode == "analytic":
-        return analytics.schedule_load(params, schedule)
+        return analytics.schedule_load(params, map(len, schedule.slots))
     report = _bitexact_delivery(params, schedule, config.seed, trial)[-1].report
     return report.normalized_load, report.transmission_count
 
@@ -164,9 +165,9 @@ def run_single(config: ExperimentConfig) -> ResultRow:
     if config.mode == "analytic" and not config.random_schedule:
         # every fixed-L schedule has the same slot sizes: one count serves
         # every trial
-        trials = [analytics.fixed_l_load(params)] * config.trials
+        trials = [analytics.schedule_load(params, [config.L] * config.B)]
     else:
-        trials = [_one_trial(config, t) for t in range(config.trials)]
+        trials = [_one_trial(config, params, t) for t in range(config.trials)]
     row = ResultRow(config)
     # max() keeps the first of several equal worst loads
     row.measured_load, row.transmission_count = max(trials, key=lambda lc: lc[0])
@@ -266,8 +267,8 @@ def _fixed_l_shapes(max_k: int) -> list[tuple[int, int]]:
 def check_counting_oracle(
     max_k: int = 8, shapes: list[tuple[int, int]] | None = None
 ) -> list[CheckResult]:
-    """Q_count, every q_count and fixed_l_load's load and count against
-    exhaustive enumeration, plus sum_Y q = C(K, s)."""
+    """Q_count, every q_count and the window chain's fixed-L load and count
+    against exhaustive enumeration, plus sum_Y q = C(K, s)."""
     results = []
     for b, l in shapes if shapes is not None else _fixed_l_shapes(max_k):
         k = b * l
@@ -283,7 +284,7 @@ def check_counting_oracle(
         for delta_b, counts in enumerate(histogram, 1):
             cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
             Q = (counts @ np.arange(k + 1)).tolist()
-            load, count = analytics.fixed_l_load(cfg)
+            load, count = analytics.schedule_load(cfg, [l] * b)
             if abs(load - analytics.load_of(cfg, Q[1:])) > 1e-12 * load:
                 bad.append(("load", 0, delta_b))
             if count != sum(Q):
@@ -311,7 +312,7 @@ def check_window_chain(max_k: int = 8, seed: int = 0) -> CheckResult:
             schedule = core.make_random_schedule(k, b, seed)
             for delta_b, Q in enumerate(analytics.brute_force_Q(schedule), 1):
                 params = core.SystemParams(K=k, N=k, M=k / 4, F=1, B=b, delta_b=delta_b)
-                load, count = analytics.schedule_load(params, schedule)
+                load, count = analytics.schedule_load(params, map(len, schedule.slots))
                 lower, upper = analytics.load_bounds(params.M, k, k, b, delta_b)
                 if count != sum(Q):
                     bad.append(("count", k, b, delta_b))

@@ -220,15 +220,15 @@ class TestQTable:
         schedule = core.make_fixed_L_schedule(200, 40, 5, seed=11)
         Q = reference_counting.schedule_Q(schedule, 7)
         assert [analytics.Q_count(s, c) for s in range(1, 201)] == Q
-        load, count = analytics.fixed_l_load(c)
+        load, count = analytics.schedule_load(c, [5] * 40)
         assert count == sum(Q)
         assert analytics.closed_form_load(c) == load
         assert load == pytest.approx(analytics.load_of(c, Q), rel=1e-13, abs=0)
 
 
 class TestFixedLLoad:
-    """The point evaluation of the closed form against the q table it
-    replaces on the run path."""
+    """The window chain on B slots of L F-APs, which gives the closed form,
+    against the q table."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -239,20 +239,20 @@ class TestFixedLLoad:
         ratio = data.draw(st.floats(0.01, 0.99), label="M/N")
         c = cfg(K=b * l, B=b, L=l, delta_b=delta_b, N=2 * b * l, M=ratio * 2 * b * l)
         Q = [analytics.Q_count(s, c) for s in range(1, b * l + 1)]
-        load, count = analytics.fixed_l_load(c)
+        load, count = analytics.schedule_load(c, [l] * b)
         assert count == sum(Q)
         assert load == pytest.approx(analytics.load_of(c, Q), rel=1e-12, abs=0)
 
     def test_finite_past_the_float_range_of_its_terms(self):
-        # (1 - p)^(-L) overflows a float here; the log-space terms do not
+        # (1 - p)^L underflows here, and its inverse would overflow
         c = cfg(K=400, B=2, L=200, delta_b=1, N=1000, M=999.0)
-        load, _ = analytics.fixed_l_load(c)
+        load, _ = analytics.schedule_load(c, [200] * 2)
         assert 0 < load <= analytics.uncoded_load(999.0, 1000, 400)
 
     def test_k_4000_within_the_bounds(self):
         # the count is below K * 2^K, the bound behind the CLI's analytic K cap
         c = cfg(K=4000, B=400, L=10, delta_b=7, N=8000, M=2000.0)
-        load, count = analytics.fixed_l_load(c)
+        load, count = analytics.schedule_load(c, [10] * 400)
         lower, upper = analytics.load_bounds(2000.0, 8000, 4000, 400, 7)
         assert lower <= load <= upper
         assert count.bit_length() <= 4000 + (4000).bit_length()
@@ -323,7 +323,7 @@ class TestScheduleQ:
             params = core.SystemParams(
                 K=K, N=K + 3, M=ratio * (K + 3), F=1, B=schedule.B, delta_b=delta_b
             )
-            load, count = analytics.schedule_load(params, schedule)
+            load, count = analytics.schedule_load(params, map(len, schedule.slots))
             assert count == sum(Q), (schedule.slots, delta_b)
             assert load == pytest.approx(analytics.load_of(params, Q), rel=1e-12)
 
@@ -333,7 +333,7 @@ class TestScheduleQ:
             schedule = core.make_random_schedule(K, B, seed)
             params = core.SystemParams(K=K, N=2 * K, M=K / 3, F=1, B=B, delta_b=delta_b)
             Q = reference_counting.schedule_Q(schedule, delta_b)
-            load, count = analytics.schedule_load(params, schedule)
+            load, count = analytics.schedule_load(params, map(len, schedule.slots))
             assert count == sum(Q), (K, B, delta_b)
             assert load == pytest.approx(analytics.load_of(params, Q), rel=1e-12)
 
@@ -348,7 +348,7 @@ class TestScheduleQ:
             )
             records = core.analytic_subfile_table(params, schedule)
             report = delivery.run_delivery(schedule, records, params).report
-            load, count = analytics.schedule_load(params, schedule)
+            load, count = analytics.schedule_load(params, map(len, schedule.slots))
             assert count == report.transmission_count
             assert load == pytest.approx(report.normalized_load, rel=1e-12)
 
@@ -360,7 +360,7 @@ class TestScheduleQ:
                 schedule = core.make_fixed_L_schedule(k, b, l, seed=delta_b)
                 Q = [analytics.Q_count(s, c) for s in range(1, k + 1)]
                 assert reference_counting.schedule_Q(schedule, delta_b) == Q
-                load, count = analytics.schedule_load(c, schedule)
+                load, count = analytics.schedule_load(c, map(len, schedule.slots))
                 assert count == sum(Q)
                 assert load == pytest.approx(analytics.closed_form_load(c), rel=1e-12)
 
@@ -369,7 +369,7 @@ class TestScheduleQ:
         schedule = core.make_random_schedule(K, B, 5)
         for delta_b in (1, 7, B):
             params = core.SystemParams(K=K, N=2 * K, M=K / 2, F=1, B=B, delta_b=delta_b)
-            load, count = analytics.schedule_load(params, schedule)
+            load, count = analytics.schedule_load(params, map(len, schedule.slots))
             lower, upper = analytics.load_bounds(params.M, params.N, K, B, delta_b)
             assert math.isfinite(load)
             assert lower * (1 - 1e-12) <= load <= upper * (1 + 1e-12)
@@ -380,14 +380,46 @@ class TestScheduleQ:
                 )
                 assert count == 2**K - 1
 
-    def test_delay_range(self):
-        schedule = core.make_fixed_L_schedule(4, 4, 1)
+    @pytest.mark.parametrize("sizes, match", [
+        ([1, 1, 1, 1], "need B=5 slot sizes, got 4"),  # a 4-slot schedule
+        ([1, 1, 1, 1, 1], "must sum to K=4, got 5"),
+        ([1, 1, 1, 1, 0], "a size of 0"),
+    ], ids=["count", "sum", "size"])
+    def test_bad_sizes_rejected(self, sizes, match):
         params = core.SystemParams(K=4, N=4, M=2.0, F=16, B=5, delta_b=5)
-        with pytest.raises(InvalidParams):
-            analytics.schedule_load(params, schedule)
+        with pytest.raises(InvalidParams, match=match):
+            analytics.schedule_load(params, sizes)
+
+
+def exact_load(c):
+    """sum_s f(s) * Q(s) in exact rationals, rounded once to a float."""
+    p = Fraction(c.M) / c.N
+    return float(sum(
+        p ** (s - 1) * (1 - p) ** (c.K - s + 1) * analytics.Q_count(s, c)
+        for s in range(1, c.K + 1)
+    ))
 
 
 class TestClosedFormLoad:
+    @pytest.mark.parametrize("K, N, M, B, L, delta_b, want", [
+        (4, 4, 2.0, 4, 1, 2, 1.4375),  # the demo
+        (8, 20, 5.0, 4, 2, 2, 3.9198760986328125),
+        (14, 20, 5.0, 7, 2, 2, 6.670039672404528),  # the analytic-sweep shape
+        (14, 20, 5.0, 7, 2, 4, 4.71182020381093),
+        (14, 20, 5.0, 7, 2, 7, 2.9465461559593678),
+    ])
+    def test_exact_on_pinned_shapes(self, K, N, M, B, L, delta_b, want):
+        c = cfg(K=K, N=N, M=M, B=B, L=L, delta_b=delta_b)
+        assert exact_load(c) == want
+        assert analytics.closed_form_load(c) == want
+
+    @pytest.mark.parametrize("B, L, delta_b", [(12, 4, 8), (12, 4, 12), (6, 8, 6), (8, 6, 3)])
+    def test_within_two_ulps_on_dyadic_shapes(self, B, L, delta_b):
+        # p = 3/4: the chain's weights (1 - p)^n are exact, so only its sums round
+        c = cfg(K=B * L, N=2 * B * L, M=1.5 * B * L, B=B, L=L, delta_b=delta_b)
+        want = exact_load(c)
+        assert abs(analytics.closed_form_load(c) - want) <= 2 * math.ulp(want)
+
     def test_load_of_past_the_float_range(self):
         # Q(s) around C(K, s) * 2^200 passes 2^1024 where the terms that
         # matter lie, and f(s) underflows where the terms do not

@@ -25,7 +25,7 @@ BITEXACT_SIMULATE = (
     "K=8 N=20 M=5.0 F=4096 B=4 delta_b=2 schedule=fixed L=2 mode=bitexact trials=3 seed=5\n"
     "measured load (worst case): 4.141357421875\n"
     "measured load (mean):       4.128092447916667\n"
-    "closed-form load:           3.9198760986328134\n"
+    "closed-form load:           3.9198760986328125\n"
     "bounds:                     [2.6996612548828125, 5.399322509765625]\n"
     "uncoded / synchronous:      6.0 / 2.6996612548828125\n"
     "transmissions:              465\n"
@@ -139,7 +139,7 @@ class TestSimulate:
             raise AssertionError("a schedule was drawn before the K check")
 
         monkeypatch.setattr(core, "make_random_schedule", fail)
-        monkeypatch.setattr(analytics, "fixed_l_load", fail)
+        monkeypatch.setattr(analytics, "schedule_load", fail)
         for shape in (["--b", "1000", "--random"], ["--b", "73", "--l", "137"]):
             assert cli.main([*argv, "--k", str(k + 1), *shape]) == 2
             assert f"K <= {k}" in capsys.readouterr().err
@@ -167,6 +167,14 @@ class TestSimulate:
                 mode="analytic", trials=3, seed=1,
             ))
             assert row.measured_load == row.closed_form_load
+
+    def test_fixed_l_analytic_mean_is_its_one_load(self, capsys):
+        argv = ["simulate", "--k", "8", "--b", "4", "--l", "2", "--delta-b", "2",
+                "--trials", "3", "--mode", "analytic"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        for line in ("worst case): ", "(mean):       ", "closed-form load:           "):
+            assert f"{line}3.9198760986328125\n" in out, line
 
     def test_worst_case_at_least_mean(self):
         row = cli.run_single(ExperimentConfig(
@@ -518,13 +526,13 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind, shift", [("load", (1e-9, 0)), ("count", (0, 1))])
     def test_perturbed_point_evaluation_fails_counting_oracle(self, monkeypatch, kind, shift):
-        original = analytics.fixed_l_load
+        original = analytics.schedule_load
 
-        def perturbed(config):
-            load, count = original(config)
+        def perturbed(params, sizes):
+            load, count = original(params, sizes)
             return load * (1 + shift[0]), count + shift[1]
 
-        monkeypatch.setattr(analytics, "fixed_l_load", perturbed)
+        monkeypatch.setattr(analytics, "schedule_load", perturbed)
         [result] = cli.check_counting_oracle(shapes=[(3, 2)])
         assert result.ok is False
         assert f"('{kind}', 0, 1)" in result.detail and "'Q'" not in result.detail
@@ -532,8 +540,8 @@ class TestVerify:
     def test_off_by_one_chain_count_fails_its_check(self, monkeypatch, capsys):
         original = analytics.schedule_load
 
-        def off_by_one(params, schedule):
-            load, count = original(params, schedule)
+        def off_by_one(params, sizes):
+            load, count = original(params, sizes)
             return load, count + 1
 
         monkeypatch.setattr(analytics, "schedule_load", off_by_one)
