@@ -13,7 +13,8 @@ Every binomial with out-of-range arguments is 0, which prunes infeasible
 placements.  The q table is the paper's counting formula, checked against
 brute force; no load is read from it.  The load and transmission count of
 any schedule, the fixed-L closed form included, come from one window chain
-over its slot sizes (schedule_load).
+over its slot sizes (schedule_load).  Each load rule is written once: f(s)
+in SystemParams.subfile_fraction, 1 - (1 - p)^n in hit_chance.
 
 All counts are exact integers; loads are floats normalized by F.
 """
@@ -21,7 +22,6 @@ All counts are exact integers; loads are floats normalized by F.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -204,6 +204,20 @@ def brute_force_Q(schedule: RequestSchedule) -> list[list[int]]:
     return (counts @ np.arange(schedule.K + 1))[:, 1:].tolist()
 
 
+def hit_chance(p: float, n: int) -> float:
+    """1 - (1 - p)^n, the chance that a set holding each F-AP with probability
+    p meets n given F-APs, by squaring on hit(a + b) = hit(a) + (1 - p)^a *
+    hit(b): a sum of positive terms, so nothing is subtracted from a rounded
+    1 - p and no digit is lost as p -> 0; exact wherever 1 - (1 - p)^n is."""
+    hit, miss, step_hit, step_miss = 0.0, 1.0, p, 1.0 - p
+    while n:
+        if n & 1:
+            hit, miss = hit + miss * step_hit, miss * step_miss
+        step_hit, step_miss = step_hit + step_miss * step_hit, step_miss * step_miss
+        n >>= 1
+    return hit
+
+
 def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, int]:
     """(normalized load, transmission count) of a schedule whose B slots hold
     the given numbers of F-APs, by one window chain over them:
@@ -212,9 +226,9 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
     place per slot: at[(now + r) % delta_b] weighs the sets whose open
     window still covers r more slots.  A slot of n F-APs splits the weight w
     of the sets with none open into those missing it and those opening a
-    window there: (w * (1 - p)^n, w * (1 - (1 - p)^n)) for the load, and
-    (w >> n, w - (w >> n)) for the count, which starts from all 2^K sets,
-    so every split is exact."""
+    window there: (w * (1 - p)^n, w * hit_chance(p, n)) for the load, taken
+    once per distinct n, and (w >> n, w - (w >> n)) for the count, which
+    starts from all 2^K sets, so every split is exact."""
     sizes = list(sizes)
     if len(sizes) != params.B:
         raise InvalidParams(f"need B={params.B} slot sizes, got {len(sizes)}")
@@ -222,10 +236,11 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
         raise InvalidParams(f"slot sizes must sum to K={params.K}, got {sum(sizes)}")
     if min(sizes) < 1:
         raise InvalidParams(f"every slot needs an F-AP, got a size of {min(sizes)}")
-    miss = 1.0 - params.cache_ratio
+    p = params.cache_ratio
+    share = {n: ((1.0 - p) ** n, hit_chance(p, n)) for n in set(sizes)}
     sums = []
     for whole, split in (
-        (1.0, lambda w, n: (w * miss**n, w * (1.0 - miss**n))),
+        (1.0, lambda w, n: (w * share[n][0], w * share[n][1])),
         (1 << params.K, lambda w, n: (w >> n, w - (w >> n))),
     ):
         at, eta, now = [whole] + [0] * (params.delta_b - 1), 0, 0
@@ -236,19 +251,14 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
             now = (now + 1) % params.delta_b
             at[now] += stays
         sums.append(eta)
-    return miss / params.cache_ratio * sums[0], sums[1]
+    return (1.0 - p) / p * sums[0], sums[1]
 
 
 def load_of(params: SystemParams, Q: list[int]) -> float:
     """Normalized fronthaul load sum_s f(s) * Q(s): each of the Q(s) subsets
     carved out of the type-s encoding sets costs one coded content of the
-    type-s subfile size.  A Q(s) past the float range is multiplied in logs."""
-    p = params.cache_ratio
-    return sum(
-        params.subfile_fraction(s) * q if q <= sys.float_info.max
-        else math.exp((s - 1) * math.log(p) + (params.K - s + 1) * math.log1p(-p) + math.log(q))
-        for s, q in enumerate(Q, 1)
-    )
+    type-s subfile size f(s) (`subfile_fraction`)."""
+    return sum(params.subfile_fraction(s) * q for s, q in enumerate(Q, 1))
 
 
 def closed_form_load(config: FixedLConfig) -> float:
@@ -265,7 +275,7 @@ def mn_sync_load(M: float, N: int, K: int) -> float:
     if not (0 < M < N):
         raise InvalidParams(f"need 0 < M < N, got M={M}, N={N}")
     p = M / N
-    return K * (1.0 - p) * (N / (K * M)) * (1.0 - (1.0 - p) ** K)
+    return K * (1.0 - p) * (N / (K * M)) * hit_chance(p, K)
 
 
 def uncoded_load(M: float, N: int, K: int) -> float:
@@ -286,7 +296,5 @@ def load_bounds(
     lower = mn_sync_load(M, N, K)
     windows = -(-B // delta_b)
     p = M / N
-    upper = K * (1.0 - p) * min(
-        windows * (N / (K * M)) * (1.0 - (1.0 - p) ** K), 1.0
-    )
+    upper = K * (1.0 - p) * min(windows * (N / (K * M)) * hit_chance(p, K), 1.0)
     return lower, upper

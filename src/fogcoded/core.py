@@ -207,9 +207,7 @@ class CacheLayout:
         return _rows(self.files, files)
 
 
-def place_caches(
-    library: Library, params: SystemParams, seed: int, files: Iterable[int]
-) -> CacheLayout:
+def place_caches(params: SystemParams, seed: int, files: Iterable[int]) -> CacheLayout:
     """Decentralized placement of the given files: every F-AP independently
     caches a uniform random subset of round(M*F/N) bit positions of each.
 

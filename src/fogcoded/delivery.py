@@ -194,15 +194,14 @@ def run_delivery(
     K, B, delta_b = params.K, params.B, params.delta_b
     live = (1 << np.arange(K)) @ records.live
     ranks = set_ranks(K)
+    due = [0] * (B + 1)
+    for k in range(1, K + 1):
+        due[schedule.deadline_slot(k, delta_b)] |= 1 << (k - 1)
     columns = []
     active = 0
     for b in range(1, B + 1):
         active |= schedule.slot_mask(b)
-        if delta_b < B and delta_b <= b < B:
-            deadline = schedule.slot_mask(b - delta_b + 1)
-        elif b == B:
-            deadline = active
-        else:
+        if not (deadline := due[b]):
             continue
         sets = _candidates(deadline, ranks)
         missing = live[sets]

@@ -152,7 +152,7 @@ def test_bit_exact_decodability():
         schedule = core.make_random_schedule(K, B, seed)
         files = schedule.demand.values()
         library = core.generate_library(params_any, seed, files)
-        caches = core.place_caches(library, params_any, seed + 1_000, files)
+        caches = core.place_caches(params_any, seed + 1_000, files)
         for delta_b in range(1, B + 1):
             params = core.SystemParams(K=K, N=K, M=K / 2, F=F, B=B, delta_b=delta_b)
             records = core.partition_into_subfiles(library, caches, schedule)
@@ -221,7 +221,7 @@ def test_concentration():
     params = core.SystemParams(K=4, N=4, M=2.0, F=100_000, B=4, delta_b=2)
     schedule = core.make_fixed_L_schedule(4, 4, 1)
     library = core.generate_library(params, 12, schedule.demand.values())
-    caches = core.place_caches(library, params, 13, schedule.demand.values())
+    caches = core.place_caches(params, 13, schedule.demand.values())
     records = core.partition_into_subfiles(library, caches, schedule)
     bitexact = delivery.run_delivery(schedule, records, params).report.normalized_load
     analytic_records = core.analytic_subfile_table(params, schedule)

@@ -420,16 +420,6 @@ class TestClosedFormLoad:
         want = exact_load(c)
         assert abs(analytics.closed_form_load(c) - want) <= 2 * math.ulp(want)
 
-    def test_load_of_past_the_float_range(self):
-        # Q(s) around C(K, s) * 2^200 passes 2^1024 where the terms that
-        # matter lie, and f(s) underflows where the terms do not
-        K, p = 1100, Fraction(1, 4)
-        params = core.SystemParams(K=K, N=4 * K, M=K, F=1, B=K, delta_b=1)
-        Q = [math.comb(K, s) << 200 for s in range(1, K + 1)]
-        assert max(Q) > 2**1024
-        exact = sum(p ** (s - 1) * (1 - p) ** (K - s + 1) * Q[s - 1] for s in range(1, K + 1))
-        assert analytics.load_of(params, Q) == pytest.approx(float(exact), rel=1e-12)
-
     def test_worked_ladder(self):
         loads = [
             analytics.closed_form_load(cfg(delta_b=d, N=4, M=2.0)) for d in (1, 2, 3, 4)
@@ -518,6 +508,51 @@ class TestLoadBounds:
                     assert lower * (1 - 1e-9) <= load <= upper * (1 + 1e-9)
                     windows = math.ceil(b / delta_b)
                     assert 1 - 1e-9 <= load / lower <= windows + 1e-9
+
+
+# M/N = 5e-8, 5e-11, 5e-14, 5e-17 at N = 20: 1 - M/N keeps ever fewer of
+# p's digits, and at 5e-17 it rounds to 1
+TINY_M = (1e-6, 1e-9, 1e-12, 1e-15)
+
+
+def exact_hit(p, n):
+    """1 - (1 - p)^n in exact rationals."""
+    return 1 - (1 - p) ** n
+
+
+class TestTinyCacheRatio:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 26])
+    @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+    def test_hit_chance_exact_on_dyadic_p(self, p, n):
+        # 1 - (1 - p)^n fits a double for these n, and so does every partial sum
+        assert analytics.hit_chance(float(p), n) == exact_hit(p, n)
+
+    @pytest.mark.parametrize("M", TINY_M)
+    def test_closed_form(self, M):
+        c = cfg(K=8, B=4, L=2, delta_b=2, N=20, M=M)
+        want = exact_load(c)
+        assert analytics.closed_form_load(c) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("M", TINY_M)
+    def test_schedule_load(self, M):
+        schedule = core.make_random_schedule(10, 6, 11)
+        p = Fraction(M) / 20
+        for delta_b, Q in enumerate(analytics.brute_force_Q(schedule), 1):
+            params = core.SystemParams(K=10, N=20, M=M, F=1, B=6, delta_b=delta_b)
+            want = float(sum(
+                p ** (s - 1) * (1 - p) ** (10 - s + 1) * q for s, q in enumerate(Q, 1)
+            ))
+            load = analytics.schedule_load(params, map(len, schedule.slots))[0]
+            assert load == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("M", TINY_M)
+    def test_sync_load_and_bounds(self, M):
+        p = Fraction(M) / 20
+        want = float((1 - p) / p * exact_hit(p, 10))
+        assert analytics.mn_sync_load(M, 20, 10) == pytest.approx(want, rel=1e-12, abs=0)
+        # at delta_b = B one window serves everyone: the bounds meet
+        for bound in analytics.load_bounds(M, 20, 10, 5, 5):
+            assert bound == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestFixedLConfigValidation:

@@ -83,6 +83,25 @@ class TestSimulate:
         ]) == 0
         assert capsys.readouterr().out == BITEXACT_SIMULATE
 
+    @staticmethod
+    def printed_loads(capsys, m):
+        """(worst case, lower, upper, uncoded) printed by a default simulate."""
+        assert cli.main(["simulate", "--m", m]) == 0
+        lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()[1:])
+        lower, upper = map(float, lines["bounds"].strip(" []").split(","))
+        uncoded = float(lines["uncoded / synchronous"].split("/")[0])
+        return float(lines["measured load (worst case)"]), lower, upper, uncoded
+
+    def test_tiny_cache_keeps_the_bounds_ordered(self, capsys):
+        worst, lower, upper, uncoded = self.printed_loads(capsys, "1e-9")
+        assert lower <= upper
+        assert worst <= uncoded * (1 + 1e-12)
+
+    def test_vanishing_cache_loads_everything(self, capsys):
+        # M/N = 5e-18: nearly every bit is missing, so the load is about K
+        worst = self.printed_loads(capsys, "1e-16")[0]
+        assert worst == pytest.approx(10.0, rel=1e-12, abs=0)
+
     def test_full_delay_matches_sync_baseline(self):
         row = cli.run_single(ExperimentConfig(
             K=4, N=4, M=2.0, F=16, B=4, delta_b=4, L=1,

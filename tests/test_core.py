@@ -128,8 +128,7 @@ def cached_at(caches, k, n):
 class TestPlaceCaches:
     def test_exact_quota(self):
         p = params()
-        lib = core.generate_library(p, 0, range(1, 5))
-        caches = core.place_caches(lib, p, 1, range(1, 5))
+        caches = core.place_caches(p, 1, range(1, 5))
         for k in range(1, 5):
             for n in range(1, 5):
                 assert cached_at(caches, k, n).sum() == 8
@@ -138,16 +137,14 @@ class TestPlaceCaches:
 
     def test_tiny_cache_is_empty(self):
         p = core.SystemParams(K=2, N=100, M=0.001, F=100, B=2, delta_b=1)
-        lib = core.generate_library(p, 0, range(1, 101))
-        caches = core.place_caches(lib, p, 0, range(1, 101))
+        caches = core.place_caches(p, 0, range(1, 101))
         assert not caches.signature.any()
 
     def test_overlap_concentration(self):
         # Two F-APs each cache exactly half of the file; their overlap is a
         # hypergeometric draw with mean F/4, bounded here by 3 binomial sigma.
         p = core.SystemParams(K=2, N=2, M=1.0, F=100_000, B=2, delta_b=1)
-        lib = core.generate_library(p, 0, (1, 2))
-        caches = core.place_caches(lib, p, 42, (1, 2))
+        caches = core.place_caches(p, 42, (1, 2))
         F = p.F
         for n in (1, 2):
             sets = [set(np.flatnonzero(cached_at(caches, k, n))) for k in (1, 2)]
@@ -158,8 +155,7 @@ class TestPlaceCaches:
 
     def test_independent_across_faps(self):
         p = params(F=4096)
-        lib = core.generate_library(p, 0, (1,))
-        caches = core.place_caches(lib, p, 3, (1,))
+        caches = core.place_caches(p, 3, (1,))
         assert not np.array_equal(cached_at(caches, 1, 1), cached_at(caches, 2, 1))
 
     def test_refuses_large_k_before_drawing(self, monkeypatch):
@@ -170,10 +166,7 @@ class TestPlaceCaches:
         monkeypatch.setattr(np.random, "PCG64", fail)
         p = params(K=17, N=17, F=8, B=17, delta_b=2)
         with pytest.raises(TooLarge):
-            core.place_caches(
-                core.Library(tuple(range(1, 18)), np.zeros((17, 8), dtype=np.uint8)),
-                p, 1, range(1, 18),
-            )
+            core.place_caches(p, 1, range(1, 18))
 
     @pytest.mark.parametrize("files", [(1, 3, 1), (0, 2), (2, 5), (1.0,)])
     def test_refuses_bad_file_ids_before_drawing(self, monkeypatch, files):
@@ -182,14 +175,13 @@ class TestPlaceCaches:
             raise AssertionError("caches drawn before the file check")
 
         p = params()
-        lib = core.generate_library(p, 0, range(1, p.N + 1))
         monkeypatch.setattr(np.random, "PCG64", fail)
         with pytest.raises(InvalidParams, match="file id"):
-            core.place_caches(lib, p, 1, files)
+            core.place_caches(p, 1, files)
 
     def test_places_only_the_given_files(self):
         p = params(N=6)
-        caches = core.place_caches(core.generate_library(p, 0, [5, 2]), p, 1, [5, 2])
+        caches = core.place_caches(p, 1, [5, 2])
         assert caches.files == (2, 5)
         assert caches.signature.shape == (2, p.F)
         assert caches.rows([5, 2, 5]).tolist() == [1, 0, 1]
@@ -199,7 +191,7 @@ class TestPlaceCaches:
         # before the first placed id, between two, past the last: a sorted
         # search alone would return a neighbour's row
         p = params(N=8)
-        caches = core.place_caches(core.generate_library(p, 0, [2, 4]), p, 1, [2, 4])
+        caches = core.place_caches(p, 1, [2, 4])
         with pytest.raises(InvalidParams, match=f"file {missing} was not placed"):
             caches.rows([2, missing, 4])
 
@@ -216,8 +208,7 @@ class TestPlaceCaches:
 
         def rows_of_n(N, files):
             p = core.SystemParams(K=K, N=N, M=N / 3, F=F, B=2, delta_b=1)
-            lib = core.Library(tuple(range(1, N + 1)), np.zeros((N, F), dtype=np.uint8))
-            caches = core.place_caches(lib, p, seed, files)
+            caches = core.place_caches(p, seed, files)
             return caches.signature[caches.rows([n])[0]]
 
         N = max(n, K, 3)
@@ -381,7 +372,7 @@ class TestPartitionIntoSubfiles:
         sched = core.RequestSchedule((frozenset({1}),), {1: 1})
         p = core.SystemParams(K=1, N=1, M=0.5, F=16, B=2, delta_b=1)
         lib = core.generate_library(p, 0, (1,))
-        caches = core.place_caches(lib, p, 1, (1,))
+        caches = core.place_caches(p, 1, (1,))
         table = core.partition_into_subfiles(lib, caches, sched)
         assert list(classes_of(table)) == [(1, 0)]
         assert table.live.tolist() == [[False, True]]
@@ -392,7 +383,7 @@ class TestPartitionIntoSubfiles:
         p = params()
         sched = core.make_fixed_L_schedule(4, 4, 1)
         lib = core.generate_library(p, 0, sched.demand.values())
-        caches = core.place_caches(lib, p, 1, sched.demand.values())
+        caches = core.place_caches(p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         assert table.length.dtype == np.int64
         classes = classes_of(table)
@@ -417,7 +408,7 @@ class TestPartitionIntoSubfiles:
         p = params(F=64)
         sched = core.make_fixed_L_schedule(4, 4, 1)
         lib = core.generate_library(p, 5, sched.demand.values())
-        caches = core.place_caches(lib, p, 6, sched.demand.values())
+        caches = core.place_caches(p, 6, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         for (k, mask), (pos, _) in classes_of(table).items():
             n = sched.demand[k]
@@ -435,7 +426,7 @@ class TestPartitionIntoSubfiles:
         p = params(F=100_000)
         sched = core.make_fixed_L_schedule(4, 4, 1)
         lib = core.generate_library(p, 0, sched.demand.values())
-        caches = core.place_caches(lib, p, 7, sched.demand.values())
+        caches = core.place_caches(p, 7, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         for k in range(1, 5):
             for S in range(1 << 4):
@@ -453,7 +444,7 @@ class TestPartitionIntoSubfiles:
         p = core.SystemParams(K=2, N=2, M=1.0, F=F, B=2, delta_b=1)
         sched = core.make_fixed_L_schedule(2, 2, 1)
         lib = core.generate_library(p, 0, sched.demand.values())
-        caches = core.place_caches(lib, p, 1, sched.demand.values())
+        caches = core.place_caches(p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         assert table.bit_positions.dtype == dtype
         assert table.bit_values.dtype == np.uint8

@@ -243,7 +243,7 @@ class TestMeasuredLoad:
         params = core.SystemParams(K=2, N=2, M=1.9, F=1, B=2, delta_b=1)
         schedule = core.make_fixed_L_schedule(2, 2, 1)
         library = core.generate_library(params, 0, schedule.demand.values())
-        caches = core.place_caches(library, params, 1, schedule.demand.values())
+        caches = core.place_caches(params, 1, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
         assert len(result.events) == 4 and not result.events.included.any()
@@ -320,7 +320,7 @@ class TestNoRedundancy:
         schedule = core.make_random_schedule(K, B, seed)
         base = core.SystemParams(K=K, N=K, M=K / 3, F=64, B=B, delta_b=1)
         library = core.generate_library(base, seed, schedule.demand.values())
-        caches = core.place_caches(library, base, seed + 1, schedule.demand.values())
+        caches = core.place_caches(base, seed + 1, schedule.demand.values())
         for delta_b in range(1, B + 1):
             params = core.SystemParams(K=K, N=K, M=K / 3, F=64, B=B, delta_b=delta_b)
             for records in (
@@ -402,7 +402,7 @@ class TestDelayMonotonicity:
             schedule = core.make_random_schedule(8, 5, seed)
             base = core.SystemParams(K=8, N=8, M=4.0, F=4000, B=5, delta_b=1)
             library = core.generate_library(base, seed, schedule.demand.values())
-            caches = core.place_caches(library, base, seed + 99, schedule.demand.values())
+            caches = core.place_caches(base, seed + 99, schedule.demand.values())
             loads = []
             for delta_b in range(1, 6):
                 params = core.SystemParams(K=8, N=8, M=4.0, F=4000, B=5, delta_b=delta_b)
@@ -417,7 +417,7 @@ class TestBitExactDelivery:
     @staticmethod
     def bitexact_run(params, schedule, seed):
         library = core.generate_library(params, seed, schedule.demand.values())
-        caches = core.place_caches(library, params, seed + 1, schedule.demand.values())
+        caches = core.place_caches(params, seed + 1, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
         return library, caches, records, result
@@ -471,7 +471,7 @@ class TestBitExactDelivery:
         slots = core.make_fixed_L_schedule(4, 4, 1).slots
         schedule = core.RequestSchedule(slots, {1: 9, 2: 3, 3: 9, 4: 6})
         library = core.generate_library(params, 5, {9, 3, 6})
-        caches = core.place_caches(library, params, 6, {9, 3, 6})
+        caches = core.place_caches(params, 6, {9, 3, 6})
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
         for k in range(1, 5):
@@ -506,7 +506,7 @@ class TestBitExactDelivery:
         sched = core.RequestSchedule((frozenset({1}),), {1: 1})
         p = core.SystemParams(K=1, N=1, M=0.5, F=64, B=2, delta_b=1)
         library = core.generate_library(p, 3, (1,))
-        caches = core.place_caches(library, p, 4, (1,))
+        caches = core.place_caches(p, 4, (1,))
         records = core.partition_into_subfiles(library, caches, sched)
         k = (1, 0)
         sent = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
@@ -535,7 +535,7 @@ class TestBitExactDelivery:
         params = demo_params(2, F=512)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library = core.generate_library(params, 31, schedule.demand.values())
-        caches = core.place_caches(library, params, 32, schedule.demand.values())
+        caches = core.place_caches(params, 32, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
         original = delivery.should_transmit
         monkeypatch.setattr(
@@ -553,7 +553,7 @@ class TestRepeatability:
         params = demo_params(F=256)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library = core.generate_library(params, 3, schedule.demand.values())
-        caches = core.place_caches(library, params, 4, schedule.demand.values())
+        caches = core.place_caches(params, 4, schedule.demand.values())
         for records in (
             core.analytic_subfile_table(params, schedule),
             core.partition_into_subfiles(library, caches, schedule),

@@ -34,7 +34,7 @@ def test_bitexact_trial_footprint(traced):
     schedule = core.make_fixed_L_schedule(K, 4, 2, 1)
     files = schedule.demand.values()
     library = core.generate_library(params, 2, files)
-    caches = core.place_caches(library, params, 3, files)
+    caches = core.place_caches(params, 3, files)
 
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]

@@ -87,7 +87,7 @@ def test_signatures_match_cube(K, N, M, F, seed):
     params = core.SystemParams(K=K, N=N, M=M, F=F, B=2, delta_b=1)
     files = range(1, N + 1)
     library = core.generate_library(params, seed, files)
-    got = core.place_caches(library, params, seed + 1, files)
+    got = core.place_caches(params, seed + 1, files)
     cube = reference.place_caches(library, params, seed + 1, files).cached
     weights = (1 << np.arange(K, dtype=np.uint64))[:, None, None]
     assert got.K == K and got.files == tuple(files)
@@ -107,7 +107,7 @@ def test_delivery_matches_reference(schedule, ratio, seed):
     base = core.SystemParams(K=K, N=K, M=ratio * K, F=200, B=B, delta_b=1)
     files = schedule.demand.values()
     library = core.generate_library(base, seed, files)
-    caches = core.place_caches(library, base, seed + 1, files)
+    caches = core.place_caches(base, seed + 1, files)
     cube = reference.place_caches(library, base, seed + 1, files)
     for delta_b in range(1, B + 1):
         params = replace(base, delta_b=delta_b)
@@ -156,7 +156,7 @@ def test_partition_matches_reference(K, extra_files, ratio, F, seed):
     demand = {k: int(rng.integers(1, N + 1)) for k in range(1, K + 1)}
     files = set(demand.values())
     library = core.generate_library(params, seed, files)
-    caches = core.place_caches(library, params, seed + 1, files)
+    caches = core.place_caches(params, seed + 1, files)
     cube = reference.place_caches(library, params, seed + 1, files)
     schedule = core.RequestSchedule((frozenset(range(1, K + 1)),), demand)
     assert_same_partition(
