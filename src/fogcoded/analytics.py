@@ -14,7 +14,8 @@ placements.  The q table is the paper's counting formula, checked against
 brute force; no load is read from it.  The load and transmission count of
 any schedule, the fixed-L closed form included, come from one window chain
 over its slot sizes (schedule_load).  Each load rule is written once: f(s)
-in SystemParams.subfile_fraction, 1 - (1 - p)^n in hit_chance.
+in SystemParams.subfile_fraction, 1 - (1 - p)^n in hit_chance, and 1 - p
+in SystemParams.miss_ratio.
 
 All counts are exact integers; loads are floats normalized by F.
 """
@@ -204,12 +205,12 @@ def brute_force_Q(schedule: RequestSchedule) -> list[list[int]]:
     return (counts @ np.arange(schedule.K + 1))[:, 1:].tolist()
 
 
-def hit_chance(p: float, n: int) -> float:
+def hit_chance(params: SystemParams, n: int) -> float:
     """1 - (1 - p)^n, the chance that a set holding each F-AP with probability
     p meets n given F-APs, by squaring on hit(a + b) = hit(a) + (1 - p)^a *
     hit(b): a sum of positive terms, so nothing is subtracted from a rounded
     1 - p and no digit is lost as p -> 0; exact wherever 1 - (1 - p)^n is."""
-    hit, miss, step_hit, step_miss = 0.0, 1.0, p, 1.0 - p
+    hit, miss, step_hit, step_miss = 0.0, 1.0, params.cache_ratio, params.miss_ratio
     while n:
         if n & 1:
             hit, miss = hit + miss * step_hit, miss * step_miss
@@ -226,9 +227,9 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
     place per slot: at[(now + r) % delta_b] weighs the sets whose open
     window still covers r more slots.  A slot of n F-APs splits the weight w
     of the sets with none open into those missing it and those opening a
-    window there: (w * (1 - p)^n, w * hit_chance(p, n)) for the load, taken
-    once per distinct n, and (w >> n, w - (w >> n)) for the count, which
-    starts from all 2^K sets, so every split is exact."""
+    window there: (w * (1 - p)^n, w * hit_chance(params, n)) for the load,
+    taken once per distinct n, and (w >> n, w - (w >> n)) for the count,
+    which starts from all 2^K sets, so every split is exact."""
     sizes = list(sizes)
     if len(sizes) != params.B:
         raise InvalidParams(f"need B={params.B} slot sizes, got {len(sizes)}")
@@ -236,8 +237,8 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
         raise InvalidParams(f"slot sizes must sum to K={params.K}, got {sum(sizes)}")
     if min(sizes) < 1:
         raise InvalidParams(f"every slot needs an F-AP, got a size of {min(sizes)}")
-    p = params.cache_ratio
-    share = {n: ((1.0 - p) ** n, hit_chance(p, n)) for n in set(sizes)}
+    p, q = params.cache_ratio, params.miss_ratio
+    share = {n: (q ** n, hit_chance(params, n)) for n in set(sizes)}
     sums = []
     for whole, split in (
         (1.0, lambda w, n: (w * share[n][0], w * share[n][1])),
@@ -251,7 +252,7 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
             now = (now + 1) % params.delta_b
             at[now] += stays
         sums.append(eta)
-    return (1.0 - p) / p * sums[0], sums[1]
+    return q / p * sums[0], sums[1]
 
 
 def load_of(params: SystemParams, Q: list[int]) -> float:
@@ -267,34 +268,27 @@ def closed_form_load(config: FixedLConfig) -> float:
     return schedule_load(config, [config.L] * config.B)[0]
 
 
-def mn_sync_load(M: float, N: int, K: int) -> float:
-    """Normalized load of the Maddah-Ali--Niesen decentralized synchronous
-    coded caching baseline (all requests served together)."""
-    if N < K:
-        raise InvalidParams(f"need N >= K, got N={N}, K={K}")
-    if not (0 < M < N):
-        raise InvalidParams(f"need 0 < M < N, got M={M}, N={N}")
-    p = M / N
-    return K * (1.0 - p) * (N / (K * M)) * hit_chance(p, K)
-
-
-def uncoded_load(M: float, N: int, K: int) -> float:
+def uncoded_load(params: SystemParams) -> float:
     """Normalized load when every missing bit is unicast separately."""
-    if not (0 < M < N):
-        raise InvalidParams(f"need 0 < M < N, got M={M}, N={N}")
-    return K * (1.0 - M / N)
+    return params.K * params.miss_ratio
 
 
-def load_bounds(
-    M: float, N: int, K: int, B: int, delta_b: int
-) -> tuple[float, float]:
+def mn_sync_load(params: SystemParams) -> float:
+    """Normalized load of the Maddah-Ali--Niesen decentralized synchronous
+    coded caching baseline (all requests served together), capped by the
+    uncoded load, which it tends to as p -> 0 and could pass by rounding."""
+    K, N, M = params.K, params.N, params.M
+    sync = K * params.miss_ratio * (N / (K * M)) * hit_chance(params, K)
+    return min(sync, uncoded_load(params))
+
+
+def load_bounds(params: SystemParams) -> tuple[float, float]:
     """(lower, upper) normalized-load bounds for arbitrary request schedules.
 
     The lower bound is the synchronous baseline; the upper bound caps it by
     both ceil(B/delta_b) times the baseline and the uncoded load.
     """
-    lower = mn_sync_load(M, N, K)
-    windows = -(-B // delta_b)
-    p = M / N
-    upper = K * (1.0 - p) * min(windows * (N / (K * M)) * hit_chance(p, K), 1.0)
-    return lower, upper
+    K, N, M = params.K, params.N, params.M
+    windows = -(-params.B // params.delta_b)
+    coded = windows * (N / (K * M)) * hit_chance(params, K)
+    return mn_sync_load(params), K * params.miss_ratio * min(coded, 1.0)

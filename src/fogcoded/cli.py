@@ -172,13 +172,9 @@ def run_single(config: ExperimentConfig) -> ResultRow:
     # max() keeps the first of several equal worst loads
     row.measured_load, row.transmission_count = max(trials, key=lambda lc: lc[0])
     row.mean_load = float(np.mean([load for load, _ in trials]))
-    lower, upper = analytics.load_bounds(
-        config.M, config.N, config.K, config.B, config.delta_b
-    )
-    row.lower_bound = lower
-    row.upper_bound = upper
-    row.uncoded_load = analytics.uncoded_load(config.M, config.N, config.K)
-    row.mn_sync_load = analytics.mn_sync_load(config.M, config.N, config.K)
+    row.lower_bound, row.upper_bound = analytics.load_bounds(params)
+    row.uncoded_load = analytics.uncoded_load(params)
+    row.mn_sync_load = analytics.mn_sync_load(params)
     if not config.random_schedule:
         # evaluated on its own, not copied from the trials: it is the check
         # that the measured load is held against
@@ -313,12 +309,12 @@ def check_window_chain(max_k: int = 8, seed: int = 0) -> CheckResult:
             for delta_b, Q in enumerate(analytics.brute_force_Q(schedule), 1):
                 params = core.SystemParams(K=k, N=k, M=k / 4, F=1, B=b, delta_b=delta_b)
                 load, count = analytics.schedule_load(params, map(len, schedule.slots))
-                lower, upper = analytics.load_bounds(params.M, k, k, b, delta_b)
+                lower, upper = analytics.load_bounds(params)
                 if count != sum(Q):
                     bad.append(("count", k, b, delta_b))
                 if abs(load - analytics.load_of(params, Q)) > 1e-12 * load:
                     bad.append(("load", k, b, delta_b))
-                if not lower * (1 - 1e-12) <= load <= upper * (1 + 1e-12):
+                if not lower - 1e-12 * lower <= load <= upper + 1e-12 * upper:
                     bad.append(("bounds", k, b, delta_b))
     return _verdict("window-chain oracle", bad, "failures at (kind, K, B, delta_b)")
 
@@ -341,7 +337,7 @@ def check_sync_equality(max_k: int = 8) -> CheckResult:
         for ratio in (1e-9, 0.25, 0.5, 0.75):
             cfg = FixedLConfig(K=k, N=k, M=ratio * k, F=1, B=b, L=l, delta_b=b)
             cf = analytics.closed_form_load(cfg)
-            sync = analytics.mn_sync_load(cfg.M, cfg.N, cfg.K)
+            sync = analytics.mn_sync_load(cfg)
             if abs(cf - sync) > 1e-12 * max(abs(sync), 1e-300):
                 bad.append((b, l, ratio))
     return _verdict("synchronous-limit equality", bad, "mismatches at (B, L, M/N)")
@@ -356,10 +352,10 @@ def check_bounds_sandwich(max_k: int = 8) -> CheckResult:
             for delta_b in range(1, b + 1):
                 cfg = FixedLConfig(K=k, N=k, M=ratio * k, F=1, B=b, L=l, delta_b=delta_b)
                 cf = analytics.closed_form_load(cfg)
-                lower, upper = analytics.load_bounds(cfg.M, cfg.N, k, b, delta_b)
+                lower, upper = analytics.load_bounds(cfg)
                 windows = -(-b // delta_b)
-                ratio_ok = 1 - slack <= cf / lower <= windows + slack
-                if not (lower * (1 - slack) <= cf <= upper * (1 + slack) and ratio_ok):
+                ratio_ok = cf / lower + slack >= 1 and cf / lower - slack <= windows
+                if not (lower - slack * lower <= cf <= upper + slack * upper and ratio_ok):
                     bad.append((b, l, ratio, delta_b))
     return _verdict("load-bound sandwich", bad, "violations at (B, L, M/N, delta_b)")
 

@@ -10,6 +10,7 @@ F-APs that cache exactly those bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -67,7 +68,7 @@ class SystemParams:
 
     K      number of fog access points
     N      number of library files, N >= K
-    M      normalized per-F-AP cache size in file units, 0 < M < N
+    M      normalized per-F-AP cache size in file units, 0 < M < N, M/N normal
     F      file size in bits
     B      number of time slots covering the request interval
     delta_b  maximum request delay in slots: a request arriving in slot b
@@ -88,6 +89,8 @@ class SystemParams:
             raise InvalidParams(f"need N >= K, got N={self.N}, K={self.K}")
         if not (0 < self.M < self.N):
             raise InvalidParams(f"need 0 < M < N, got M={self.M}, N={self.N}")
+        if self.M / self.N < sys.float_info.min:  # else (1 - p)/p overflows
+            raise InvalidParams(f"need M/N >= {sys.float_info.min}, got {self.M / self.N}")
         if self.F < 1:
             raise InvalidParams(f"F must be >= 1, got {self.F}")
         if self.B < 2:
@@ -100,6 +103,12 @@ class SystemParams:
     @property
     def cache_ratio(self) -> float:
         return self.M / self.N
+
+    @property
+    def miss_ratio(self) -> float:
+        """The one copy of 1 - p: N - M is exact for M >= N/2, where
+        1 - M/N would lose digits to the rounding of M/N."""
+        return (self.N - self.M) / self.N
 
     @property
     def cached_bits_per_file(self) -> int:
@@ -119,8 +128,7 @@ class SystemParams:
         """
         if not (1 <= s <= self.K):
             raise InvalidParams(f"type s must be in [1, K], got {s}")
-        p = self.cache_ratio
-        return (p ** (s - 1)) * ((1.0 - p) ** (self.K - (s - 1)))
+        return (self.cache_ratio ** (s - 1)) * (self.miss_ratio ** (self.K - (s - 1)))
 
 
 def _file_ids(params: SystemParams, files: Iterable[int]) -> tuple[int, ...]:

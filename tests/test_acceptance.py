@@ -95,7 +95,7 @@ def test_full_delay_equality():
                 cfg = FixedLConfig(
                     K=k, N=k, M=ratio * k, F=1000, B=b, L=l, delta_b=b
                 )
-                sync = analytics.mn_sync_load(cfg.M, cfg.N, cfg.K)
+                sync = analytics.mn_sync_load(cfg)
                 assert analytics.closed_form_load(cfg) == pytest.approx(
                     sync, rel=1e-12
                 ), (b, l, ratio)
@@ -179,9 +179,9 @@ def test_bounds_and_sweep_shapes():
         schedule = core.make_random_schedule(K, B, seed)
         records = core.analytic_subfile_table(params, schedule)
         load = delivery.run_delivery(schedule, records, params).report.normalized_load
-        lower, upper = analytics.load_bounds(m, N, K, B, delta_b)
+        lower, upper = analytics.load_bounds(params)
         assert lower * (1 - 1e-9) <= load <= upper * (1 + 1e-9), (seed, m, delta_b)
-        sync = analytics.mn_sync_load(m, N, K)
+        sync = analytics.mn_sync_load(params)
         assert 1 - 1e-9 <= load / sync <= math.ceil(B / delta_b) + 1e-9
         cell_loads.setdefault((m, delta_b), []).append(load)
 
@@ -212,7 +212,7 @@ def test_bounds_and_sweep_shapes():
                 K=k, N=N, M=ratio * N, F=1, B=B, L=l, delta_b=delta_b
             )
             coded.append(analytics.closed_form_load(cfg))
-            plain.append(analytics.uncoded_load(ratio * N, N, k))
+            plain.append(analytics.uncoded_load(cfg))
         assert coded[1] - coded[0] < plain[1] - plain[0]
 
 

@@ -27,6 +27,12 @@ def cfg(K=4, B=4, L=1, delta_b=2, N=None, M=None, F=16):
     return FixedLConfig(K=K, N=N, M=M, F=F, B=B, L=L, delta_b=delta_b)
 
 
+def sys_params(K, N, M, B=2, delta_b=1):
+    """SystemParams for the baselines, which read only K, N and M, and the
+    bounds, which also read B and delta_b."""
+    return core.SystemParams(K=K, N=N, M=M, F=1, B=B, delta_b=delta_b)
+
+
 class TestBCount:
     def test_large_y_from_a_cold_cache(self):
         # G_Y is built in a loop: no recursion depth grows with Y
@@ -247,13 +253,13 @@ class TestFixedLLoad:
         # (1 - p)^L underflows here, and its inverse would overflow
         c = cfg(K=400, B=2, L=200, delta_b=1, N=1000, M=999.0)
         load, _ = analytics.schedule_load(c, [200] * 2)
-        assert 0 < load <= analytics.uncoded_load(999.0, 1000, 400)
+        assert 0 < load <= analytics.uncoded_load(c)
 
     def test_k_4000_within_the_bounds(self):
         # the count is below K * 2^K, the bound behind the CLI's analytic K cap
         c = cfg(K=4000, B=400, L=10, delta_b=7, N=8000, M=2000.0)
         load, count = analytics.schedule_load(c, [10] * 400)
-        lower, upper = analytics.load_bounds(2000.0, 8000, 4000, 400, 7)
+        lower, upper = analytics.load_bounds(c)
         assert lower <= load <= upper
         assert count.bit_length() <= 4000 + (4000).bit_length()
 
@@ -370,13 +376,13 @@ class TestScheduleQ:
         for delta_b in (1, 7, B):
             params = core.SystemParams(K=K, N=2 * K, M=K / 2, F=1, B=B, delta_b=delta_b)
             load, count = analytics.schedule_load(params, map(len, schedule.slots))
-            lower, upper = analytics.load_bounds(params.M, params.N, K, B, delta_b)
+            lower, upper = analytics.load_bounds(params)
             assert math.isfinite(load)
             assert lower * (1 - 1e-12) <= load <= upper * (1 + 1e-12)
             if delta_b == B:
                 # one window: every nonempty set is one subset
                 assert load == pytest.approx(
-                    analytics.mn_sync_load(params.M, params.N, K), rel=1e-12
+                    analytics.mn_sync_load(params), rel=1e-12
                 )
                 assert count == 2**K - 1
 
@@ -428,19 +434,16 @@ class TestClosedFormLoad:
 
     def test_unit_delay_equals_uncoded_here(self):
         # With one request per slot and unit delay no coding happens.
-        assert analytics.closed_form_load(cfg(delta_b=1, N=4, M=2.0)) == pytest.approx(
-            analytics.uncoded_load(2.0, 4, 4)
-        )
+        c = cfg(delta_b=1, N=4, M=2.0)
+        assert analytics.closed_form_load(c) == pytest.approx(analytics.uncoded_load(c))
 
     def test_b2_shapes(self):
         c1 = cfg(K=2, B=2, L=1, delta_b=2, N=4, M=2.0)
         assert analytics.closed_form_load(c1) == pytest.approx(
-            analytics.mn_sync_load(2.0, 4, 2), rel=1e-12
+            analytics.mn_sync_load(c1), rel=1e-12
         )
         c2 = cfg(K=2, B=2, L=1, delta_b=1, N=4, M=2.0)
-        assert analytics.closed_form_load(c2) == pytest.approx(
-            analytics.uncoded_load(2.0, 4, 2)
-        )
+        assert analytics.closed_form_load(c2) == pytest.approx(analytics.uncoded_load(c2))
 
     def test_monotone_in_delay(self):
         for b, l in ((4, 1), (5, 1), (3, 2)):
@@ -454,47 +457,52 @@ class TestClosedFormLoad:
 
 class TestBaselineLoads:
     def test_mn_sync_worked_value(self):
-        assert analytics.mn_sync_load(2.0, 4, 4) == pytest.approx(0.9375)
+        assert analytics.mn_sync_load(sys_params(4, 4, 2.0)) == pytest.approx(0.9375)
 
     def test_mn_sync_full_cache_limit(self):
-        assert analytics.mn_sync_load(4.0 - 1e-9, 4, 4) == pytest.approx(0.0, abs=1e-8)
-
-    def test_mn_sync_single_fap(self):
-        assert analytics.mn_sync_load(1.0, 4, 1) == pytest.approx(0.75)
-        assert analytics.mn_sync_load(1.0, 4, 1) == pytest.approx(
-            analytics.uncoded_load(1.0, 4, 1)
+        assert analytics.mn_sync_load(sys_params(4, 4, 4.0 - 1e-9)) == pytest.approx(
+            0.0, abs=1e-8
         )
 
+    def test_mn_sync_single_fap(self):
+        single = sys_params(1, 4, 1.0)
+        assert analytics.mn_sync_load(single) == pytest.approx(0.75)
+        assert analytics.mn_sync_load(single) == pytest.approx(analytics.uncoded_load(single))
+
     def test_uncoded(self):
-        assert analytics.uncoded_load(2.0, 4, 4) == pytest.approx(2.0)
-        assert analytics.uncoded_load(1.0, 4, 1) == pytest.approx(0.75)
+        assert analytics.uncoded_load(sys_params(4, 4, 2.0)) == pytest.approx(2.0)
+        assert analytics.uncoded_load(sys_params(1, 4, 1.0)) == pytest.approx(0.75)
 
     def test_uncoded_domain(self):
-        with pytest.raises(InvalidParams):
-            analytics.uncoded_load(0.0, 4, 4)
+        # the baselines take SystemParams, whose constructor holds the domain:
+        # 0 < M < N, N >= K
+        for K, N, M in ((4, 4, 0.0), (4, 4, 4.0), (4, 4, -1.0), (4, 3, 1.0)):
+            with pytest.raises(InvalidParams):
+                sys_params(K, N, M)
 
 
 class TestLoadBounds:
     def test_worked_pair(self):
-        lower, upper = analytics.load_bounds(2.0, 4, 4, B=4, delta_b=2)
+        lower, upper = analytics.load_bounds(sys_params(4, 4, 2.0, B=4, delta_b=2))
         assert lower == pytest.approx(0.9375)
         assert upper == pytest.approx(1.875)
 
     def test_full_delay_upper_meets_lower(self):
-        lower, upper = analytics.load_bounds(2.0, 4, 4, B=4, delta_b=4)
+        lower, upper = analytics.load_bounds(sys_params(4, 4, 2.0, B=4, delta_b=4))
         assert upper == pytest.approx(lower)
 
     def test_uncoded_cap(self):
         # With a small cache the uncoded limb of the minimum is the binding one.
-        lower, upper = analytics.load_bounds(0.1, 20, 10, B=5, delta_b=1)
-        assert upper == pytest.approx(analytics.uncoded_load(0.1, 20, 10))
+        small = sys_params(10, 20, 0.1, B=5, delta_b=1)
+        lower, upper = analytics.load_bounds(small)
+        assert upper == pytest.approx(analytics.uncoded_load(small))
 
     def test_sync_equality_grid(self):
         for b, l in ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (5, 2)):
             k = b * l
             for ratio in (0.25, 0.5, 0.75):
                 c = cfg(K=k, B=b, L=l, delta_b=b, M=ratio * k)
-                sync = analytics.mn_sync_load(c.M, c.N, c.K)
+                sync = analytics.mn_sync_load(c)
                 assert analytics.closed_form_load(c) == pytest.approx(sync, rel=1e-12)
 
     def test_sandwich_and_ratio(self):
@@ -504,7 +512,7 @@ class TestLoadBounds:
                 for delta_b in range(1, b + 1):
                     c = cfg(K=k, B=b, L=l, delta_b=delta_b, M=ratio * k)
                     load = analytics.closed_form_load(c)
-                    lower, upper = analytics.load_bounds(c.M, c.N, k, b, delta_b)
+                    lower, upper = analytics.load_bounds(c)
                     assert lower * (1 - 1e-9) <= load <= upper * (1 + 1e-9)
                     windows = math.ceil(b / delta_b)
                     assert 1 - 1e-9 <= load / lower <= windows + 1e-9
@@ -525,7 +533,7 @@ class TestTinyCacheRatio:
     @pytest.mark.parametrize("p", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
     def test_hit_chance_exact_on_dyadic_p(self, p, n):
         # 1 - (1 - p)^n fits a double for these n, and so does every partial sum
-        assert analytics.hit_chance(float(p), n) == exact_hit(p, n)
+        assert analytics.hit_chance(sys_params(1, 4, float(4 * p)), n) == exact_hit(p, n)
 
     @pytest.mark.parametrize("M", TINY_M)
     def test_closed_form(self, M):
@@ -549,10 +557,61 @@ class TestTinyCacheRatio:
     def test_sync_load_and_bounds(self, M):
         p = Fraction(M) / 20
         want = float((1 - p) / p * exact_hit(p, 10))
-        assert analytics.mn_sync_load(M, 20, 10) == pytest.approx(want, rel=1e-12, abs=0)
+        params = sys_params(10, 20, M, B=5, delta_b=5)
+        assert analytics.mn_sync_load(params) == pytest.approx(want, rel=1e-12, abs=0)
         # at delta_b = B one window serves everyone: the bounds meet
-        for bound in analytics.load_bounds(M, 20, 10, 5, 5):
+        for bound in analytics.load_bounds(params):
             assert bound == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# M/N = 1 - 1e-6 .. 1 - 1e-15 at N = 20: 1 - M/N would subtract from a
+# rounded M/N and keep ever fewer digits of the miss ratio
+NEAR_FULL_M = pytest.mark.parametrize(
+    "M", [20 * (1 - eps) for eps in (1e-6, 1e-9, 1e-12, 1e-15)],
+    ids=["1-1e-06", "1-1e-09", "1-1e-12", "1-1e-15"],
+)
+
+
+class TestNearFullCacheRatio:
+    """Every load and bound at K = 8, B = 4, L = 2, delta_b = 2, N = 20
+    against its exact rational value, taken at the float M."""
+
+    @staticmethod
+    def exact(M):
+        p = Fraction(M) / 20
+        return p, 1 - p
+
+    @NEAR_FULL_M
+    def test_closed_form_and_subfile_fraction(self, M):
+        c = cfg(K=8, B=4, L=2, delta_b=2, N=20, M=M)
+        p, q = self.exact(M)
+        assert analytics.closed_form_load(c) == pytest.approx(exact_load(c), rel=1e-12, abs=0)
+        for s in range(1, 9):
+            want = float(p ** (s - 1) * q ** (8 - s + 1))
+            assert c.subfile_fraction(s) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @NEAR_FULL_M
+    def test_schedule_load(self, M):
+        schedule = core.make_random_schedule(8, 4, 3)
+        params = core.SystemParams(K=8, N=20, M=M, F=1, B=4, delta_b=2)
+        p, q = self.exact(M)
+        Q = analytics.brute_force_Q(schedule)[1]
+        want = float(sum(p ** (s - 1) * q ** (8 - s + 1) * n for s, n in enumerate(Q, 1)))
+        load = analytics.schedule_load(params, map(len, schedule.slots))[0]
+        assert load == pytest.approx(want, rel=1e-12, abs=0)
+
+    @NEAR_FULL_M
+    def test_baselines_and_bounds(self, M):
+        c = cfg(K=8, B=4, L=2, delta_b=2, N=20, M=M)
+        p, q = self.exact(M)
+        sync = q / p * exact_hit(p, 8)
+        windows = 2  # ceil(B / delta_b)
+        upper = 8 * q * min(windows * exact_hit(p, 8) / (8 * p), 1)
+        assert analytics.uncoded_load(c) == pytest.approx(float(8 * q), rel=1e-12, abs=0)
+        assert analytics.mn_sync_load(c) == pytest.approx(float(sync), rel=1e-12, abs=0)
+        lower_got, upper_got = analytics.load_bounds(c)
+        assert lower_got == pytest.approx(float(sync), rel=1e-12, abs=0)
+        assert upper_got == pytest.approx(float(upper), rel=1e-12, abs=0)
 
 
 class TestFixedLConfigValidation:

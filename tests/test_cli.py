@@ -2,6 +2,7 @@
 
 import csv
 import io
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -101,6 +102,23 @@ class TestSimulate:
         # M/N = 5e-18: nearly every bit is missing, so the load is about K
         worst = self.printed_loads(capsys, "1e-16")[0]
         assert worst == pytest.approx(10.0, rel=1e-12, abs=0)
+
+    def test_subnormal_cache_ratio_rejected_before_any_trial(self, monkeypatch, capsys):
+        # M/N = 5e-309: (1 - p)/p and N/(K*M) would overflow to inf
+        def fail(*args, **kwargs):
+            raise AssertionError("a trial ran before the cache-ratio check")
+
+        monkeypatch.setattr(cli, "_one_trial", fail)
+        monkeypatch.setattr(analytics, "schedule_load", fail)
+        assert cli.main(["simulate", "--m", "1e-307"]) == 2
+        assert f"need M/N >= {sys.float_info.min}" in capsys.readouterr().err
+
+    def test_smallest_normal_cache_ratio_is_finite_and_ordered(self, capsys):
+        # M/N = 5e-308, just above the floor: the synchronous baseline rounds
+        # to the uncoded load, never past it
+        worst, lower, upper, uncoded = self.printed_loads(capsys, "1e-306")
+        assert math.isfinite(worst)
+        assert lower <= upper <= uncoded
 
     def test_full_delay_matches_sync_baseline(self):
         row = cli.run_single(ExperimentConfig(

@@ -1,8 +1,12 @@
 """System model tests: library, placement, subfile partition, schedules."""
 
+import ast
 import math
+import sys
 import types
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,37 @@ class TestSystemParams:
             params(**kwargs)
         with pytest.raises(InvalidParams):
             fixed_l_params(**kwargs)
+
+    def test_cache_ratio_floor(self):
+        # below the smallest normal double, (1 - p)/p and N/(K*M) overflow
+        floor = sys.float_info.min
+        assert params(K=1, N=1, M=floor, B=2, delta_b=1).cache_ratio == floor
+        with pytest.raises(InvalidParams, match=f"M/N >= {floor}"):
+            params(K=1, N=1, M=floor / 2, B=2, delta_b=1)
+
+    @pytest.mark.parametrize("M", [2.0, 19.99999999998, 20 - 2**-48])
+    def test_miss_ratio_rounds_once(self, M):
+        # (N - M) is exact for M >= N/2, so 1 - p is M's complement rounded once
+        p = params(K=4, N=20, M=M)
+        assert p.miss_ratio == float((20 - Fraction(M)) / 20)
+
+
+def test_cache_ratio_complement_written_once():
+    # 1 - p is SystemParams.miss_ratio, written (N - M)/N: a `1 - x` anywhere
+    # in the package would subtract from a rounded x and lose its digits.
+    # Docstrings are strings, so only code counts.
+    sites = []
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Constant)
+                and type(node.left.value) in (int, float)
+                and node.left.value == 1
+            ):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
 
 
 class TestGenerateLibrary:

@@ -380,7 +380,7 @@ class TestClosedFormAgreement:
             records = core.analytic_subfile_table(params, schedule)
             result = delivery.run_delivery(schedule, records, params)
             assert result.report.normalized_load == pytest.approx(
-                analytics.mn_sync_load(k / 2, k, k), rel=1e-12
+                analytics.mn_sync_load(params), rel=1e-12
             )
 
 
