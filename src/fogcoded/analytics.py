@@ -285,10 +285,9 @@ def mn_sync_load(params: SystemParams) -> float:
 def load_bounds(params: SystemParams) -> tuple[float, float]:
     """(lower, upper) normalized-load bounds for arbitrary request schedules.
 
-    The lower bound is the synchronous baseline; the upper bound caps it by
-    both ceil(B/delta_b) times the baseline and the uncoded load.
+    The lower bound is the synchronous baseline; the upper bound is the
+    least of ceil(B/delta_b) times the baseline and the uncoded load, so
+    lower <= upper holds by construction.
     """
-    K, N, M = params.K, params.N, params.M
-    windows = -(-params.B // params.delta_b)
-    coded = windows * (N / (K * M)) * hit_chance(params, K)
-    return mn_sync_load(params), K * params.miss_ratio * min(coded, 1.0)
+    lower = mn_sync_load(params)
+    return lower, min(-(-params.B // params.delta_b) * lower, uncoded_load(params))

@@ -83,17 +83,14 @@ class ResultRow:
     error: str = ""
 
     def csv_values(self) -> list[str]:
+        """The row in `CSV_COLUMNS` order; None is written as blank."""
         c = self.config
-        def fmt(x):
-            return "" if x is None else str(x)
-        return [
-            str(c.K), str(c.N), str(c.M), str(c.F), str(c.B), str(c.delta_b),
-            "" if c.L is None else str(c.L), c.mode, str(c.trials), str(c.seed),
-            fmt(self.measured_load), fmt(self.closed_form_load),
-            fmt(self.lower_bound), fmt(self.upper_bound),
-            fmt(self.uncoded_load), fmt(self.mn_sync_load),
-            fmt(self.transmission_count), self.error,
-        ]
+        values = (
+            c.K, c.N, c.M, c.F, c.B, c.delta_b, c.L, c.mode, c.trials, c.seed,
+            self.measured_load, self.closed_form_load, self.lower_bound, self.upper_bound,
+            self.uncoded_load, self.mn_sync_load, self.transmission_count, self.error,
+        )
+        return ["" if v is None else str(v) for v in values]
 
 
 def _trial_seeds(seed: int, trial: int) -> tuple[int, int, int]:

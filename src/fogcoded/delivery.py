@@ -253,58 +253,54 @@ def decode_fap(
     """Reassemble F-AP k's requested file from its cache and the log.
 
     For every transmission whose XOR includes k's subfile, the other
-    operands are reconstructed from k's cache (each one is cached at k by
-    construction), XORed out, and the recovered class bits are placed at
-    their original positions.  All of k's transmissions are handled in
-    one array pass, the operands back to back by F-AP j and XORed out with
-    one fancy XOR per j.  Raises DecodeFailure, naming the first operand
-    in canonical order (by transmission, then ascending j), if an operand
-    holds a bit k does not cache, or if any bit of the file is neither
-    cached locally nor recoverable from the log.  Raises InvalidParams,
-    naming the file, if `caches` did not place every requested file, and
-    if `library` and `caches` do not hold the same files.
+    operands are read from k's cache and XORed out, one table row j at a
+    time as `build_coded_content` writes them, and the recovered class
+    bits are placed at their original positions.  Each file is read
+    through `Library.file`, so the library may hold other files too.
+    Raises DecodeFailure, naming the first operand in canonical order (by
+    transmission, then ascending j), if an operand holds a bit k does not
+    cache, or if any bit of the file is neither cached locally nor
+    recoverable from the log.  Raises InvalidParams, naming the file, if
+    `caches` did not place or `library` did not draw every requested file.
     """
     if records.bit_values is None:
         raise InvalidParams("decoding needs a bit-exact record table")
-    kb = 1 << (k - 1)
-    row = caches.rows([records.demand[i] for i in range(1, records.K + 1)])
-    if library.files != caches.files:
-        raise InvalidParams(
-            f"library files {library.files} differ from placed files {caches.files}"
-        )
+    K, kb, demand = records.K, 1 << (k - 1), records.demand
+    row = caches.rows([demand[i] for i in range(1, K + 1)])
     have = (caches.signature[row[k - 1]] & kb) != 0
-    out = np.where(have, library.bits[row[k - 1]], 0)
+    out = np.where(have, library.file(demand[k]), 0)
     carries = (events.included & kb) != 0
     if upto_slot is not None:
         carries &= events.slot <= upto_slot
     S, bits = events.S[carries], events.bits[carries]
+    others = events.included[carries] & ~kb
     acc = events.buffer[_spans(events.start[carries], bits)]
     acc_start = np.cumsum(bits) - bits
-    # the other operands (j, S minus j), by ascending j, then by transmission
-    others = ((events.included[carries] & ~kb) >> np.arange(records.K)[:, None]) & 1
-    j, rows = np.nonzero(others)
-    sizes = records.length[j, S[rows]]
-    ends = np.cumsum(sizes)
-    # each operand bit p of file d_j, as one flat index into the (D, F)
-    # signature and library arrays, which hold the same files row by row
-    index = np.repeat(row[j] * records.F, sizes)
-    index += records.bit_positions[_spans(records.start[j, S[rows]], sizes)]
-    # every other operand must live in k's own cache of file d_j
-    uncached = (np.take(caches.signature, index) & kb) == 0
-    if uncached.any():
-        # name the first in canonical order: by transmission, then ascending j
-        bad = np.searchsorted(ends, np.flatnonzero(uncached), side="right")
-        i = bad[np.lexsort((j[bad], rows[bad]))[0]]
-        other = (int(j[i]) + 1, int(S[rows[i]]) & ~(1 << int(j[i])))
+    bad = []
+    for j in range(K):
+        # the transmissions that carry an entry of row j next to k's; each
+        # carries one, so the targets of one row are disjoint
+        at = np.flatnonzero(others & (1 << j))
+        if not at.size:
+            continue
+        first, size = records.start[j, S[at]], records.length[j, S[at]]
+        span = _spans(first, size)
+        pos = records.bit_positions[span]
+        # every other operand must live in k's own cache of file d_j
+        uncached = (caches.signature[row[j], pos] & kb) == 0
+        if uncached.any():
+            # the row's first bad operand; the least over the rows is the first
+            i = np.searchsorted(size.cumsum(), uncached.argmax(), side="right")
+            bad.append((int(at[i]), j))
+        else:
+            # the same spans, moved from the table to the payload copies
+            span += np.repeat(acc_start[at] - first, size)
+            acc[span] ^= library.file(demand[j + 1])[pos]
+            del span, pos  # one row's per-bit indexes alive at a time
+    if bad:
+        i, j = min(bad)
+        other = (j + 1, int(S[i]) & ~(1 << j))
         raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
-    operands = np.take(library.bits, index)
-    del index  # before the payload offsets are built: one per-bit index at a time
-    target = _spans(acc_start[rows], sizes)
-    # a transmission carries at most one operand of each j, so the targets
-    # of one j are disjoint and one fancy XOR applies them
-    edge = np.concatenate(([0], ends))[np.searchsorted(j, np.arange(records.K + 1))]
-    for lo, hi in zip(edge[:-1].tolist(), edge[1:].tolist()):
-        acc[target[lo:hi]] ^= operands[lo:hi]
     own = records.length[k - 1, S]
     pos = records.bit_positions[_spans(records.start[k - 1, S], own)]
     out[pos] = acc[_spans(acc_start, own)]

@@ -497,6 +497,21 @@ class TestLoadBounds:
         lower, upper = analytics.load_bounds(small)
         assert upper == pytest.approx(analytics.uncoded_load(small))
 
+    def test_lower_never_above_upper(self):
+        # at delta_b = B both bounds are the baseline itself; at K = N = 1,
+        # M = 3/61 a separately rounded upper bound lands an ulp below it
+        assert analytics.load_bounds(sys_params(1, 1, 3 / 61, B=4, delta_b=4)) == (
+            (0.9508196721311475, 0.9508196721311475)
+        )
+        for K in range(1, 30):
+            for N in sorted({K, 2 * K, 20, 37} - set(range(K))):
+                for i in range(1, 61):
+                    for B, delta_b in ((4, 4), (4, 1), (4, 3), (5, 2), (7, 7)):
+                        lower, upper = analytics.load_bounds(
+                            sys_params(K, N, N * i / 61, B=B, delta_b=delta_b)
+                        )
+                        assert lower <= upper, (K, N, i, B, delta_b)
+
     def test_sync_equality_grid(self):
         for b, l in ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (5, 2)):
             k = b * l

@@ -1,5 +1,7 @@
 """Delivery state machine tests: goldens, skip rule, decoding, loads."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -416,8 +418,9 @@ class TestDelayMonotonicity:
 class TestBitExactDelivery:
     @staticmethod
     def bitexact_run(params, schedule, seed):
-        library = core.generate_library(params, seed, schedule.demand.values())
-        caches = core.place_caches(params, seed + 1, schedule.demand.values())
+        files = set(schedule.demand.values())
+        library = core.generate_library(params, seed, files)
+        caches = core.place_caches(params, seed + 1, files)
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
         return library, caches, records, result
@@ -481,14 +484,60 @@ class TestBitExactDelivery:
             )
             assert np.array_equal(decoded, library.file(schedule.demand[k]))
 
-    def test_library_must_hold_the_placed_files(self):
-        # the decoder reads the library and the signature through one row index
-        params = core.SystemParams(K=4, N=6, M=3.0, F=256, B=4, delta_b=2)
-        schedule = core.make_fixed_L_schedule(4, 4, 1)
-        _, caches, records, result = self.bitexact_run(params, schedule, 17)
-        wider = core.generate_library(params, 17, range(1, 6))
-        with pytest.raises(InvalidParams, match="differ from placed files"):
-            delivery.decode_fap(1, result.events, wider, caches, records)
+    def test_library_with_other_files_decodes_the_same_bits(self):
+        # the library holds files the caches never placed, so file 5 sits in
+        # another row there; each file is read through its own map
+        params = core.SystemParams(K=4, N=7, M=3.0, F=256, B=4, delta_b=2)
+        slots = core.make_fixed_L_schedule(4, 4, 1).slots
+        schedule = core.RequestSchedule(slots, {1: 5, 2: 2, 3: 5, 4: 6})
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+        wider = core.generate_library(params, 17, range(1, 8))
+        assert wider.files != caches.files
+        for k in range(1, 5):
+            decoded = delivery.decode_fap(k, result.events, wider, caches, records)
+            assert np.array_equal(decoded, library.file(schedule.demand[k]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_first_uncached_operand_is_named(self, data):
+        # clear one to three operand bits from k's cache: the failure must
+        # name the operand a plain scan of the sent rows meets first, by
+        # transmission, then ascending j
+        K = data.draw(st.integers(2, 8))
+        B = data.draw(st.integers(2, min(K, 4)))
+        delta_b = data.draw(st.integers(1, B))
+        seed = data.draw(st.integers(0, 2**16))
+        N = data.draw(st.integers(K, 3 * K))
+        demand = data.draw(st.lists(st.integers(1, N), min_size=K, max_size=K))
+        params = core.SystemParams(K=K, N=N, M=N / 2, F=64, B=B, delta_b=delta_b)
+        slots = core.make_random_schedule(K, B, seed).slots
+        schedule = core.RequestSchedule(slots, dict(enumerate(demand, 1)))
+        library, caches, records, result = self.bitexact_run(params, schedule, seed)
+        classes = classes_of(records)
+        sent = [e.included for e in rows_of(result.events)]
+        coded = {j for row in sent if len(row) > 1 for j, _ in row}
+        if not coded:
+            return
+        k = data.draw(st.sampled_from(sorted(coded)))
+        operands = [o for row in sent if any(j == k for j, _ in row)
+                    for o in row if o[0] != k]
+        kb = 1 << (k - 1)
+        clear = caches.signature.dtype.type((1 << K) - 1 - kb)
+        for _ in range(data.draw(st.integers(1, 3))):
+            j, E = data.draw(st.sampled_from(operands))
+            positions, _ = classes[(j, E)]
+            row = caches.rows([demand[j - 1]])[0]
+            caches.signature[row, data.draw(st.sampled_from(positions.tolist()))] &= clear
+
+        def cached(operand):
+            signature = caches.signature[caches.rows([demand[operand[0] - 1]])[0]]
+            return all(signature[p] & kb for p in classes[operand][0].tolist())
+
+        first = next(o for o in operands if not cached(o))
+        with pytest.raises(DecodeFailure, match=re.escape(
+            f"operand {first} not reconstructible at F-AP {k}"
+        )):
+            delivery.decode_fap(k, result.events, library, caches, records)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_unplaced_file_is_named(self, k):
