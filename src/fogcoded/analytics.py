@@ -219,17 +219,43 @@ def hit_chance(params: SystemParams, n: int) -> float:
     return hit
 
 
+def _window_scan(delta_b: int, sizes: list[int], whole, split):
+    """Sum of the weights that open a window, over the slots in order: the
+    ring at turns one place per slot, and at[(now + r) % delta_b] weighs the
+    sets whose open window still covers r more slots.  A slot of n F-APs
+    splits the weight w of the sets with none open into split(w, n) =
+    (missing it, opening a window there)."""
+    at, eta, now = [whole] + [0] * (delta_b - 1), 0, 0
+    for n in sizes:
+        stays, opened = split(at[now], n)
+        eta += opened
+        at[now] = opened
+        now = (now + 1) % delta_b
+        at[now] += stays
+    return eta
+
+
+def _chain_load(params: SystemParams, sizes: list[int]) -> float:
+    """The window chain's normalized load ((1 - p)/p) * E[eta(S)], S holding
+    each F-AP with probability p, capped by the uncoded load, which it
+    tends to as p -> 0 and could pass by rounding."""
+    p, q = params.cache_ratio, params.miss_ratio
+    share = {n: (q ** n, hit_chance(params, n)) for n in set(sizes)}
+    eta = _window_scan(params.delta_b, sizes, 1.0,
+                       lambda w, n: (w * share[n][0], w * share[n][1]))
+    return min(q / p * eta, uncoded_load(params))
+
+
 def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, int]:
     """(normalized load, transmission count) of a schedule whose B slots hold
     the given numbers of F-APs, by one window chain over them:
     ((1 - p)/p) * E[eta(S)], p = M/N, for S holding each F-AP with
-    probability p, and sum_S eta(S) = sum_s Q(s).  The ring at turns one
-    place per slot: at[(now + r) % delta_b] weighs the sets whose open
-    window still covers r more slots.  A slot of n F-APs splits the weight w
-    of the sets with none open into those missing it and those opening a
-    window there: (w * (1 - p)^n, w * hit_chance(params, n)) for the load,
-    taken once per distinct n, and (w >> n, w - (w >> n)) for the count,
-    which starts from all 2^K sets, so every split is exact."""
+    probability p, and sum_S eta(S) = sum_s Q(s).  A slot of n F-APs splits
+    the weight w of the sets with no window open into those missing it and
+    those opening a window there: (w * (1 - p)^n, w * hit_chance(params, n))
+    for the load, taken once per distinct n and capped by the uncoded load
+    (_chain_load), and (w >> n, w - (w >> n)) for the count, which starts
+    from all 2^K sets, so every split is exact."""
     sizes = list(sizes)
     if len(sizes) != params.B:
         raise InvalidParams(f"need B={params.B} slot sizes, got {len(sizes)}")
@@ -237,22 +263,9 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
         raise InvalidParams(f"slot sizes must sum to K={params.K}, got {sum(sizes)}")
     if min(sizes) < 1:
         raise InvalidParams(f"every slot needs an F-AP, got a size of {min(sizes)}")
-    p, q = params.cache_ratio, params.miss_ratio
-    share = {n: (q ** n, hit_chance(params, n)) for n in set(sizes)}
-    sums = []
-    for whole, split in (
-        (1.0, lambda w, n: (w * share[n][0], w * share[n][1])),
-        (1 << params.K, lambda w, n: (w >> n, w - (w >> n))),
-    ):
-        at, eta, now = [whole] + [0] * (params.delta_b - 1), 0, 0
-        for n in sizes:
-            stays, opened = split(at[now], n)
-            eta += opened
-            at[now] = opened
-            now = (now + 1) % params.delta_b
-            at[now] += stays
-        sums.append(eta)
-    return q / p * sums[0], sums[1]
+    count = _window_scan(params.delta_b, sizes, 1 << params.K,
+                         lambda w, n: (w >> n, w - (w >> n)))
+    return _chain_load(params, sizes), count
 
 
 def load_of(params: SystemParams, Q: list[int]) -> float:
@@ -264,8 +277,8 @@ def load_of(params: SystemParams, Q: list[int]) -> float:
 
 def closed_form_load(config: FixedLConfig) -> float:
     """Normalized fronthaul load of the scheme under fixed-L schedules: the
-    window chain over B slots of L F-APs each."""
-    return schedule_load(config, [config.L] * config.B)[0]
+    window chain over B slots of L F-APs each, without the count scan."""
+    return _chain_load(config, [config.L] * config.B)
 
 
 def uncoded_load(params: SystemParams) -> float:

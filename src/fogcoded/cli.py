@@ -110,7 +110,7 @@ def _bitexact_delivery(
     library = core.generate_library(params, lib_seed, files)
     caches = core.place_caches(params, place_seed, files)
     records = core.partition_into_subfiles(library, caches, schedule)
-    return library, caches, records, delivery.run_delivery(schedule, records, params)
+    return library, caches, records, delivery.run_delivery(schedule, records, params, library)
 
 
 def _one_trial(

@@ -144,15 +144,12 @@ def _file_ids(params: SystemParams, files: Iterable[int]) -> tuple[int, ...]:
     return placed
 
 
-def _rows(placed: tuple[int, ...], files) -> np.ndarray:
-    """The row of each file id among the ids `placed`; raises
-    InvalidParams naming the first file that is not there."""
-    rows = []
-    for n in files:
-        if n not in placed:
-            raise InvalidParams(f"file {n} was not placed")
-        rows.append(placed.index(n))
-    return np.array(rows, dtype=np.int64)
+def _row(placed: tuple[int, ...], n: int, verb: str) -> int:
+    """The row of file id n among the ids `placed`; raises InvalidParams
+    "file n was not <verb>" if it is not there."""
+    if n not in placed:
+        raise InvalidParams(f"file {n} was not {verb}")
+    return placed.index(n)
 
 
 def _file_stream(seed: int, n: int) -> np.random.Generator:
@@ -178,7 +175,7 @@ class Library:
 
     def file(self, n: int) -> np.ndarray:
         """Bits of file n; raises InvalidParams if it was not drawn."""
-        return self.bits[_rows(self.files, [n])[0]]
+        return self.bits[_row(self.files, n, "drawn")]
 
 
 def generate_library(params: SystemParams, seed: int, files: Iterable[int]) -> Library:
@@ -212,7 +209,7 @@ class CacheLayout:
     def rows(self, files) -> np.ndarray:
         """The signature row of each file id; raises InvalidParams naming
         the first file that was not placed."""
-        return _rows(self.files, files)
+        return np.array([_row(self.files, n, "placed") for n in files], dtype=np.int64)
 
 
 def place_caches(params: SystemParams, seed: int, files: Iterable[int]) -> CacheLayout:
@@ -378,15 +375,16 @@ class SubfileRecordTable:
     never enter the table: the decoder reads them from k's cache.
 
     ``live`` marks the entries that exist and ``length`` holds their
-    lengths: bit counts (int64) in bit-exact tables, expected sizes
+    lengths: bit counts (int32) in bit-exact tables, expected sizes
     (float64) in analytic ones, whose entries all exist even where a size
     underflows to 0.0.  Bit-exact tables also hold every entry's bit
-    positions and bit values, the entries back to back in row-major
-    order, in ``bit_positions`` and ``bit_values``; entry (k, E) starts at
-    ``start[k-1, S]`` and its positions ascend.  Positions take the
-    smallest unsigned dtype that holds F - 1 (uint16 up to F = 65,536),
-    values are uint8, and both arrays are written once, in place: the
-    table is never held twice.
+    positions, the entries back to back in row-major order, in
+    ``bit_positions``; entry (k, E) starts at ``start[k-1, S]`` (int32)
+    and its positions ascend.  Positions take the smallest unsigned dtype
+    that holds F - 1 (uint16 up to F = 65,536) and are written once, in
+    place: the table is never held twice.  The bits themselves stay in the
+    library: entry (k, E) holds ``library.file(demand[k])`` at its
+    positions.
     """
 
     K: int
@@ -396,7 +394,6 @@ class SubfileRecordTable:
     length: np.ndarray
     start: np.ndarray | None = None
     bit_positions: np.ndarray | None = None
-    bit_values: np.ndarray | None = None
 
 
 def partition_into_subfiles(
@@ -407,40 +404,63 @@ def partition_into_subfiles(
     For requester k the classes over all exclusivity sets, together with
     the bits k caches itself, partition the F bits of its file.  A bit not
     cached at k has k's signature bit clear, so its signature is the
-    exclusivity mask E of its class and E | k its column.  One stable sort
-    of k's uncached positions by signature lays the classes out in
-    ascending column order with ascending positions, written straight
-    into k's slice of the table.
+    exclusivity mask E of its class and E | k its column.  A first pass
+    counts each row's signatures, which gives every length and start and
+    sizes the table, so it is written once, in place.  The second packs
+    every bit of k's file into one key: a flag set when k caches the bit,
+    then its column, then its position.  The keys are unique, so one
+    unstable sort puts k's uncached bits first, by ascending column with
+    ascending positions, and their low bits are written straight into k's
+    slice of the table.  The table records positions only: the library
+    must hold every requested file, as delivery and decoding read its
+    bits there.
     """
     K, F = caches.K, library.F
     check_delivery_size(K)
-    rows = caches.rows([schedule.demand[k] for k in range(1, K + 1)])
-    # one count pass sizes the table, so it is written once, in place
-    held = sum(np.count_nonzero(caches.signature[r] & (1 << i)) for i, r in enumerate(rows))
-    positions = np.empty(K * F - held, dtype=np.min_scalar_type(F - 1))
-    values = np.empty(positions.size, dtype=np.uint8)
-    length = np.zeros((K, 1 << K), dtype=np.int64)
+    # lengths and starts are at most K * F, which int32 holds: at most
+    # 16 * 2 * 10^6 under MAX_DELIVERY_K and the CLI's BITEXACT_MAX_F
+    if K * F >= 1 << 31:
+        raise TooLarge(f"a bit-exact table needs K * F < 2^31, got K={K}, F={F}")
+    demanded = [schedule.demand[k] for k in range(1, K + 1)]
+    rows = caches.rows(demanded)
+    for n in demanded:  # delivery and decoding read these files' bits
+        _row(library.files, n, "drawn")
+    sets = np.arange(1 << K)
+    length = np.empty((K, 1 << K), dtype=np.int32)
+    start = np.empty_like(length)
     end = 0
     for k in range(1, K + 1):
-        signature = caches.signature[rows[k - 1]]
-        foreign = np.flatnonzero((signature & (1 << (k - 1))) == 0)
-        columns = signature[foreign] | (1 << (k - 1))
-        pos = positions[end : end + foreign.size]
-        np.take(foreign, np.argsort(columns, kind="stable"), out=pos)
-        np.take(library.file(schedule.demand[k]), pos, out=values[end : end + pos.size])
-        length[k - 1] = np.bincount(columns, minlength=1 << K)
-        end += pos.size
-    # columns without k hold no bits, so row-major order is entry order
-    flat = length.ravel()
+        kb = 1 << (k - 1)
+        # column S of row k holds the bits whose signature is S minus k
+        count = np.bincount(caches.signature[rows[k - 1]], minlength=1 << K)
+        length[k - 1] = np.where(sets & kb, count[sets ^ kb], 0)
+        start[k - 1] = end + np.cumsum(length[k - 1]) - length[k - 1]
+        end += int(length[k - 1].sum())
+    positions = np.empty(end, dtype=np.min_scalar_type(F - 1))
+    shift = (F - 1).bit_length()
+    keys = np.empty(F, dtype=np.uint32 if K + shift < 32 else np.uint64)
+    index = np.arange(F, dtype=keys.dtype)
+    for k in range(1, K + 1):
+        signature, kb = caches.signature[rows[k - 1]], 1 << (k - 1)
+        # the flag above the column, from k's own signature bit, all in place
+        np.bitwise_and(signature, kb, out=keys)
+        keys <<= K - k + 1
+        keys |= signature
+        keys |= kb
+        keys <<= shift
+        keys |= index
+        keys.sort()
+        first, n = start[k - 1, 0], length[k - 1].sum()
+        np.bitwise_and(keys[:n], (1 << shift) - 1, out=positions[first : first + n],
+                       casting="unsafe")
     return SubfileRecordTable(
         K=K,
         F=F,
         demand=dict(schedule.demand),
         live=length > 0,
         length=length,
-        start=(np.cumsum(flat) - flat).reshape(K, 1 << K),
+        start=start,
         bit_positions=positions,
-        bit_values=values,
     )
 
 

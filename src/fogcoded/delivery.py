@@ -10,8 +10,9 @@ candidate's decision or payload depends on another candidate of the same
 slot.  A run is two passes.  The first decides every slot on one member
 mask per set of the F-APs that still miss their subfile for it; the
 second lays the payloads out once: every entry has been sent exactly
-once, so each requester's table row, read in order, XORs straight into
-the payloads of the sets that carried it.  With delta_b = B nothing is
+once, so each requester's table row, its file's bits read from the
+library at the row's positions in order, XORs straight into the payloads
+of the sets that carried it.  With delta_b = B nothing is
 sent before the last slot, where all requests are served together.
 """
 
@@ -43,11 +44,14 @@ class Transmissions:
     `s1.bit_count()` and `S ^ s1`.  `included` masks the members whose
     subfile (k, S minus k) the candidate carries, 0 when it is skipped;
     every entry of the record table is carried by exactly one candidate.
-    `bits` is the payload length, the longest included subfile (operands
-    are zero-padded to it), in the record table's length dtype; skipped
+    The four masks take the smallest unsigned dtype that holds K bits, as
+    cache signatures do, and `slot` the smallest that holds B.  `bits` is
+    the payload length, the longest included subfile (operands are
+    zero-padded to it), in the record table's length dtype; skipped
     candidates hold 0.  Bit-exact runs keep the payloads back to back in
-    one uint8 `buffer`, candidate i's at `start[i]`; analytic runs carry
-    none.
+    one uint8 `buffer`, candidate i's at `start[i]`, in the same dtype:
+    the payloads total at most the table's K * F bits.  Analytic runs
+    carry none.
     """
 
     slot: np.ndarray
@@ -61,7 +65,7 @@ class Transmissions:
 
     def __post_init__(self) -> None:
         if self.buffer is not None:
-            self.start = np.cumsum(self.bits) - self.bits
+            self.start = np.cumsum(self.bits, dtype=self.bits.dtype) - self.bits
 
     def __len__(self) -> int:
         return len(self.S)
@@ -126,8 +130,17 @@ def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return index
 
 
+def _carrying(included: np.ndarray, k: int) -> np.ndarray:
+    """The indexes of the masks in `included` that hold bit k, in order;
+    tested as bools first, which nonzero scans several times faster."""
+    return np.flatnonzero((included & (1 << k)) != 0)
+
+
 def build_coded_content(
-    sets: np.ndarray, included: np.ndarray, records: SubfileRecordTable
+    sets: np.ndarray,
+    included: np.ndarray,
+    records: SubfileRecordTable,
+    library: Library | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Payload length of each set's transmission and, for bit-exact tables,
     the payloads back to back in one buffer.
@@ -136,22 +149,27 @@ def build_coded_content(
     set's transmission; every live entry of the table must be included
     exactly once.  A set with none has length 0.  A payload is as long as
     its longest operand and XORs the operands zero-padded to that length.
-    Analytic tables have no payloads: the buffer is None.
+    Analytic tables have no payloads: the buffer is None.  A bit-exact
+    table holds positions only, so its operands are read from `library`,
+    one row at a time: requester k's file at the positions of row k.
+    Each pass finds a row's carriers anew, so one row's index is alive at
+    a time.
     """
     K = records.K
+    if records.bit_positions is not None and library is None:
+        raise InvalidParams("a bit-exact record table needs the library it indexes")
     bits = np.zeros(len(sets), dtype=records.length.dtype)
-    carriers = []
     for k in range(K):
         # the candidates carrying row k, at most one per column
-        at = np.flatnonzero(included & (1 << k))
+        at = _carrying(included, k)
         bits[at] = np.maximum(bits[at], records.length[k, sets[at]])
-        carriers.append(at)
-    if records.bit_values is None:
+    if records.bit_positions is None:
         return bits, None
-    start = np.cumsum(bits) - bits
+    start = np.cumsum(bits, dtype=bits.dtype) - bits
     buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
     offset = np.zeros(1 << K, dtype=np.int64)
-    for k, at in enumerate(carriers):
+    for k in range(K):
+        at = _carrying(included, k)
         if not at.size:
             continue
         # row k in table order: ascending columns, its bits back to back;
@@ -160,7 +178,11 @@ def build_coded_content(
         cols = np.flatnonzero(records.live[k])
         size = records.length[k, cols]
         first = records.start[k, cols[0]]
-        buffer[_spans(offset[cols], size)] ^= records.bit_values[first : first + size.sum()]
+        # the operands before the targets: take's intp copy of the positions
+        # is freed before _spans builds the targets' index
+        operands = np.take(library.file(records.demand[k + 1]),
+                           records.bit_positions[first : first + size.sum()])
+        buffer[_spans(offset[cols], size)] ^= operands
     return bits, buffer
 
 
@@ -177,22 +199,19 @@ def _assert_deadline_met(sets: np.ndarray, live: np.ndarray, deadline: int, slot
         raise DeadlineViolation(f"F-AP {k} still misses subfile {key} after slot {slot}")
 
 
-def run_delivery(
+def _decide(
     schedule: RequestSchedule, records: SubfileRecordTable, params: SystemParams
-) -> DeliveryResult:
-    """Execute the delivery phase over all B slots: decide every slot on
-    the member masks, then build every payload with `build_coded_content`.
-
-    Leaves `records` unchanged.  Returns every enumerated candidate (sent
-    and skipped) plus the load report over actual transmissions.
-    """
-    if schedule.K != params.K or schedule.B != params.B:
-        raise InvalidParams("schedule shape does not match system parameters")
-    if records.K != params.K:
-        raise InvalidParams("record table does not match system parameters")
-    check_delivery_size(params.K)
+) -> tuple[np.ndarray, ...]:
+    """The first pass: every slot decided on one member mask per set, as
+    the columns slot, S, s1, collapsed and included of every candidate in
+    the canonical order.  The masks take the smallest unsigned dtype that
+    holds K bits and the slots the smallest that holds B; the pass's own
+    scratch is freed before the payloads are built."""
     K, B, delta_b = params.K, params.B, params.delta_b
-    live = (1 << np.arange(K)) @ records.live
+    mask_dtype, slot_dtype = np.min_scalar_type((1 << K) - 1), np.min_scalar_type(B)
+    live = np.zeros(1 << K, dtype=mask_dtype)
+    for k in range(K):
+        live |= np.left_shift(records.live[k], k, dtype=mask_dtype)
     ranks = set_ranks(K)
     due = [0] * (B + 1)
     for k in range(1, K + 1):
@@ -203,17 +222,42 @@ def run_delivery(
         active |= schedule.slot_mask(b)
         if not (deadline := due[b]):
             continue
-        sets = _candidates(deadline, ranks)
+        sets = _candidates(deadline, ranks).astype(mask_dtype)
         missing = live[sets]
         included = np.where(should_transmit(missing, deadline), missing & active, 0)
         missing ^= included
         live[sets] = missing
         _assert_deadline_met(sets, missing, deadline, b)
-        columns.append((np.full(len(sets), b), sets, sets & deadline, sets & active, included))
+        columns.append((
+            np.full(len(sets), b, dtype=slot_dtype), sets, sets & deadline, sets & active,
+            included,
+        ))
         active &= ~deadline
-    slot, S, s1, collapsed, included = map(np.concatenate, zip(*columns))
-    del columns
-    bits, buffer = build_coded_content(S, included, records)
+    return tuple(map(np.concatenate, zip(*columns)))
+
+
+def run_delivery(
+    schedule: RequestSchedule,
+    records: SubfileRecordTable,
+    params: SystemParams,
+    library: Library | None = None,
+) -> DeliveryResult:
+    """Execute the delivery phase over all B slots: decide every slot on
+    the member masks (`_decide`), then build every payload with
+    `build_coded_content`.
+
+    A bit-exact table needs the `library` whose files it indexes; an
+    analytic one needs none.  Leaves `records` unchanged.  Returns every
+    enumerated candidate (sent and skipped) plus the load report over
+    actual transmissions.
+    """
+    if schedule.K != params.K or schedule.B != params.B:
+        raise InvalidParams("schedule shape does not match system parameters")
+    if records.K != params.K:
+        raise InvalidParams("record table does not match system parameters")
+    check_delivery_size(params.K)
+    slot, S, s1, collapsed, included = _decide(schedule, records, params)
+    bits, buffer = build_coded_content(S, included, records, library)
     events = Transmissions(slot, S, s1, collapsed, included, bits, buffer)
     return DeliveryResult(events=events, report=measured_load(events, params.F))
 
@@ -263,7 +307,7 @@ def decode_fap(
     recoverable from the log.  Raises InvalidParams, naming the file, if
     `caches` did not place or `library` did not draw every requested file.
     """
-    if records.bit_values is None:
+    if records.bit_positions is None:
         raise InvalidParams("decoding needs a bit-exact record table")
     K, kb, demand = records.K, 1 << (k - 1), records.demand
     row = caches.rows([demand[i] for i in range(1, K + 1)])
@@ -272,8 +316,11 @@ def decode_fap(
     carries = (events.included & kb) != 0
     if upto_slot is not None:
         carries &= events.slot <= upto_slot
-    S, bits = events.S[carries], events.bits[carries]
-    others = events.included[carries] & ~kb
+    # S indexes the table below, so it takes the index dtype once
+    S, bits = events.S[carries].astype(np.intp), events.bits[carries]
+    # k's bit is set in every carrier; ~kb is negative, so no unsigned mask
+    # dtype holds it
+    others = events.included[carries] ^ kb
     acc = events.buffer[_spans(events.start[carries], bits)]
     acc_start = np.cumsum(bits) - bits
     bad = []

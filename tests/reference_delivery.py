@@ -85,15 +85,18 @@ def rows_of(events: Transmissions) -> list[TransmissionRecord]:
     return rows
 
 
-def classes_of(table: SubfileRecordTable) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
+def classes_of(
+    table: SubfileRecordTable, library: Library
+) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
     """A bit-exact table's entries as {(k, E): (positions, contents)}, by
-    ascending k, then ascending E."""
+    ascending k, then ascending E; the contents are k's file in the
+    library, read at the entry's positions."""
     classes = {}
     for row, S in zip(*np.nonzero(table.live)):
         start, length = table.start[row, S], table.length[row, S]
-        span = slice(start, start + length)
+        positions = table.bit_positions[start : start + length]
         classes[(int(row) + 1, int(S) & ~(1 << int(row)))] = (
-            table.bit_positions[span], table.bit_values[span]
+            positions, library.file(table.demand[int(row) + 1])[positions]
         )
     return classes
 
@@ -325,7 +328,7 @@ def partition_into_subfiles(
     K, F = caches.K, library.F
     weights = 1 << np.arange(K, dtype=np.uint64)
     live = np.zeros((K, 1 << K), dtype=bool)
-    length = np.zeros((K, 1 << K), dtype=np.int64)
+    length = np.zeros((K, 1 << K), dtype=np.int32)
     positions: dict[SubfileKey, np.ndarray] = {}
     contents: dict[SubfileKey, np.ndarray] = {}
     locally_held: dict[int, np.ndarray] = {}

@@ -426,6 +426,20 @@ class TestClosedFormLoad:
         want = exact_load(c)
         assert abs(analytics.closed_form_load(c) - want) <= 2 * math.ulp(want)
 
+    def test_runs_the_load_scan_only(self, monkeypatch):
+        # the exact count, over integers as wide as 2^K, is schedule_load's;
+        # the closed form scans the float weights alone
+        wholes = []
+        scan = analytics._window_scan
+        monkeypatch.setattr(analytics, "_window_scan",
+                            lambda delta_b, sizes, whole, split:
+                            wholes.append(whole) or scan(delta_b, sizes, whole, split))
+        c = cfg(K=14, N=20, M=5.0, B=7, L=2, delta_b=2)
+        assert analytics.closed_form_load(c) == 6.670039672404528
+        assert wholes == [1.0]
+        assert analytics.schedule_load(c, [2] * 7)[0] == 6.670039672404528
+        assert wholes == [1.0, 1 << 14, 1.0]
+
     def test_worked_ladder(self):
         loads = [
             analytics.closed_form_load(cfg(delta_b=d, N=4, M=2.0)) for d in (1, 2, 3, 4)

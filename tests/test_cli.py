@@ -94,9 +94,12 @@ class TestSimulate:
         return float(lines["measured load (worst case)"]), lower, upper, uncoded
 
     def test_tiny_cache_keeps_the_bounds_ordered(self, capsys):
-        worst, lower, upper, uncoded = self.printed_loads(capsys, "1e-9")
-        assert lower <= upper
-        assert worst <= uncoded * (1 + 1e-12)
+        # at M/N = 2.25e-308 the chain's load rounded an ulp past the uncoded
+        # load; it is capped there, as the synchronous baseline is
+        for m in ("1e-9", "4.5e-307"):
+            worst, lower, upper, uncoded = self.printed_loads(capsys, m)
+            assert lower <= upper <= uncoded
+            assert worst <= upper
 
     def test_vanishing_cache_loads_everything(self, capsys):
         # M/N = 5e-18: nearly every bit is missing, so the load is about K

@@ -129,7 +129,7 @@ class TestGenerateLibrary:
     def test_file_refuses_an_undrawn_file(self, missing):
         p = params(N=8)
         lib = core.generate_library(p, 0, [2, 4])
-        with pytest.raises(InvalidParams, match=f"file {missing} was not placed"):
+        with pytest.raises(InvalidParams, match=f"file {missing} was not drawn"):
             lib.file(missing)
 
     @pytest.mark.parametrize("files", [(1, 3, 1), (0, 2), (2, 5), (1.0,)])
@@ -409,7 +409,7 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, 0, (1,))
         caches = core.place_caches(p, 1, (1,))
         table = core.partition_into_subfiles(lib, caches, sched)
-        assert list(classes_of(table)) == [(1, 0)]
+        assert list(classes_of(table, lib)) == [(1, 0)]
         assert table.live.tolist() == [[False, True]]
         assert table.length.tolist() == [[0, 8]]
         assert cached_at(caches, 1, 1).sum() == 8
@@ -420,8 +420,8 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, 0, sched.demand.values())
         caches = core.place_caches(p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
-        assert table.length.dtype == np.int64
-        classes = classes_of(table)
+        assert table.length.dtype == np.int32
+        classes = classes_of(table, lib)
         for k in range(1, 5):
             held = cached_at(caches, k, sched.demand[k])
             covered = set(np.flatnonzero(held).tolist())
@@ -445,7 +445,7 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, 5, sched.demand.values())
         caches = core.place_caches(p, 6, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
-        for (k, mask), (pos, _) in classes_of(table).items():
+        for (k, mask), (pos, _) in classes_of(table, lib).items():
             n = sched.demand[k]
             for j in range(1, 5):
                 held = cached_at(caches, j, n)[pos]
@@ -482,10 +482,23 @@ class TestPartitionIntoSubfiles:
         caches = core.place_caches(p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         assert table.bit_positions.dtype == dtype
-        assert table.bit_values.dtype == np.uint8
         # requester 1's entries come first: every bit it does not cache, by value
         first = table.bit_positions[: table.length[0].sum()]
         assert np.array_equal(np.sort(first), np.flatnonzero(~cached_at(caches, 1, 1)))
+
+    def test_partition_refuses_lengths_past_int32(self, monkeypatch):
+        # K * F = 2^31 would overflow the int32 lengths and starts; zero-stride
+        # arrays stand in for the files, and nothing may be counted before
+        # the check
+        def fail(*args, **kwargs):
+            raise AssertionError("signatures counted before the size check")
+
+        monkeypatch.setattr(np, "bincount", fail)
+        files, F = (1, 2), 1 << 30
+        lib = core.Library(files, np.broadcast_to(np.zeros(1, dtype=np.uint8), (2, F)))
+        caches = core.CacheLayout(2, files, np.broadcast_to(np.zeros(1, dtype=np.uint8), (2, F)))
+        with pytest.raises(TooLarge, match="K \\* F < 2\\^31"):
+            core.partition_into_subfiles(lib, caches, core.make_fixed_L_schedule(2, 2, 1))
 
     def test_partition_refuses_large_k(self):
         # the table's arrays have 2^K columns, as many as delivery enumerates;

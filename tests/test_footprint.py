@@ -1,10 +1,11 @@
 """Memory footprint of one seeded bit-exact trial, traced with tracemalloc.
 
-The partition writes its table once, in place, with narrow positions; the
-delivery engine decides every slot on one mask per set, then allocates the
-payload buffer once and XORs the table into it one requester row at a
-time, so its int64 indexes cover one row's bits, not the run's.  The
-decoder reads the operands the same way, one row at a time.
+The partition writes its table once, in place, with narrow positions and
+no copy of the file bits; the delivery engine decides every slot on one
+mask per set, then allocates the payload buffer once and XORs the files'
+bits into it one requester row at a time, so its int64 indexes cover one
+row's bits, not the run's.  The decoder reads the operands the same way,
+one row at a time.  Per-set arrays keep the width their values need.
 """
 
 import tracemalloc
@@ -25,14 +26,13 @@ def traced():
 
 def table_nbytes(table):
     return sum(
-        a.nbytes for a in (table.live, table.length, table.start, table.bit_positions,
-                           table.bit_values)
+        a.nbytes for a in (table.live, table.length, table.start, table.bit_positions)
     )
 
 
-def trial():
-    params = core.SystemParams(K=K, N=K, M=K / 4, F=F, B=4, delta_b=2)
-    schedule = core.make_fixed_L_schedule(K, 4, 2, 1)
+def trial(K=K, F=F, B=4):
+    params = core.SystemParams(K=K, N=K, M=K / 4, F=F, B=B, delta_b=2)
+    schedule = core.make_fixed_L_schedule(K, B, K // B, 1)
     files = schedule.demand.values()
     library = core.generate_library(params, 2, files)
     caches = core.place_caches(params, 3, files)
@@ -46,24 +46,28 @@ def test_bitexact_trial_footprint(traced):
     base = tracemalloc.get_traced_memory()[0]
     table = core.partition_into_subfiles(library, caches, schedule)
     peak = tracemalloc.get_traced_memory()[1] - base
-    # the table itself plus per-requester scratch: a few int64 arrays of F
-    assert peak <= table_nbytes(table) + 24 * F
+    # the table itself plus one requester's packed keys and their position
+    # index, uint32 at this F: 8 B per file bit.  The count pass's int64
+    # copy of one signature row (8 B per bit) comes before the positions
+    # are allocated.  Measured: 8.4 B per bit.
+    assert peak <= table_nbytes(table) + 10 * F
 
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    delivery.run_delivery(schedule, table, params)
+    delivery.run_delivery(schedule, table, params, library)
     peak = tracemalloc.get_traced_memory()[1] - base
-    # every operand bit of the run is sent once; three bytes per operand bit
-    # cover the one-byte payloads, one row's int64 index and the candidate
-    # columns
+    # every operand bit of the run is sent once: per operand bit, the
+    # one-byte payloads take at most 1 B, one row's int64 index and its
+    # operands, read from the library, about 1 B more (one row of K = 8);
+    # the candidate columns are narrow.  Measured: 1.94 B per operand bit.
     operand_bits = int(table.length.sum())
-    assert peak <= 3 * operand_bits
+    assert peak <= 2.5 * operand_bits
 
 
 def test_decode_footprint(traced):
     params, schedule, library, caches = trial()
     table = core.partition_into_subfiles(library, caches, schedule)
-    events = delivery.run_delivery(schedule, table, params).events
+    events = delivery.run_delivery(schedule, table, params, library).events
     for k in range(1, K + 1):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -76,3 +80,21 @@ def test_decode_footprint(traced):
         # indexes (about 2.5 B) are freed before the next row's are built.
         # A flat int64 index over every operand bit at once needs 20 B.
         assert peak <= 14 * F
+
+
+def test_per_set_footprint(traced):
+    # K = 12 with F = 256: the (K, 2^K) tables and the 16,128 candidates'
+    # columns dominate, not the file bits.  Per candidate, the transmissions
+    # hold a uint8 slot, four uint16 masks and int32 lengths and starts
+    # (17 B); the table holds, per column, an int32 length, an int32 start
+    # and a live flag for each of the 12 rows, 27 B per candidate at 3.9
+    # candidates per column.  The rest is one slot's or one row's scratch.
+    # Measured: 53 B per candidate; with int64 columns and tables, 142.
+    params, schedule, library, caches = trial(K=12, F=256, B=6)
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    table = core.partition_into_subfiles(library, caches, schedule)
+    events = delivery.run_delivery(schedule, table, params, library).events
+    peak = tracemalloc.get_traced_memory()[1] - base
+    assert len(events) == 16_128
+    assert peak <= 64 * len(events)
