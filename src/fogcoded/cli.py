@@ -110,7 +110,7 @@ def _bitexact_delivery(
     library = core.generate_library(params, lib_seed, files)
     caches = core.place_caches(params, place_seed, files)
     records = core.partition_into_subfiles(library, caches, schedule)
-    return library, caches, records, delivery.run_delivery(schedule, records, params, library)
+    return library, caches, records, delivery.run_delivery(schedule, records, params)
 
 
 def _one_trial(
@@ -136,8 +136,10 @@ def _check_seed(seed: int) -> None:
 
 def _checked_params(config: ExperimentConfig) -> core.SystemParams:
     """Validated system parameters, checked before anything is built:
-    bit-exact runs against the delivery engine's K cap and the file-size
-    cap, analytic runs against ANALYTIC_MAX_K."""
+    bit-exact runs against the delivery engine's K cap, the file-size cap
+    and a cache quota of none or all of each file, for which the bounds'
+    p = M/N does not describe the caches; analytic runs against
+    ANALYTIC_MAX_K."""
     if config.mode not in ("analytic", "bitexact"):
         raise InvalidParams(f"unknown mode {config.mode!r}")
     _check_seed(config.seed)
@@ -149,6 +151,9 @@ def _checked_params(config: ExperimentConfig) -> core.SystemParams:
                 f"bit-exact mode is limited to F <= {BITEXACT_MAX_F}; "
                 "use --mode analytic for larger files"
             )
+        if (quota := params.cached_bits_per_file) in (0, params.F):
+            raise InvalidParams(f"bit-exact mode needs 0 < round(M*F/N) < F, got {quota} with "
+                                f"F = {params.F}: the caches would hold none or all of each file")
     elif params.K > ANALYTIC_MAX_K:
         raise TooLarge(f"analytic runs need K <= {ANALYTIC_MAX_K}, got {params.K}")
     return params

@@ -40,6 +40,11 @@ def mask_of(ids: Iterable[int]) -> int:
     return m
 
 
+def mask_dtype(K: int) -> np.dtype:
+    """The smallest unsigned dtype that holds a mask of K F-APs."""
+    return np.min_scalar_type((1 << K) - 1)
+
+
 def iter_ids(mask: int) -> Iterator[int]:
     """Yield F-AP ids in a mask in ascending order."""
     k = 1
@@ -226,7 +231,7 @@ def place_caches(params: SystemParams, seed: int, files: Iterable[int]) -> Cache
         raise InvalidParams(f"per-file cache quota {quota} outside [0, F]")
     check_delivery_size(params.K)
     placed = _file_ids(params, files)
-    dtype = np.min_scalar_type((1 << params.K) - 1)
+    dtype = mask_dtype(params.K)
     signature = np.zeros((len(placed), params.F), dtype=dtype)
     # one F-AP's picks of one file, ORed into the file's signatures whole:
     # faster than a fancy-indexed |=, which reads and writes every pick
@@ -377,14 +382,15 @@ class SubfileRecordTable:
     ``live`` marks the entries that exist and ``length`` holds their
     lengths: bit counts (int32) in bit-exact tables, expected sizes
     (float64) in analytic ones, whose entries all exist even where a size
-    underflows to 0.0.  Bit-exact tables also hold every entry's bit
-    positions, the entries back to back in row-major order, in
-    ``bit_positions``; entry (k, E) starts at ``start[k-1, S]`` (int32)
-    and its positions ascend.  Positions take the smallest unsigned dtype
+    underflows to 0.0.  A bit-exact table also holds every entry's bit
+    positions, the entries back to back in row-major order, each one's
+    positions ascending, in ``bit_positions``; an entry starts where the
+    lengths before it end.  Positions take the smallest unsigned dtype
     that holds F - 1 (uint16 up to F = 65,536) and are written once, in
-    place: the table is never held twice.  The bits themselves stay in the
-    library: entry (k, E) holds ``library.file(demand[k])`` at its
-    positions.
+    place.  The bits themselves stay in ``library``, the one a bit-exact
+    table carries: entry (k, E) holds ``library.file(demand[k])`` at its
+    positions.  A table has positions exactly when it has a library;
+    analytic tables have neither.
     """
 
     K: int
@@ -392,8 +398,21 @@ class SubfileRecordTable:
     demand: Mapping[int, int]
     live: np.ndarray
     length: np.ndarray
-    start: np.ndarray | None = None
     bit_positions: np.ndarray | None = None
+    library: Library | None = None
+
+    def __post_init__(self) -> None:
+        if (self.bit_positions is None) != (self.library is None):
+            raise InvalidParams("a record table needs both bit positions and a library, or neither")
+
+    def position_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each row's lengths and its slice of ``bit_positions`` in a
+        bit-exact table, row 1 first: a row starts where the rows before
+        it end."""
+        end = 0
+        for length in self.length:
+            first, end = end, end + length.sum()
+            yield length, self.bit_positions[first:end]
 
 
 def partition_into_subfiles(
@@ -405,19 +424,19 @@ def partition_into_subfiles(
     the bits k caches itself, partition the F bits of its file.  A bit not
     cached at k has k's signature bit clear, so its signature is the
     exclusivity mask E of its class and E | k its column.  A first pass
-    counts each row's signatures, which gives every length and start and
-    sizes the table, so it is written once, in place.  The second packs
-    every bit of k's file into one key: a flag set when k caches the bit,
-    then its column, then its position.  The keys are unique, so one
-    unstable sort puts k's uncached bits first, by ascending column with
-    ascending positions, and their low bits are written straight into k's
-    slice of the table.  The table records positions only: the library
-    must hold every requested file, as delivery and decoding read its
-    bits there.
+    counts each row's signatures, which gives every length and sizes the
+    table, so it is written once, in place.  The second packs every bit
+    of k's file into one key: a flag set when k caches the bit, then its
+    column, then its position.  The keys are unique, so one unstable sort
+    puts k's uncached bits first, by ascending column with ascending
+    positions, and their low bits are written straight into k's slice of
+    the table, which starts where the rows before it end.  The table
+    records positions only and carries `library`, which must hold every
+    requested file: delivery reads its bits there.
     """
     K, F = caches.K, library.F
     check_delivery_size(K)
-    # lengths and starts are at most K * F, which int32 holds: at most
+    # lengths and offsets are at most K * F, which int32 holds: at most
     # 16 * 2 * 10^6 under MAX_DELIVERY_K and the CLI's BITEXACT_MAX_F
     if K * F >= 1 << 31:
         raise TooLarge(f"a bit-exact table needs K * F < 2^31, got K={K}, F={F}")
@@ -427,20 +446,20 @@ def partition_into_subfiles(
         _row(library.files, n, "drawn")
     sets = np.arange(1 << K)
     length = np.empty((K, 1 << K), dtype=np.int32)
-    start = np.empty_like(length)
-    end = 0
     for k in range(1, K + 1):
         kb = 1 << (k - 1)
         # column S of row k holds the bits whose signature is S minus k
         count = np.bincount(caches.signature[rows[k - 1]], minlength=1 << K)
         length[k - 1] = np.where(sets & kb, count[sets ^ kb], 0)
-        start[k - 1] = end + np.cumsum(length[k - 1]) - length[k - 1]
-        end += int(length[k - 1].sum())
-    positions = np.empty(end, dtype=np.min_scalar_type(F - 1))
+    table = SubfileRecordTable(
+        K=K, F=F, demand=dict(schedule.demand), live=length > 0, length=length,
+        bit_positions=np.empty(length.sum(), dtype=np.min_scalar_type(F - 1)),
+        library=library,
+    )
     shift = (F - 1).bit_length()
     keys = np.empty(F, dtype=np.uint32 if K + shift < 32 else np.uint64)
     index = np.arange(F, dtype=keys.dtype)
-    for k in range(1, K + 1):
+    for k, (_, positions) in enumerate(table.position_rows(), 1):
         signature, kb = caches.signature[rows[k - 1]], 1 << (k - 1)
         # the flag above the column, from k's own signature bit, all in place
         np.bitwise_and(signature, kb, out=keys)
@@ -450,18 +469,9 @@ def partition_into_subfiles(
         keys <<= shift
         keys |= index
         keys.sort()
-        first, n = start[k - 1, 0], length[k - 1].sum()
-        np.bitwise_and(keys[:n], (1 << shift) - 1, out=positions[first : first + n],
+        np.bitwise_and(keys[: positions.size], (1 << shift) - 1, out=positions,
                        casting="unsafe")
-    return SubfileRecordTable(
-        K=K,
-        F=F,
-        demand=dict(schedule.demand),
-        live=length > 0,
-        length=length,
-        start=start,
-        bit_positions=positions,
-    )
+    return table
 
 
 def analytic_subfile_table(

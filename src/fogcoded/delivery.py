@@ -18,7 +18,7 @@ sent before the last slot, where all requests are served together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     SubfileRecordTable,
     SystemParams,
     check_delivery_size,
+    mask_dtype,
     set_ranks,
 )
 from .errors import DeadlineViolation, DecodeFailure, InvalidParams
@@ -49,9 +50,9 @@ class Transmissions:
     the payload length, the longest included subfile (operands are
     zero-padded to it), in the record table's length dtype; skipped
     candidates hold 0.  Bit-exact runs keep the payloads back to back in
-    one uint8 `buffer`, candidate i's at `start[i]`, in the same dtype:
-    the payloads total at most the table's K * F bits.  Analytic runs
-    carry none.
+    one uint8 `buffer`, in candidate order, so candidate i's starts where
+    the payloads before it end; they total at most the table's K * F
+    bits.  Analytic runs carry none.
     """
 
     slot: np.ndarray
@@ -61,11 +62,6 @@ class Transmissions:
     included: np.ndarray
     bits: np.ndarray
     buffer: np.ndarray | None = None
-    start: np.ndarray | None = field(init=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.buffer is not None:
-            self.start = np.cumsum(self.bits, dtype=self.bits.dtype) - self.bits
 
     def __len__(self) -> int:
         return len(self.S)
@@ -137,10 +133,7 @@ def _carrying(included: np.ndarray, k: int) -> np.ndarray:
 
 
 def build_coded_content(
-    sets: np.ndarray,
-    included: np.ndarray,
-    records: SubfileRecordTable,
-    library: Library | None = None,
+    sets: np.ndarray, included: np.ndarray, records: SubfileRecordTable
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Payload length of each set's transmission and, for bit-exact tables,
     the payloads back to back in one buffer.
@@ -150,14 +143,12 @@ def build_coded_content(
     exactly once.  A set with none has length 0.  A payload is as long as
     its longest operand and XORs the operands zero-padded to that length.
     Analytic tables have no payloads: the buffer is None.  A bit-exact
-    table holds positions only, so its operands are read from `library`,
-    one row at a time: requester k's file at the positions of row k.
-    Each pass finds a row's carriers anew, so one row's index is alive at
-    a time.
+    table holds positions only, so its operands are read from the library
+    it carries, one row at a time: requester k's file at the positions of
+    row k, which start where the rows before it end.  Each pass finds a
+    row's carriers anew, so one row's index is alive at a time.
     """
     K = records.K
-    if records.bit_positions is not None and library is None:
-        raise InvalidParams("a bit-exact record table needs the library it indexes")
     bits = np.zeros(len(sets), dtype=records.length.dtype)
     for k in range(K):
         # the candidates carrying row k, at most one per column
@@ -168,7 +159,7 @@ def build_coded_content(
     start = np.cumsum(bits, dtype=bits.dtype) - bits
     buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
     offset = np.zeros(1 << K, dtype=np.int64)
-    for k in range(K):
+    for k, (length, positions) in enumerate(records.position_rows()):
         at = _carrying(included, k)
         if not at.size:
             continue
@@ -176,13 +167,10 @@ def build_coded_content(
         # the targets of one row are disjoint
         offset[sets[at]] = start[at]
         cols = np.flatnonzero(records.live[k])
-        size = records.length[k, cols]
-        first = records.start[k, cols[0]]
         # the operands before the targets: take's intp copy of the positions
         # is freed before _spans builds the targets' index
-        operands = np.take(library.file(records.demand[k + 1]),
-                           records.bit_positions[first : first + size.sum()])
-        buffer[_spans(offset[cols], size)] ^= operands
+        operands = np.take(records.library.file(records.demand[k + 1]), positions)
+        buffer[_spans(offset[cols], length[cols])] ^= operands
     return bits, buffer
 
 
@@ -208,10 +196,10 @@ def _decide(
     holds K bits and the slots the smallest that holds B; the pass's own
     scratch is freed before the payloads are built."""
     K, B, delta_b = params.K, params.B, params.delta_b
-    mask_dtype, slot_dtype = np.min_scalar_type((1 << K) - 1), np.min_scalar_type(B)
-    live = np.zeros(1 << K, dtype=mask_dtype)
+    masks, slot_dtype = mask_dtype(K), np.min_scalar_type(B)
+    live = np.zeros(1 << K, dtype=masks)
     for k in range(K):
-        live |= np.left_shift(records.live[k], k, dtype=mask_dtype)
+        live |= np.left_shift(records.live[k], k, dtype=masks)
     ranks = set_ranks(K)
     due = [0] * (B + 1)
     for k in range(1, K + 1):
@@ -222,7 +210,7 @@ def _decide(
         active |= schedule.slot_mask(b)
         if not (deadline := due[b]):
             continue
-        sets = _candidates(deadline, ranks).astype(mask_dtype)
+        sets = _candidates(deadline, ranks).astype(masks)
         missing = live[sets]
         included = np.where(should_transmit(missing, deadline), missing & active, 0)
         missing ^= included
@@ -237,19 +225,16 @@ def _decide(
 
 
 def run_delivery(
-    schedule: RequestSchedule,
-    records: SubfileRecordTable,
-    params: SystemParams,
-    library: Library | None = None,
+    schedule: RequestSchedule, records: SubfileRecordTable, params: SystemParams
 ) -> DeliveryResult:
     """Execute the delivery phase over all B slots: decide every slot on
     the member masks (`_decide`), then build every payload with
     `build_coded_content`.
 
-    A bit-exact table needs the `library` whose files it indexes; an
-    analytic one needs none.  Leaves `records` unchanged.  Returns every
-    enumerated candidate (sent and skipped) plus the load report over
-    actual transmissions.
+    Either kind of table is delivered the same way; a bit-exact one reads
+    its operands from the library it carries.  Leaves `records`
+    unchanged.  Returns every enumerated candidate (sent and skipped) plus
+    the load report over actual transmissions.
     """
     if schedule.K != params.K or schedule.B != params.B:
         raise InvalidParams("schedule shape does not match system parameters")
@@ -257,7 +242,7 @@ def run_delivery(
         raise InvalidParams("record table does not match system parameters")
     check_delivery_size(params.K)
     slot, S, s1, collapsed, included = _decide(schedule, records, params)
-    bits, buffer = build_coded_content(S, included, records, library)
+    bits, buffer = build_coded_content(S, included, records)
     events = Transmissions(slot, S, s1, collapsed, included, bits, buffer)
     return DeliveryResult(events=events, report=measured_load(events, params.F))
 
@@ -299,8 +284,12 @@ def decode_fap(
     For every transmission whose XOR includes k's subfile, the other
     operands are read from k's cache and XORed out, one table row j at a
     time as `build_coded_content` writes them, and the recovered class
-    bits are placed at their original positions.  Each file is read
-    through `Library.file`, so the library may hold other files too.
+    bits are placed at their original positions.  No offset is stored:
+    a payload starts where the ones before it end, and an entry where the
+    entries of its row before it end, worked out for one row j at a time.
+    Decoding is the receiver's view: it reads every file through
+    `Library.file` of the `library` it is given, not the one the table
+    carries, so `library` may hold other files too.
     Raises DecodeFailure, naming the first operand in canonical order (by
     transmission, then ascending j), if an operand holds a bit k does not
     cache, or if any bit of the file is neither cached locally nor
@@ -313,26 +302,31 @@ def decode_fap(
     row = caches.rows([demand[i] for i in range(1, K + 1)])
     have = (caches.signature[row[k - 1]] & kb) != 0
     out = np.where(have, library.file(demand[k]), 0)
-    carries = (events.included & kb) != 0
+    carries = _carrying(events.included, k - 1)
     if upto_slot is not None:
-        carries &= events.slot <= upto_slot
+        carries = carries[events.slot[carries] <= upto_slot]
     # S indexes the table below, so it takes the index dtype once
     S, bits = events.S[carries].astype(np.intp), events.bits[carries]
     # k's bit is set in every carrier; ~kb is negative, so no unsigned mask
     # dtype holds it
     others = events.included[carries] ^ kb
-    acc = events.buffer[_spans(events.start[carries], bits)]
+    payload_start = np.cumsum(events.bits, dtype=bits.dtype)[carries] - bits
+    acc = events.buffer[_spans(payload_start, bits)]
     acc_start = np.cumsum(bits) - bits
     bad = []
-    for j in range(K):
+    for j, (length, positions) in enumerate(records.position_rows()):
+        # where each entry of row j starts in the row's positions
+        entry_start = np.cumsum(length) - length
+        if j == k - 1:
+            own_start, own_positions = entry_start[S], positions
         # the transmissions that carry an entry of row j next to k's; each
         # carries one, so the targets of one row are disjoint
-        at = np.flatnonzero(others & (1 << j))
+        at = _carrying(others, j)
         if not at.size:
             continue
-        first, size = records.start[j, S[at]], records.length[j, S[at]]
+        first, size = entry_start[S[at]], length[S[at]]
         span = _spans(first, size)
-        pos = records.bit_positions[span]
+        pos = positions[span]
         # every other operand must live in k's own cache of file d_j
         uncached = (caches.signature[row[j], pos] & kb) == 0
         if uncached.any():
@@ -349,7 +343,7 @@ def decode_fap(
         other = (j + 1, int(S[i]) & ~(1 << j))
         raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
     own = records.length[k - 1, S]
-    pos = records.bit_positions[_spans(records.start[k - 1, S], own)]
+    pos = own_positions[_spans(own_start, own)]
     out[pos] = acc[_spans(acc_start, own)]
     have[pos] = True
     if not have.all():

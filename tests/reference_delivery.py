@@ -62,15 +62,17 @@ class ReferenceResult:
 
 
 def rows_of(events: Transmissions) -> list[TransmissionRecord]:
-    """The engine's candidates as one record each, in the same order."""
+    """The engine's candidates as one record each, in the same order; a
+    payload starts where the ones before it end."""
     rows = []
+    end = np.cumsum(events.bits)
     for i, (slot, S, s1, collapsed, included) in enumerate(zip(
         events.slot.tolist(), events.S.tolist(), events.s1.tolist(),
         events.collapsed.tolist(), events.included.tolist(),
     )):
         payload = None
         if included and events.buffer is not None:
-            payload = events.buffer[events.start[i] : events.start[i] + events.bits[i]]
+            payload = events.buffer[end[i] - events.bits[i] : end[i]]
         rows.append(TransmissionRecord(
             slot=slot,
             s=S.bit_count(),
@@ -85,18 +87,17 @@ def rows_of(events: Transmissions) -> list[TransmissionRecord]:
     return rows
 
 
-def classes_of(
-    table: SubfileRecordTable, library: Library
-) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
+def classes_of(table: SubfileRecordTable) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
     """A bit-exact table's entries as {(k, E): (positions, contents)}, by
-    ascending k, then ascending E; the contents are k's file in the
+    ascending k, then ascending E; the entries lie back to back in
+    row-major order, and the contents are k's file in the table's
     library, read at the entry's positions."""
+    end = np.cumsum(table.length).reshape(table.length.shape)
     classes = {}
     for row, S in zip(*np.nonzero(table.live)):
-        start, length = table.start[row, S], table.length[row, S]
-        positions = table.bit_positions[start : start + length]
+        positions = table.bit_positions[end[row, S] - table.length[row, S] : end[row, S]]
         classes[(int(row) + 1, int(S) & ~(1 << int(row)))] = (
-            positions, library.file(table.demand[int(row) + 1])[positions]
+            positions, table.library.file(table.demand[int(row) + 1])[positions]
         )
     return classes
 

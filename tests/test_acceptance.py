@@ -156,7 +156,7 @@ def test_bit_exact_decodability():
         for delta_b in range(1, B + 1):
             params = core.SystemParams(K=K, N=K, M=K / 2, F=F, B=B, delta_b=delta_b)
             records = core.partition_into_subfiles(library, caches, schedule)
-            run = delivery.run_delivery(schedule, records, params, library)
+            run = delivery.run_delivery(schedule, records, params)
             for k in range(1, K + 1):
                 deadline = schedule.deadline_slot(k, delta_b)
                 decoded = delivery.decode_fap(
@@ -223,7 +223,7 @@ def test_concentration():
     library = core.generate_library(params, 12, schedule.demand.values())
     caches = core.place_caches(params, 13, schedule.demand.values())
     records = core.partition_into_subfiles(library, caches, schedule)
-    bitexact = delivery.run_delivery(schedule, records, params, library).report.normalized_load
+    bitexact = delivery.run_delivery(schedule, records, params).report.normalized_load
     analytic_records = core.analytic_subfile_table(params, schedule)
     analytic = delivery.run_delivery(
         schedule, analytic_records, params

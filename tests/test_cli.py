@@ -147,6 +147,31 @@ class TestSimulate:
         assert rc == 2
         assert "analytic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m, quota", [("0.001", 0), ("3.999", 100)])
+    def test_bitexact_degenerate_quota_rejected(self, capsys, m, quota):
+        # round(M*F/N) = round(0.025) = 0 and round(99.975) = F: the caches
+        # would hold none or all of each file while the bounds take p = M/N,
+        # so the measured load fell outside its own bounds
+        argv = ["simulate", "--mode", "bitexact", "--k", "4", "--b", "4",
+                "--f", "100", "--m", m, "--n", "4"]
+        for schedule in (["--l", "1"], ["--random"]):
+            assert cli.main(argv + schedule) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"needs 0 < round(M*F/N) < F, got {quota} with F = 100" in captured.err
+
+    def test_degenerate_quota_checked_before_placement(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("placement ran before the quota check")
+
+        monkeypatch.setattr(core, "place_caches", fail)
+        for M in (0.001, 3.999):
+            with pytest.raises(InvalidParams, match=r"round\(M\*F/N\)"):
+                cli.run_single(ExperimentConfig(
+                    K=4, N=4, M=M, F=100, B=4, delta_b=2, L=1,
+                    mode="bitexact", trials=1, seed=0,
+                ))
+
     def test_delivery_size_checked_before_placement(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("placement ran before the size check")
@@ -291,6 +316,19 @@ class TestSweep:
         rows = read_csv(out)
         assert rows[0]["error"] == "" and rows[0]["measured_load"] != ""
         assert rows[1]["error"] != "" and rows[1]["measured_load"] == ""
+
+    def test_degenerate_quota_is_an_error_row(self, tmp_path):
+        out = tmp_path / "quota.csv"
+        rc = cli.main([
+            "sweep", "--sweep", "m", "--values", "0.001,2,3.999", "--mode", "bitexact",
+            "--k", "4", "--b", "4", "--l", "1", "--f", "100", "--n", "4",
+            "--trials", "1", "--out", str(out),
+        ])
+        assert rc == 0
+        rows = read_csv(out)
+        assert [row["error"] != "" for row in rows] == [True, False, True]
+        for row in (rows[0], rows[2]):
+            assert "round(M*F/N)" in row["error"] and row["measured_load"] == ""
 
     def test_needs_axis_and_values(self, capsys):
         assert cli.main(["sweep", "--values", "1,2"]) == 2
@@ -495,6 +533,10 @@ class TestTables:
         monkeypatch.setattr(core, "generate_library", fail)
         assert cli.main(["tables", "--mode", "bitexact", "--f", "1000000000"]) == 2
         assert "analytic" in capsys.readouterr().err
+
+    def test_bitexact_degenerate_quota_rejected(self, capsys):
+        assert cli.main(["tables", "--mode", "bitexact", "--m", "0.001"]) == 2
+        assert "got 0 with F = 16" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["analytic", "bitexact"])
     def test_engine_cap_checked_before_any_table(self, monkeypatch, capsys, mode):

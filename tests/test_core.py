@@ -409,7 +409,7 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, 0, (1,))
         caches = core.place_caches(p, 1, (1,))
         table = core.partition_into_subfiles(lib, caches, sched)
-        assert list(classes_of(table, lib)) == [(1, 0)]
+        assert list(classes_of(table)) == [(1, 0)]
         assert table.live.tolist() == [[False, True]]
         assert table.length.tolist() == [[0, 8]]
         assert cached_at(caches, 1, 1).sum() == 8
@@ -421,7 +421,7 @@ class TestPartitionIntoSubfiles:
         caches = core.place_caches(p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
         assert table.length.dtype == np.int32
-        classes = classes_of(table, lib)
+        classes = classes_of(table)
         for k in range(1, 5):
             held = cached_at(caches, k, sched.demand[k])
             covered = set(np.flatnonzero(held).tolist())
@@ -445,7 +445,7 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, 5, sched.demand.values())
         caches = core.place_caches(p, 6, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
-        for (k, mask), (pos, _) in classes_of(table, lib).items():
+        for (k, mask), (pos, _) in classes_of(table).items():
             n = sched.demand[k]
             for j in range(1, 5):
                 held = cached_at(caches, j, n)[pos]

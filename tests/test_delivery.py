@@ -1,6 +1,7 @@
 """Delivery state machine tests: goldens, skip rule, decoding, loads."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,13 +111,13 @@ def live_masks(live, sets):
     return (1 << np.arange(live.shape[0])) @ live[:, sets]
 
 
-def coded_record(records, library, s_mask, active_mask, deadline_mask, slot=1):
+def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
     # The transmission of encoding set S, a one-candidate Transmissions:
     # the live subfiles of its active members, put together by
-    # build_coded_content from the library.
+    # build_coded_content from the table's library.
     sets = np.array([s_mask])
     included = live_masks(records.live, sets) & active_mask
-    bits, buffer = delivery.build_coded_content(sets, included, records, library)
+    bits, buffer = delivery.build_coded_content(sets, included, records)
     return delivery.Transmissions(
         slot=np.array([slot]),
         S=sets,
@@ -186,14 +187,13 @@ class TestCandidates:
 class TestBuildCodedContent:
     @staticmethod
     def synthetic_records(lengths):
-        # Hand-built bit-exact table with chosen class contents, laid out
-        # back to back in the order given, and a library that holds each
-        # class in its requester's file (F-AP k requests file k), at the
-        # first positions that row has not used.
+        # Hand-built bit-exact table with chosen class contents, given in
+        # table order, and a library that holds each class in its
+        # requester's file (F-AP k requests file k), at the first positions
+        # that row has not used.
         K, F = 4, 16
         live = np.zeros((K, 1 << K), dtype=bool)
         length = np.zeros((K, 1 << K), dtype=np.int32)
-        start = np.zeros((K, 1 << K), dtype=np.int32)
         files = np.zeros((K, F), dtype=np.uint8)
         used = [0] * K
         positions = []
@@ -204,43 +204,39 @@ class TestBuildCodedContent:
             used[row] += len(values)
             live[cell(record_key)] = True
             length[cell(record_key)] = len(values)
-            start[cell(record_key)] = sum(map(len, positions))
             positions.append(pos)
-        records = core.SubfileRecordTable(
+        return core.SubfileRecordTable(
             K=K,
             F=F,
             demand={k: k for k in range(1, K + 1)},
             live=live,
             length=length,
-            start=start,
             bit_positions=np.concatenate(positions).astype(np.uint8),
+            library=core.Library(tuple(range(1, K + 1)), files),
         )
-        return records, core.Library(tuple(range(1, K + 1)), files)
 
     def test_single_operand_verbatim(self):
-        records, library = self.synthetic_records({key(1, {2}): [1, 0, 1]})
-        [rec] = rows_of(coded_record(
-            records, library, mask_of({1, 2}), mask_of({1}), mask_of({1})
-        ))
+        records = self.synthetic_records({key(1, {2}): [1, 0, 1]})
+        [rec] = rows_of(coded_record(records, mask_of({1, 2}), mask_of({1}), mask_of({1})))
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [1, 0, 1]
 
     def test_equal_lengths_xor(self):
-        records, library = self.synthetic_records(
+        records = self.synthetic_records(
             {key(1, {2}): [1, 0, 1], key(2, {1}): [1, 1, 0]}
         )
         [rec] = rows_of(
-            coded_record(records, library, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+            coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
         )
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [0, 1, 1]
 
     def test_zero_padding_to_longest(self):
-        records, library = self.synthetic_records(
+        records = self.synthetic_records(
             {key(1, {2}): [1, 1, 1], key(2, {1}): [1, 0, 1, 0, 1]}
         )
         [rec] = rows_of(
-            coded_record(records, library, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+            coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
         )
         assert rec.payload_bits == 5
         # short operand acts as if extended with zeros
@@ -256,7 +252,7 @@ class TestMeasuredLoad:
         library = core.generate_library(params, 0, schedule.demand.values())
         caches = core.place_caches(params, 1, schedule.demand.values())
         records = core.partition_into_subfiles(library, caches, schedule)
-        result = delivery.run_delivery(schedule, records, params, library)
+        result = delivery.run_delivery(schedule, records, params)
         assert len(result.events) == 4 and not result.events.included.any()
         report = delivery.measured_load(result.events, params.F)
         assert report == result.report
@@ -338,7 +334,7 @@ class TestNoRedundancy:
                 core.analytic_subfile_table(params, schedule),
                 core.partition_into_subfiles(library, caches, schedule),
             ):
-                events = delivery.run_delivery(schedule, records, params, library).events
+                events = delivery.run_delivery(schedule, records, params).events
                 sent = np.zeros(1 << K, dtype=np.int64)
                 np.add.at(sent, events.S, events.included)
                 sets = np.arange(1 << K)
@@ -419,7 +415,7 @@ class TestDelayMonotonicity:
                 params = core.SystemParams(K=8, N=8, M=4.0, F=4000, B=5, delta_b=delta_b)
                 records = core.partition_into_subfiles(library, caches, schedule)
                 loads.append(
-                    delivery.run_delivery(schedule, records, params, library)
+                    delivery.run_delivery(schedule, records, params)
                     .report.normalized_load
                 )
             assert all(x >= y - 1e-12 for x, y in zip(loads, loads[1:]))
@@ -432,7 +428,7 @@ class TestBitExactDelivery:
         library = core.generate_library(params, seed, files)
         caches = core.place_caches(params, seed + 1, files)
         records = core.partition_into_subfiles(library, caches, schedule)
-        result = delivery.run_delivery(schedule, records, params, library)
+        result = delivery.run_delivery(schedule, records, params)
         return library, caches, records, result
 
     def test_decode_all_faps(self):
@@ -472,7 +468,7 @@ class TestBitExactDelivery:
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library, caches, records, result = self.bitexact_run(params, schedule, 17)
         other = key(2, {1})
-        positions, _ = classes_of(records, library)[other]
+        positions, _ = classes_of(records)[other]
         row = caches.rows([schedule.demand[2]])[0]
         caches.signature[row, positions[0]] &= ~np.uint8(1)
         with pytest.raises(DecodeFailure, match=r"operand \(2, 1\) not reconstructible"):
@@ -486,7 +482,7 @@ class TestBitExactDelivery:
         library = core.generate_library(params, 5, {9, 3, 6})
         caches = core.place_caches(params, 6, {9, 3, 6})
         records = core.partition_into_subfiles(library, caches, schedule)
-        result = delivery.run_delivery(schedule, records, params, library)
+        result = delivery.run_delivery(schedule, records, params)
         for k in range(1, 5):
             decoded = delivery.decode_fap(
                 k, result.events, library, caches, records,
@@ -523,7 +519,7 @@ class TestBitExactDelivery:
         slots = core.make_random_schedule(K, B, seed).slots
         schedule = core.RequestSchedule(slots, dict(enumerate(demand, 1)))
         library, caches, records, result = self.bitexact_run(params, schedule, seed)
-        classes = classes_of(records, library)
+        classes = classes_of(records)
         sent = [e.included for e in rows_of(result.events)]
         coded = {j for row in sent if len(row) > 1 for j, _ in row}
         if not coded:
@@ -558,19 +554,25 @@ class TestBitExactDelivery:
         short = core.generate_library(params, 17, [2, 3, 4])
         with pytest.raises(InvalidParams, match="file 1 was not drawn"):
             core.partition_into_subfiles(short, caches, schedule)
-        with pytest.raises(InvalidParams, match="file 1 was not drawn"):
-            delivery.run_delivery(schedule, records, params, short)
         # F-AP 1 requests file 1; F-AP 2 needs it as an operand
         for k in (1, 2):
             with pytest.raises(InvalidParams, match="file 1 was not drawn"):
                 delivery.decode_fap(k, result.events, short, caches, records)
 
-    def test_bitexact_table_needs_its_library(self):
+    def test_table_has_positions_exactly_with_a_library(self):
+        # a bit-exact table carries the library its positions index, an
+        # analytic one neither; a table with one and not the other is
+        # refused when it is built
         params = demo_params(2, F=64)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library, caches, records, _ = self.bitexact_run(params, schedule, 3)
-        with pytest.raises(InvalidParams, match="needs the library"):
-            delivery.run_delivery(schedule, records, params)
+        assert records.library is library
+        analytic = core.analytic_subfile_table(params, schedule)
+        assert analytic.bit_positions is None and analytic.library is None
+        with pytest.raises(InvalidParams, match="both bit positions and a library, or neither"):
+            replace(records, library=None)
+        with pytest.raises(InvalidParams, match="both bit positions and a library, or neither"):
+            replace(analytic, library=library)
 
     @pytest.mark.parametrize("K, B, mask_dtype", [
         (4, 4, np.uint8), (8, 4, np.uint8), (9, 3, np.uint16), (12, 6, np.uint16),
@@ -585,7 +587,7 @@ class TestBitExactDelivery:
         for mask in (events.S, events.s1, events.collapsed, events.included):
             assert mask.dtype == mask_dtype == caches.signature.dtype
         assert events.slot.dtype == np.uint8
-        assert records.length.dtype == records.start.dtype == events.bits.dtype == np.int32
+        assert records.length.dtype == events.bits.dtype == np.int32
         for k in range(1, K + 1):
             decoded = delivery.decode_fap(
                 k, events, library, caches, records,
@@ -612,7 +614,7 @@ class TestBitExactDelivery:
         caches = core.place_caches(p, 4, (1,))
         records = core.partition_into_subfiles(library, caches, sched)
         k = (1, 0)
-        sent = coded_record(records, library, mask_of({1}), mask_of({1}), mask_of({1}))
+        sent = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
         assert rows_of(sent)[0].included == (k,)
         decoded = delivery.decode_fap(1, sent, library, caches, records)
         assert np.array_equal(decoded, library.file(1))
@@ -645,7 +647,7 @@ class TestBitExactDelivery:
             delivery, "should_transmit", lambda *a: ~original(*a)
         )
         with pytest.raises((DeadlineViolation, DecodeFailure)):
-            result = delivery.run_delivery(schedule, records, params, library)
+            result = delivery.run_delivery(schedule, records, params)
             for k in range(1, 5):
                 delivery.decode_fap(k, result.events, library, caches, records)
 
@@ -662,8 +664,8 @@ class TestRepeatability:
             core.partition_into_subfiles(library, caches, schedule),
         ):
             live = records.live.copy()
-            first = delivery.run_delivery(schedule, records, params, library)
-            second = delivery.run_delivery(schedule, records, params, library)
+            first = delivery.run_delivery(schedule, records, params)
+            second = delivery.run_delivery(schedule, records, params)
             assert first.report.transmission_count == 23
             assert_same_events(second.events, rows_of(first.events))
             assert second.report == first.report

@@ -26,7 +26,7 @@ def traced():
 
 def table_nbytes(table):
     return sum(
-        a.nbytes for a in (table.live, table.length, table.start, table.bit_positions)
+        a.nbytes for a in (table.live, table.length, table.bit_positions)
     )
 
 
@@ -54,7 +54,7 @@ def test_bitexact_trial_footprint(traced):
 
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
-    delivery.run_delivery(schedule, table, params, library)
+    delivery.run_delivery(schedule, table, params)
     peak = tracemalloc.get_traced_memory()[1] - base
     # every operand bit of the run is sent once: per operand bit, the
     # one-byte payloads take at most 1 B, one row's int64 index and its
@@ -67,7 +67,7 @@ def test_bitexact_trial_footprint(traced):
 def test_decode_footprint(traced):
     params, schedule, library, caches = trial()
     table = core.partition_into_subfiles(library, caches, schedule)
-    events = delivery.run_delivery(schedule, table, params, library).events
+    events = delivery.run_delivery(schedule, table, params).events
     for k in range(1, K + 1):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -85,16 +85,17 @@ def test_decode_footprint(traced):
 def test_per_set_footprint(traced):
     # K = 12 with F = 256: the (K, 2^K) tables and the 16,128 candidates'
     # columns dominate, not the file bits.  Per candidate, the transmissions
-    # hold a uint8 slot, four uint16 masks and int32 lengths and starts
-    # (17 B); the table holds, per column, an int32 length, an int32 start
-    # and a live flag for each of the 12 rows, 27 B per candidate at 3.9
-    # candidates per column.  The rest is one slot's or one row's scratch.
-    # Measured: 53 B per candidate; with int64 columns and tables, 142.
+    # hold a uint8 slot, four uint16 masks and int32 lengths (13 B); the
+    # table holds, per column, an int32 length and a live flag for each of
+    # the 12 rows, 15 B per candidate at 3.9 candidates per column.  No
+    # offset is stored in either.  The rest is one slot's or one row's
+    # scratch.  Measured: 41 B per candidate; with stored int32 offsets,
+    # 53; with int64 columns and tables, 142.
     params, schedule, library, caches = trial(K=12, F=256, B=6)
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     table = core.partition_into_subfiles(library, caches, schedule)
-    events = delivery.run_delivery(schedule, table, params, library).events
+    events = delivery.run_delivery(schedule, table, params).events
     peak = tracemalloc.get_traced_memory()[1] - base
     assert len(events) == 16_128
-    assert peak <= 64 * len(events)
+    assert peak <= 48 * len(events)

@@ -51,12 +51,12 @@ def assert_same_report(got, want):
         assert type(bits) is type(want.per_slot_bits[slot]), slot
 
 
-def assert_same_partition(got, want, library):
+def assert_same_partition(got, want):
     """A package table against a reference table: every class, the live
     and length arrays, and the bits each requester holds.  Contents,
     live and length match in dtype too; positions match by value and take
     the smallest unsigned dtype that holds F - 1."""
-    classes = reference.classes_of(got, library)
+    classes = reference.classes_of(got)
     assert list(classes) == list(want.positions)
     for name in ("live", "length"):
         a, b = getattr(got, name), getattr(want, name)
@@ -118,7 +118,7 @@ def test_delivery_matches_reference(schedule, ratio, seed):
              reference.partition_into_subfiles(library, cube, schedule)),
         ]
         for table, ref_table in pairs:
-            got = delivery.run_delivery(schedule, table, params, library)
+            got = delivery.run_delivery(schedule, table, params)
             want = reference.run_delivery(schedule, ref_table, params)
             assert_same_events(got.events, want.events)
             assert_same_report(got.report, want.report)
@@ -162,7 +162,6 @@ def test_partition_matches_reference(K, extra_files, ratio, F, seed):
     assert_same_partition(
         core.partition_into_subfiles(library, caches, schedule),
         reference.partition_into_subfiles(library, cube, schedule),
-        library,
     )
 
 
