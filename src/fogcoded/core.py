@@ -379,31 +379,48 @@ class SubfileRecordTable:
     column whose set does not contain k holds no entry.  Bits cached at k
     never enter the table: the decoder reads them from k's cache.
 
-    ``live`` marks the entries that exist and ``length`` holds their
-    lengths: bit counts (int32) in bit-exact tables, expected sizes
-    (float64) in analytic ones, whose entries all exist even where a size
-    underflows to 0.0.  A bit-exact table also holds every entry's bit
-    positions, the entries back to back in row-major order, each one's
-    positions ascending, in ``bit_positions``; an entry starts where the
-    lengths before it end.  Positions take the smallest unsigned dtype
-    that holds F - 1 (uint16 up to F = 65,536) and are written once, in
-    place.  The bits themselves stay in ``library``, the one a bit-exact
-    table carries: entry (k, E) holds ``library.file(demand[k])`` at its
-    positions.  A table has positions exactly when it has a library;
-    analytic tables have neither.
+    ``length`` holds the entries' lengths, 0 where there is none: bit
+    counts (int32) in bit-exact tables, expected sizes (float64) in
+    analytic ones.  Its shape gives K.  Which entries exist is worked out,
+    not stored (`entry_masks`).  A bit-exact table also holds every
+    entry's bit positions, the entries back to back in row-major order,
+    each one's positions ascending, in ``bit_positions``; an entry starts
+    where the lengths before it end.  Positions take the smallest unsigned
+    dtype that holds F - 1 (uint16 up to F = 65,536) and are written once,
+    in place.  The bits themselves stay in ``library``, the one a
+    bit-exact table carries: entry (k, E) holds ``library.file(demand[k])``
+    at its positions.  A table has positions exactly when it has a
+    library; analytic tables have neither.
     """
 
-    K: int
-    F: int
     demand: Mapping[int, int]
-    live: np.ndarray
     length: np.ndarray
     bit_positions: np.ndarray | None = None
     library: Library | None = None
 
     def __post_init__(self) -> None:
+        if self.length.ndim != 2 or self.length.shape[1] != 1 << len(self.length):
+            raise InvalidParams(f"record lengths must have shape (K, 2^K), got {self.length.shape}")
         if (self.bit_positions is None) != (self.library is None):
             raise InvalidParams("a record table needs both bit positions and a library, or neither")
+
+    @property
+    def K(self) -> int:
+        return len(self.length)
+
+    def entry_masks(self) -> np.ndarray:
+        """Per column S, the mask of the F-APs k that have an entry (k, S
+        minus k), as a new array in `mask_dtype(K)`: the one rule for which
+        entries exist.  A bit-exact entry exists when it has bits.  Every
+        analytic entry exists, even where its size underflows to 0.0, so
+        column S's mask is S itself."""
+        K, masks = self.K, mask_dtype(self.K)
+        if self.bit_positions is None:
+            return np.arange(1 << K, dtype=masks)
+        entries = np.zeros(1 << K, dtype=masks)
+        for k, length in enumerate(self.length):
+            entries |= np.left_shift(length > 0, k, dtype=masks)
+        return entries
 
     def position_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each row's lengths and its slice of ``bit_positions`` in a
@@ -452,7 +469,7 @@ def partition_into_subfiles(
         count = np.bincount(caches.signature[rows[k - 1]], minlength=1 << K)
         length[k - 1] = np.where(sets & kb, count[sets ^ kb], 0)
     table = SubfileRecordTable(
-        K=K, F=F, demand=dict(schedule.demand), live=length > 0, length=length,
+        demand=dict(schedule.demand), length=length,
         bit_positions=np.empty(length.sum(), dtype=np.min_scalar_type(F - 1)),
         library=library,
     )
@@ -482,14 +499,10 @@ def analytic_subfile_table(
     K = params.K
     check_delivery_size(K)
     sets, size, _ = set_ranks(K)
-    live = (sets & (1 << np.arange(K))[:, None]) != 0
+    holds = (sets & (1 << np.arange(K))[:, None]) != 0
     per_size = np.array(
         [0.0] + [params.subfile_fraction(s) * params.F for s in range(1, K + 1)]
     )
     return SubfileRecordTable(
-        K=K,
-        F=params.F,
-        demand=dict(schedule.demand),
-        live=live,
-        length=np.where(live, per_size[size], 0.0),
+        demand=dict(schedule.demand), length=np.where(holds, per_size[size], 0.0)
     )

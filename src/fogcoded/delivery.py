@@ -29,7 +29,6 @@ from .core import (
     SubfileRecordTable,
     SystemParams,
     check_delivery_size,
-    mask_dtype,
     set_ranks,
 )
 from .errors import DeadlineViolation, DecodeFailure, InvalidParams
@@ -101,14 +100,14 @@ def _candidates(deadline: int, ranks) -> np.ndarray:
     return cand[np.argsort(key, kind="stable")]
 
 
-def should_transmit(live: np.ndarray, deadline: int) -> np.ndarray:
+def should_transmit(missing: np.ndarray, deadline: int) -> np.ndarray:
     """Per candidate set, True when some deadline F-AP still needs its
     subfile for that set.
 
-    `live[j]` masks the F-APs that still miss their subfile for the j-th
-    candidate set; `deadline` masks the slot's deadline F-APs.
+    `missing[j]` masks the F-APs that still miss their subfile for the
+    j-th candidate set; `deadline` masks the slot's deadline F-APs.
     """
-    return (live & deadline) != 0
+    return (missing & deadline) != 0
 
 
 def _spans(start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -139,14 +138,18 @@ def build_coded_content(
     the payloads back to back in one buffer.
 
     `included[j]` masks the F-APs whose subfile for `sets[j]` rides in that
-    set's transmission; every live entry of the table must be included
-    exactly once.  A set with none has length 0.  A payload is as long as
-    its longest operand and XORs the operands zero-padded to that length.
+    set's transmission; every entry of the table (`entry_masks`) must be
+    included exactly once.  A set with none has length 0.  A payload is as
+    long as its longest operand and XORs the operands zero-padded to that
+    length.
     Analytic tables have no payloads: the buffer is None.  A bit-exact
     table holds positions only, so its operands are read from the library
     it carries, one row at a time: requester k's file at the positions of
-    row k, which start where the rows before it end.  Each pass finds a
-    row's carriers anew, so one row's index is alive at a time.
+    row k, which start where the rows before it end.  Every entry of the
+    row is carried, so the whole row is laid out at its carriers' payload
+    starts; columns without an entry have length 0 and take no bits.  Each
+    pass finds a row's carriers anew, so one row's index is alive at a
+    time.
     """
     K = records.K
     bits = np.zeros(len(sets), dtype=records.length.dtype)
@@ -166,19 +169,18 @@ def build_coded_content(
         # row k in table order: ascending columns, its bits back to back;
         # the targets of one row are disjoint
         offset[sets[at]] = start[at]
-        cols = np.flatnonzero(records.live[k])
         # the operands before the targets: take's intp copy of the positions
         # is freed before _spans builds the targets' index
         operands = np.take(records.library.file(records.demand[k + 1]), positions)
-        buffer[_spans(offset[cols], length[cols])] ^= operands
+        buffer[_spans(offset, length)] ^= operands
     return bits, buffer
 
 
-def _assert_deadline_met(sets: np.ndarray, live: np.ndarray, deadline: int, slot: int) -> None:
+def _assert_deadline_met(sets: np.ndarray, missing: np.ndarray, deadline: int, slot: int) -> None:
     """Raise DeadlineViolation, naming the smallest k, then the smallest S,
     if a deadline F-AP still misses a subfile in a candidate set: every
     entry of a deadline F-AP lies in one."""
-    missed = live & deadline
+    missed = missing & deadline
     if missed.any():
         union = int(np.bitwise_or.reduce(missed))
         k = (union & -union).bit_length()
@@ -194,12 +196,11 @@ def _decide(
     the columns slot, S, s1, collapsed and included of every candidate in
     the canonical order.  The masks take the smallest unsigned dtype that
     holds K bits and the slots the smallest that holds B; the pass's own
-    scratch is freed before the payloads are built."""
+    scratch is freed before the payloads are built.  The member masks
+    start as the table's `entry_masks` and lose each entry as it is sent."""
     K, B, delta_b = params.K, params.B, params.delta_b
-    masks, slot_dtype = mask_dtype(K), np.min_scalar_type(B)
-    live = np.zeros(1 << K, dtype=masks)
-    for k in range(K):
-        live |= np.left_shift(records.live[k], k, dtype=masks)
+    unsent = records.entry_masks()
+    masks, slot_dtype = unsent.dtype, np.min_scalar_type(B)
     ranks = set_ranks(K)
     due = [0] * (B + 1)
     for k in range(1, K + 1):
@@ -211,10 +212,10 @@ def _decide(
         if not (deadline := due[b]):
             continue
         sets = _candidates(deadline, ranks).astype(masks)
-        missing = live[sets]
+        missing = unsent[sets]
         included = np.where(should_transmit(missing, deadline), missing & active, 0)
         missing ^= included
-        live[sets] = missing
+        unsent[sets] = missing
         _assert_deadline_met(sets, missing, deadline, b)
         columns.append((
             np.full(len(sets), b, dtype=slot_dtype), sets, sets & deadline, sets & active,
@@ -293,9 +294,12 @@ def decode_fap(
     Raises DecodeFailure, naming the first operand in canonical order (by
     transmission, then ascending j), if an operand holds a bit k does not
     cache, or if any bit of the file is neither cached locally nor
-    recoverable from the log.  Raises InvalidParams, naming the file, if
+    recoverable from the log.  Raises InvalidParams naming k, before
+    reading anything else, for a k outside 1..K, and naming the file if
     `caches` did not place or `library` did not draw every requested file.
     """
+    if not 1 <= k <= records.K:
+        raise InvalidParams(f"F-AP k must be in [1, K={records.K}], got k={k}")
     if records.bit_positions is None:
         raise InvalidParams("decoding needs a bit-exact record table")
     K, kb, demand = records.K, 1 << (k - 1), records.demand

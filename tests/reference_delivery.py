@@ -87,6 +87,28 @@ def rows_of(events: Transmissions) -> list[TransmissionRecord]:
     return rows
 
 
+def exists(table: SubfileRecordTable | ReferenceTable, key: SubfileKey) -> bool:
+    """Whether entry (k, E) is in the table.  A ReferenceTable marks its
+    entries in `live`.  For a package table this is the rule its docstring
+    states, kept here apart from `SubfileRecordTable.entry_masks`: a
+    bit-exact entry exists when it has bits, and every analytic entry
+    exists, even where its size underflows to 0.0."""
+    if isinstance(table, ReferenceTable):
+        return bool(table.live[cell(key)])
+    return table.bit_positions is None or table.length[cell(key)] > 0
+
+
+def entries(table: SubfileRecordTable | ReferenceTable) -> np.ndarray:
+    """(K, 2^K) bools, True at the cell of every entry that `exists`."""
+    K = table.K
+    out = np.zeros((K, 1 << K), dtype=bool)
+    for k in range(1, K + 1):
+        for S in range(1 << K):
+            key = (k, S & ~(1 << (k - 1)))
+            out[k - 1, S] = S >> (k - 1) & 1 and exists(table, key)
+    return out
+
+
 def classes_of(table: SubfileRecordTable) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
     """A bit-exact table's entries as {(k, E): (positions, contents)}, by
     ascending k, then ascending E; the entries lie back to back in
@@ -94,7 +116,7 @@ def classes_of(table: SubfileRecordTable) -> dict[SubfileKey, tuple[np.ndarray, 
     library, read at the entry's positions."""
     end = np.cumsum(table.length).reshape(table.length.shape)
     classes = {}
-    for row, S in zip(*np.nonzero(table.live)):
+    for row, S in zip(*np.nonzero(entries(table))):
         positions = table.bit_positions[end[row, S] - table.length[row, S] : end[row, S]]
         classes[(int(row) + 1, int(S) & ~(1 << int(row)))] = (
             positions, table.library.file(table.demand[int(row) + 1])[positions]
@@ -137,7 +159,7 @@ class DeliveryState:
 
 def is_live(state: DeliveryState, key: SubfileKey) -> bool:
     """True while the entry exists and has not been delivered yet."""
-    return bool(state.records.live[cell(key)]) and key not in state.recovered
+    return exists(state.records, key) and key not in state.recovered
 
 
 def should_transmit(s1_mask: int, s_mask: int, state: DeliveryState) -> bool:

@@ -17,6 +17,7 @@ import fogcoded
 from fogcoded import core
 from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams, TooLarge
+import reference_delivery as reference
 from reference_delivery import cell, classes_of
 
 
@@ -410,7 +411,7 @@ class TestPartitionIntoSubfiles:
         caches = core.place_caches(p, 1, (1,))
         table = core.partition_into_subfiles(lib, caches, sched)
         assert list(classes_of(table)) == [(1, 0)]
-        assert table.live.tolist() == [[False, True]]
+        assert table.entry_masks().tolist() == [0, 1]
         assert table.length.tolist() == [[0, 8]]
         assert cached_at(caches, 1, 1).sum() == 8
 
@@ -430,12 +431,12 @@ class TestPartitionIntoSubfiles:
                 pos, contents = classes[key]
                 assert not (covered & set(pos.tolist()))
                 covered |= set(pos.tolist())
-                assert table.live[cell(key)]
+                assert table.entry_masks()[cell(key)[1]] >> (k - 1) & 1
                 assert table.length[cell(key)] == len(pos)
                 assert np.array_equal(contents, lib.file(sched.demand[k])[pos])
             assert covered == set(range(p.F))
             # the arrays hold exactly the classes that exist
-            assert table.live[k - 1].sum() == len(keys)
+            assert (table.entry_masks() >> (k - 1) & 1).sum() == len(keys)
             assert held.sum() + table.length[k - 1].sum() == p.F
 
     def test_exclusivity(self):
@@ -525,13 +526,46 @@ class TestPartitionIntoSubfiles:
         table = core.analytic_subfile_table(p, sched)
         assert table.length.dtype == np.float64
         assert table.length[cell((1, core.mask_of({2, 3})))] == pytest.approx(1.0)
-        # every entry (k, E) exists: row k-1 is live exactly where S holds k
-        for k in range(1, 5):
-            assert table.live[k - 1].tolist() == [
-                bool(S & (1 << (k - 1))) for S in range(1 << 4)
-            ]
+        # every entry (k, E) exists: column S has an entry for each k in S
+        assert table.entry_masks().tolist() == list(range(1 << 4))
         # Classes not cached at the requester cover (1 - M/N) of the file.
         assert table.length[0].sum() == pytest.approx(p.F * (1 - p.cache_ratio))
+
+
+class TestSubfileRecordTable:
+    @pytest.mark.parametrize("K, M, F, seed", [
+        (4, 2.0, 16, 0),  # F = 16: several columns hold no bits
+        (8, 3.0, 64, 1),  # the widest uint8 mask
+        (9, 3.0, 200, 2),  # the narrowest uint16
+    ])
+    def test_bitexact_entry_masks_match_reference_partition(self, K, M, F, seed):
+        p = params(K=K, N=K, M=M, F=F, B=K, delta_b=1)
+        sched = core.make_fixed_L_schedule(K, K, 1)
+        files = sched.demand.values()
+        lib = core.generate_library(p, seed, files)
+        table = core.partition_into_subfiles(lib, core.place_caches(p, seed + 1, files), sched)
+        cube = reference.place_caches(lib, p, seed + 1, files)
+        live = reference.partition_into_subfiles(lib, cube, sched).live
+        assert not live[:, 1:].all()  # some entries are missing
+        got = table.entry_masks()
+        assert got.dtype == core.mask_dtype(K)
+        assert got.tolist() == ((1 << np.arange(K)) @ live).tolist()
+
+    def test_analytic_entries_exist_where_sizes_underflow(self):
+        # at M = 1e-200 only 36 of the 192 expected sizes are nonzero, yet
+        # every entry exists and is sent, as in
+        # `tables --k 6 --n 6 --m 1e-200 --b 6 --l 1`
+        p = params(K=6, N=6, M=1e-200, B=6, delta_b=2)
+        table = core.analytic_subfile_table(p, core.make_fixed_L_schedule(6, 6, 1))
+        assert (table.length > 0).sum() == 36
+        got = table.entry_masks()
+        assert got.dtype == np.uint8
+        assert got.tolist() == list(range(1 << 6))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 7), (3, 16), (2, 2, 2), (0, 2)])
+    def test_lengths_must_be_K_by_2_to_K(self, shape):
+        with pytest.raises(InvalidParams, match=r"shape \(K, 2\^K\)"):
+            core.SubfileRecordTable(demand={}, length=np.zeros(shape))
 
 
 class TestMaskHelpers:

@@ -12,7 +12,7 @@ from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.core import iter_ids, mask_of
 from fogcoded.errors import DeadlineViolation, DecodeFailure, FogcodedError, InvalidParams
-from reference_delivery import cell, classes_of, rows_of
+from reference_delivery import cell, classes_of, entries, rows_of
 from test_reference_engine import assert_same_events
 
 
@@ -107,16 +107,17 @@ class TestGoldenTables:
 
 
 def live_masks(live, sets):
-    # per set, the mask of the F-APs whose entry for it is live
+    # per set, the mask of the F-APs whose entry for it is marked in the
+    # (K, 2^K) bools `live`
     return (1 << np.arange(live.shape[0])) @ live[:, sets]
 
 
 def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
     # The transmission of encoding set S, a one-candidate Transmissions:
-    # the live subfiles of its active members, put together by
+    # the subfiles of its active members, put together by
     # build_coded_content from the table's library.
     sets = np.array([s_mask])
-    included = live_masks(records.live, sets) & active_mask
+    included = records.entry_masks()[sets] & active_mask
     bits, buffer = delivery.build_coded_content(sets, included, records)
     return delivery.Transmissions(
         slot=np.array([slot]),
@@ -135,7 +136,7 @@ class TestShouldTransmit:
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         records = core.analytic_subfile_table(params, schedule)
         # F-AP 2's piece for the full set was already delivered at slot 2.
-        live = records.live.copy()
+        live = entries(records)
         live[cell(key(2, {1, 3, 4}))] = False
         sets = [mask_of({1, 2, 3, 4}), mask_of({2, 3})]
         assert delivery.should_transmit(
@@ -146,7 +147,7 @@ class TestShouldTransmit:
         params = demo_params()
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         records = core.analytic_subfile_table(params, schedule)
-        live = records.live.copy()
+        live = entries(records)
         live[cell(key(1, {2}))] = False
         assert not delivery.should_transmit(
             live_masks(live, [mask_of({1, 2})]), mask_of({1})
@@ -192,7 +193,6 @@ class TestBuildCodedContent:
         # requester's file (F-AP k requests file k), at the first positions
         # that row has not used.
         K, F = 4, 16
-        live = np.zeros((K, 1 << K), dtype=bool)
         length = np.zeros((K, 1 << K), dtype=np.int32)
         files = np.zeros((K, F), dtype=np.uint8)
         used = [0] * K
@@ -202,14 +202,10 @@ class TestBuildCodedContent:
             pos = np.arange(used[row], used[row] + len(values))
             files[row, pos] = values
             used[row] += len(values)
-            live[cell(record_key)] = True
             length[cell(record_key)] = len(values)
             positions.append(pos)
         return core.SubfileRecordTable(
-            K=K,
-            F=F,
             demand={k: k for k in range(1, K + 1)},
-            live=live,
             length=length,
             bit_positions=np.concatenate(positions).astype(np.uint8),
             library=core.Library(tuple(range(1, K + 1)), files),
@@ -338,7 +334,7 @@ class TestNoRedundancy:
                 sent = np.zeros(1 << K, dtype=np.int64)
                 np.add.at(sent, events.S, events.included)
                 sets = np.arange(1 << K)
-                assert np.array_equal(sent, live_masks(records.live, sets))
+                assert np.array_equal(sent, live_masks(entries(records), sets))
 
     def test_record_structure(self):
         # collapsed within S, included requesters within collapsed, payload
@@ -430,6 +426,16 @@ class TestBitExactDelivery:
         records = core.partition_into_subfiles(library, caches, schedule)
         result = delivery.run_delivery(schedule, records, params)
         return library, caches, records, result
+
+    @pytest.mark.parametrize("k", [-1, 0, 5, 6])
+    def test_decode_refuses_k_outside_1_to_K(self, k):
+        # named before anything else is read: the log, library and caches
+        # passed are None
+        params = demo_params(2, F=256)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        _, _, records, _ = self.bitexact_run(params, schedule, 17)
+        with pytest.raises(InvalidParams, match=rf"in \[1, K=4\], got k={k}$"):
+            delivery.decode_fap(k, None, None, None, records)
 
     def test_decode_all_faps(self):
         for delta_b in (1, 2, 3, 4):
@@ -663,13 +669,14 @@ class TestRepeatability:
             core.analytic_subfile_table(params, schedule),
             core.partition_into_subfiles(library, caches, schedule),
         ):
-            live = records.live.copy()
+            length, masks = records.length.copy(), records.entry_masks()
             first = delivery.run_delivery(schedule, records, params)
             second = delivery.run_delivery(schedule, records, params)
             assert first.report.transmission_count == 23
             assert_same_events(second.events, rows_of(first.events))
             assert second.report == first.report
-            assert np.array_equal(records.live, live)
+            assert np.array_equal(records.length, length)
+            assert np.array_equal(records.entry_masks(), masks)
 
 
 class TestLogDump:

@@ -25,9 +25,7 @@ def traced():
 
 
 def table_nbytes(table):
-    return sum(
-        a.nbytes for a in (table.live, table.length, table.bit_positions)
-    )
+    return table.length.nbytes + table.bit_positions.nbytes
 
 
 def trial(K=K, F=F, B=4):
@@ -86,11 +84,11 @@ def test_per_set_footprint(traced):
     # K = 12 with F = 256: the (K, 2^K) tables and the 16,128 candidates'
     # columns dominate, not the file bits.  Per candidate, the transmissions
     # hold a uint8 slot, four uint16 masks and int32 lengths (13 B); the
-    # table holds, per column, an int32 length and a live flag for each of
-    # the 12 rows, 15 B per candidate at 3.9 candidates per column.  No
-    # offset is stored in either.  The rest is one slot's or one row's
-    # scratch.  Measured: 41 B per candidate; with stored int32 offsets,
-    # 53; with int64 columns and tables, 142.
+    # table holds, per column, an int32 length for each of the 12 rows,
+    # 12 B per candidate at 3.9 candidates per column.  No offset and no
+    # live flag is stored in either.  The rest is one slot's or one row's
+    # scratch.  Measured: 38 B per candidate; with stored live flags, 41;
+    # with stored int32 offsets too, 53; with int64 columns and tables, 142.
     params, schedule, library, caches = trial(K=12, F=256, B=6)
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
@@ -98,4 +96,4 @@ def test_per_set_footprint(traced):
     events = delivery.run_delivery(schedule, table, params).events
     peak = tracemalloc.get_traced_memory()[1] - base
     assert len(events) == 16_128
-    assert peak <= 48 * len(events)
+    assert peak <= 45 * len(events)

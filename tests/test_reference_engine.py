@@ -52,22 +52,24 @@ def assert_same_report(got, want):
 
 
 def assert_same_partition(got, want):
-    """A package table against a reference table: every class, the live
-    and length arrays, and the bits each requester holds.  Contents,
-    live and length match in dtype too; positions match by value and take
-    the smallest unsigned dtype that holds F - 1."""
+    """A package table against a reference table: every class, which
+    entries exist (the package's lengths > 0 against the reference's
+    live flags), the lengths and the bits each requester holds.  Contents
+    and lengths match in dtype too; positions match by value and take the
+    smallest unsigned dtype that holds F - 1."""
     classes = reference.classes_of(got)
     assert list(classes) == list(want.positions)
-    for name in ("live", "length"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert got.bit_positions.dtype == np.min_scalar_type(got.F - 1)
+    assert np.array_equal(got.length > 0, want.live)
+    assert got.length.dtype == want.length.dtype
+    assert np.array_equal(got.length, want.length)
+    F = got.library.F
+    assert got.bit_positions.dtype == np.min_scalar_type(F - 1)
     for key, (positions, contents) in classes.items():
         assert np.array_equal(positions, want.positions[key]), key
         b = want.contents[key]
         assert contents.dtype == b.dtype and np.array_equal(contents, b), key
     # what the table leaves out of k's file is what k caches itself
-    held = np.ones((got.K, got.F), dtype=bool)
+    held = np.ones((got.K, F), dtype=bool)
     for (k, _), (positions, _) in classes.items():
         held[k - 1, positions] = False
     for k, want_held in want.locally_held.items():

@@ -25,6 +25,8 @@ COMMANDS=(
     "tables --mode bitexact"
     "tables --k 12 --n 12 --m 3 --b 6 --l 2"
     "tables --k 12 --n 12 --m 3 --b 6 --l 2 --mode bitexact --f 2000"
+    # analytic entries whose expected sizes underflow to 0.0 are still sent
+    "tables --k 6 --n 6 --m 1e-200 --b 6 --l 1"
     # the default run, the pinned bit-exact run and the bitexact-k12 shape
     "simulate"
     "simulate --mode bitexact --k 8 --b 4 --l 2 --f 4096 --trials 3 --seed 5"
