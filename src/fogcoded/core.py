@@ -227,8 +227,6 @@ def place_caches(params: SystemParams, seed: int, files: Iterable[int]) -> Cache
     placement: delivery and decoding read only the requested ones.
     """
     quota = params.cached_bits_per_file
-    if not (0 <= quota <= params.F):
-        raise InvalidParams(f"per-file cache quota {quota} outside [0, F]")
     check_delivery_size(params.K)
     placed = _file_ids(params, files)
     dtype = mask_dtype(params.K)
@@ -381,28 +379,38 @@ class SubfileRecordTable:
 
     ``length`` holds the entries' lengths, 0 where there is none: bit
     counts (int32) in bit-exact tables, expected sizes (float64) in
-    analytic ones.  Its shape gives K.  Which entries exist is worked out,
-    not stored (`entry_masks`).  A bit-exact table also holds every
-    entry's bit positions, the entries back to back in row-major order,
-    each one's positions ascending, in ``bit_positions``; an entry starts
-    where the lengths before it end.  Positions take the smallest unsigned
-    dtype that holds F - 1 (uint16 up to F = 65,536) and are written once,
-    in place.  The bits themselves stay in ``library``, the one a
-    bit-exact table carries: entry (k, E) holds ``library.file(demand[k])``
-    at its positions.  A table has positions exactly when it has a
-    library; analytic tables have neither.
+    analytic ones.  Its shape gives K, and ``demand`` maps exactly the
+    F-APs 1..K to their files.  Which entries exist is worked out, not
+    stored (`entry_masks`).  A bit-exact table also holds every entry's
+    bit positions, one array per row: ``bit_positions[k - 1]`` holds row
+    k's ``length[k - 1].sum()`` positions, its entries back to back by
+    ascending column, each one's positions ascending; an entry starts
+    where the lengths before it in its row end, so no offset exceeds F.
+    Positions take the smallest unsigned dtype that holds F - 1 (uint16
+    up to F = 65,536) and are written once, in place.  The bits themselves stay
+    in ``library``, the one a bit-exact table carries: entry (k, E) holds
+    ``library.file(demand[k])`` at its positions.  A table has positions
+    exactly when it has a library; analytic tables have neither.  A table
+    that breaks any of these shapes is refused when it is built.
     """
 
     demand: Mapping[int, int]
     length: np.ndarray
-    bit_positions: np.ndarray | None = None
+    bit_positions: tuple[np.ndarray, ...] | None = None
     library: Library | None = None
 
     def __post_init__(self) -> None:
         if self.length.ndim != 2 or self.length.shape[1] != 1 << len(self.length):
             raise InvalidParams(f"record lengths must have shape (K, 2^K), got {self.length.shape}")
+        if sorted(self.demand) != list(range(1, self.K + 1)):
+            raise InvalidParams(f"demands must name F-APs 1..{self.K}, got {sorted(self.demand)}")
         if (self.bit_positions is None) != (self.library is None):
             raise InvalidParams("a record table needs both bit positions and a library, or neither")
+        if self.bit_positions is not None:
+            want = self.length.sum(axis=1).tolist()
+            have = [len(row) for row in self.bit_positions]
+            if have != want:
+                raise InvalidParams(f"bit positions per row must be {want}, got {have}")
 
     @property
     def K(self) -> int:
@@ -422,15 +430,6 @@ class SubfileRecordTable:
             entries |= np.left_shift(length > 0, k, dtype=masks)
         return entries
 
-    def position_rows(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Each row's lengths and its slice of ``bit_positions`` in a
-        bit-exact table, row 1 first: a row starts where the rows before
-        it end."""
-        end = 0
-        for length in self.length:
-            first, end = end, end + length.sum()
-            yield length, self.bit_positions[first:end]
-
 
 def partition_into_subfiles(
     library: Library, caches: CacheLayout, schedule: RequestSchedule
@@ -441,20 +440,22 @@ def partition_into_subfiles(
     the bits k caches itself, partition the F bits of its file.  A bit not
     cached at k has k's signature bit clear, so its signature is the
     exclusivity mask E of its class and E | k its column.  A first pass
-    counts each row's signatures, which gives every length and sizes the
-    table, so it is written once, in place.  The second packs every bit
-    of k's file into one key: a flag set when k caches the bit, then its
-    column, then its position.  The keys are unique, so one unstable sort
-    puts k's uncached bits first, by ascending column with ascending
-    positions, and their low bits are written straight into k's slice of
-    the table, which starts where the rows before it end.  The table
-    records positions only and carries `library`, which must hold every
-    requested file: delivery reads its bits there.
+    counts each row's signatures, which gives every length.  The second
+    packs every bit of k's file into one key: a flag set when k caches
+    the bit, then its column, then its position.  The keys are unique, so
+    one unstable sort puts k's uncached bits first, by ascending column
+    with ascending positions, and their low bits are written straight
+    into k's own position array, sized by its lengths and written once,
+    in place.  The table records positions only and carries `library`,
+    which must hold every requested file: delivery reads its bits there.
     """
     K, F = caches.K, library.F
     check_delivery_size(K)
-    # lengths and offsets are at most K * F, which int32 holds: at most
-    # 16 * 2 * 10^6 under MAX_DELIVERY_K and the CLI's BITEXACT_MAX_F
+    # a length, and an entry's offset within its row, is at most F; but
+    # the payload lengths (`Transmissions.bits`, int32 like the lengths)
+    # and the payload starts worked out from them total at most K * F,
+    # which int32 holds: at most 16 * 2 * 10^6 under MAX_DELIVERY_K and
+    # the CLI's BITEXACT_MAX_F
     if K * F >= 1 << 31:
         raise TooLarge(f"a bit-exact table needs K * F < 2^31, got K={K}, F={F}")
     demanded = [schedule.demand[k] for k in range(1, K + 1)]
@@ -468,15 +469,11 @@ def partition_into_subfiles(
         # column S of row k holds the bits whose signature is S minus k
         count = np.bincount(caches.signature[rows[k - 1]], minlength=1 << K)
         length[k - 1] = np.where(sets & kb, count[sets ^ kb], 0)
-    table = SubfileRecordTable(
-        demand=dict(schedule.demand), length=length,
-        bit_positions=np.empty(length.sum(), dtype=np.min_scalar_type(F - 1)),
-        library=library,
-    )
     shift = (F - 1).bit_length()
     keys = np.empty(F, dtype=np.uint32 if K + shift < 32 else np.uint64)
     index = np.arange(F, dtype=keys.dtype)
-    for k, (_, positions) in enumerate(table.position_rows(), 1):
+    bit_positions = []
+    for k in range(1, K + 1):
         signature, kb = caches.signature[rows[k - 1]], 1 << (k - 1)
         # the flag above the column, from k's own signature bit, all in place
         np.bitwise_and(signature, kb, out=keys)
@@ -486,9 +483,12 @@ def partition_into_subfiles(
         keys <<= shift
         keys |= index
         keys.sort()
+        positions = np.empty(length[k - 1].sum(), dtype=np.min_scalar_type(F - 1))
         np.bitwise_and(keys[: positions.size], (1 << shift) - 1, out=positions,
                        casting="unsafe")
-    return table
+        bit_positions.append(positions)
+    return SubfileRecordTable(demand=dict(schedule.demand), length=length,
+                              bit_positions=tuple(bit_positions), library=library)
 
 
 def analytic_subfile_table(

@@ -144,12 +144,13 @@ def build_coded_content(
     length.
     Analytic tables have no payloads: the buffer is None.  A bit-exact
     table holds positions only, so its operands are read from the library
-    it carries, one row at a time: requester k's file at the positions of
-    row k, which start where the rows before it end.  Every entry of the
-    row is carried, so the whole row is laid out at its carriers' payload
-    starts; columns without an entry have length 0 and take no bits.  Each
-    pass finds a row's carriers anew, so one row's index is alive at a
-    time.
+    it carries, one row at a time: requester k's file at row k's
+    positions.  Every entry of the row is carried, so the whole row is
+    laid out at its carriers' payload starts; columns without an entry
+    have length 0 and take no bits.  The payloads total at most K * F
+    bits, which the partition keeps below 2^31, so their int32 starts do
+    not overflow.  Each pass finds a row's carriers anew, so one row's
+    index is alive at a time.
     """
     K = records.K
     bits = np.zeros(len(sets), dtype=records.length.dtype)
@@ -162,7 +163,7 @@ def build_coded_content(
     start = np.cumsum(bits, dtype=bits.dtype) - bits
     buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
     offset = np.zeros(1 << K, dtype=np.int64)
-    for k, (length, positions) in enumerate(records.position_rows()):
+    for k, (length, positions) in enumerate(zip(records.length, records.bit_positions)):
         at = _carrying(included, k)
         if not at.size:
             continue
@@ -318,7 +319,7 @@ def decode_fap(
     acc = events.buffer[_spans(payload_start, bits)]
     acc_start = np.cumsum(bits) - bits
     bad = []
-    for j, (length, positions) in enumerate(records.position_rows()):
+    for j, (length, positions) in enumerate(zip(records.length, records.bit_positions)):
         # where each entry of row j starts in the row's positions
         entry_start = np.cumsum(length) - length
         if j == k - 1:

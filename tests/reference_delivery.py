@@ -111,13 +111,14 @@ def entries(table: SubfileRecordTable | ReferenceTable) -> np.ndarray:
 
 def classes_of(table: SubfileRecordTable) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
     """A bit-exact table's entries as {(k, E): (positions, contents)}, by
-    ascending k, then ascending E; the entries lie back to back in
-    row-major order, and the contents are k's file in the table's
-    library, read at the entry's positions."""
-    end = np.cumsum(table.length).reshape(table.length.shape)
+    ascending k, then ascending E; each row's entries lie back to back in
+    its own position array, by ascending column, and the contents are k's
+    file in the table's library, read at the entry's positions."""
+    start = np.cumsum(table.length, axis=1) - table.length
     classes = {}
     for row, S in zip(*np.nonzero(entries(table))):
-        positions = table.bit_positions[end[row, S] - table.length[row, S] : end[row, S]]
+        first = start[row, S]
+        positions = table.bit_positions[row][first : first + table.length[row, S]]
         classes[(int(row) + 1, int(S) & ~(1 << int(row)))] = (
             positions, table.library.file(table.demand[int(row) + 1])[positions]
         )

@@ -1,6 +1,7 @@
 """System model tests: library, placement, subfile partition, schedules."""
 
 import ast
+import dataclasses
 import math
 import sys
 import types
@@ -482,9 +483,10 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, 0, sched.demand.values())
         caches = core.place_caches(p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
-        assert table.bit_positions.dtype == dtype
-        # requester 1's entries come first: every bit it does not cache, by value
-        first = table.bit_positions[: table.length[0].sum()]
+        assert isinstance(table.bit_positions, tuple) and len(table.bit_positions) == 2
+        assert all(row.dtype == dtype for row in table.bit_positions)
+        # requester 1's row: every bit it does not cache, by value
+        first = table.bit_positions[0]
         assert np.array_equal(np.sort(first), np.flatnonzero(~cached_at(caches, 1, 1)))
 
     def test_partition_refuses_lengths_past_int32(self, monkeypatch):
@@ -566,6 +568,42 @@ class TestSubfileRecordTable:
     def test_lengths_must_be_K_by_2_to_K(self, shape):
         with pytest.raises(InvalidParams, match=r"shape \(K, 2\^K\)"):
             core.SubfileRecordTable(demand={}, length=np.zeros(shape))
+
+    @staticmethod
+    def bitexact_table():
+        # K = 2, F = 16: each F-AP caches 8 bits of each file, so each row
+        # holds the other 8
+        p = params(K=2, N=2, M=1.0, F=16, B=2, delta_b=1)
+        sched = core.make_fixed_L_schedule(2, 2, 1)
+        lib = core.generate_library(p, 0, sched.demand.values())
+        caches = core.place_caches(p, 1, sched.demand.values())
+        return core.partition_into_subfiles(lib, caches, sched)
+
+    @pytest.mark.parametrize("rows", [
+        lambda first, second: (first[:3], second),  # a row short of positions
+        lambda first, second: (first, np.append(second, second[:1])),  # one too many
+        lambda first, second: (first, second[:0]),  # a row left empty
+        lambda first, second: (first,),  # a row missing
+        lambda first, second: (first, second, second),  # a row too many
+    ], ids=["short", "long", "empty", "missing", "extra"])
+    def test_each_row_holds_its_entries_positions(self, rows):
+        # refused when the table is built, not deep in run_delivery with a
+        # bare numpy broadcast error
+        table = self.bitexact_table()
+        assert [len(row) for row in table.bit_positions] == [8, 8]
+        with pytest.raises(InvalidParams, match=r"bit positions per row must be \[8, 8\]"):
+            dataclasses.replace(table, bit_positions=rows(*table.bit_positions))
+
+    @pytest.mark.parametrize("kind", ["analytic", "bitexact"])
+    @pytest.mark.parametrize("demand", [{1: 1}, {1: 1, 2: 2, 3: 3}, {0: 1, 1: 1}, {}],
+                             ids=["short", "long", "from-0", "empty"])
+    def test_demands_name_exactly_1_to_K(self, kind, demand):
+        # refused when the table is built, not in run_delivery as KeyError: 2
+        sched = core.make_fixed_L_schedule(2, 2, 1)
+        table = (core.analytic_subfile_table(params(K=2, N=2, M=1.0, B=2), sched)
+                 if kind == "analytic" else self.bitexact_table())
+        with pytest.raises(InvalidParams, match=r"demands must name F-APs 1\.\.2"):
+            dataclasses.replace(table, demand=demand)
 
 
 class TestMaskHelpers:

@@ -191,23 +191,20 @@ class TestBuildCodedContent:
         # Hand-built bit-exact table with chosen class contents, given in
         # table order, and a library that holds each class in its
         # requester's file (F-AP k requests file k), at the first positions
-        # that row has not used.
+        # that row has not used: so row k's positions are 0, 1, 2, ...
         K, F = 4, 16
         length = np.zeros((K, 1 << K), dtype=np.int32)
         files = np.zeros((K, F), dtype=np.uint8)
         used = [0] * K
-        positions = []
         for record_key, values in lengths.items():
             row = record_key[0] - 1
-            pos = np.arange(used[row], used[row] + len(values))
-            files[row, pos] = values
+            files[row, used[row] : used[row] + len(values)] = values
             used[row] += len(values)
             length[cell(record_key)] = len(values)
-            positions.append(pos)
         return core.SubfileRecordTable(
             demand={k: k for k in range(1, K + 1)},
             length=length,
-            bit_positions=np.concatenate(positions).astype(np.uint8),
+            bit_positions=tuple(np.arange(n, dtype=np.uint8) for n in used),
             library=core.Library(tuple(range(1, K + 1)), files),
         )
 

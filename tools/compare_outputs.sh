@@ -34,6 +34,8 @@ COMMANDS=(
     # random-schedule bit-exact runs
     "simulate --mode bitexact --k 9 --b 4 --f 3000 --trials 3 --seed 7"
     "simulate --mode bitexact --k 10 --f 5000 --trials 3"
+    # the engine cap: 16 position rows, uint16 masks, 2^16 columns
+    "simulate --mode bitexact --k 16 --n 16 --m 4 --b 8 --l 2 --f 2000 --trials 1 --seed 3"
     "verify --max-k 12"
     # the analytic-sweep shape, and l and m sweeps
     "sweep --sweep deltab --values 1,2,4,7 --k 14 --b 7 --l 2 --f 10000 --trials 1"
