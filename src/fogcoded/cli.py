@@ -443,7 +443,7 @@ def format_fap_set(mask: int) -> str:
 
 
 def render_tables(config: ExperimentConfig) -> list[str]:
-    """Tab-separated transmission table, one line per enumerated candidate."""
+    """One tab-separated line per enumerated candidate; S1 and collapsed from `slot_masks`."""
     if config.random_schedule:
         raise InvalidParams("tables need a fixed-L schedule (--l)")
     params = _checked_params(config)
@@ -454,18 +454,18 @@ def render_tables(config: ExperimentConfig) -> list[str]:
     else:
         records = core.analytic_subfile_table(params, schedule)
         result = delivery.run_delivery(schedule, records, params)
-    e = result.events
+    e, (due, active) = result.events, delivery.slot_masks(schedule, params.delta_b)
     lines = ["slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits\tcontent"]
-    for slot, S, s1, collapsed, included, bits in zip(
-        e.slot.tolist(), e.S.tolist(), e.s1.tolist(), e.collapsed.tolist(),
-        e.included.tolist(), e.bits.tolist(),
+    for slot, S, included, bits in zip(
+        e.slot.tolist(), e.S.tolist(), e.included.tolist(), e.bits.tolist()
     ):
+        s1 = S & due[slot]
         content = "^".join(
             f"W[{k},{format_fap_set(S & ~(1 << (k - 1)))}]" for k in core.iter_ids(included)
         )
         lines.append("\t".join([
             str(slot), str(S.bit_count()), str(s1.bit_count()), format_fap_set(s1),
-            format_fap_set(S ^ s1), format_fap_set(collapsed),
+            format_fap_set(S ^ s1), format_fap_set(S & active[slot]),
             str(bits) if included else "0", content or "-",
         ]))
     return lines

@@ -249,7 +249,8 @@ class RequestSchedule:
 
     slots[b-1] is the set of F-APs whose request arrives during slot b.
     Every F-AP requests exactly once, every slot is nonempty, and the
-    slots are pairwise disjoint and cover {1..K}.
+    slots are pairwise disjoint and cover {1..K}.  The demand map names
+    exactly F-APs 1..K.
     """
 
     slots: tuple[FapSet, ...]
@@ -268,6 +269,9 @@ class RequestSchedule:
         for k in seen:
             if k not in self.demand:
                 raise InvalidParams(f"no demand recorded for F-AP {k}")
+        if len(self.demand) != len(seen):
+            K, got = len(seen), sorted(self.demand)
+            raise InvalidParams(f"demands must name F-APs 1..{K}, got {got}")
 
     @property
     def B(self) -> int:

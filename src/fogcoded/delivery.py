@@ -39,25 +39,25 @@ class Transmissions:
     """Every enumerated (S1, S2) candidate of a run, sent or skipped, as
     one array entry per candidate in the canonical order.
 
-    `S`, `s1` (its deadline part) and `collapsed` (its members still
-    active) are F-AP masks; s, chi and S2 are `S.bit_count()`,
-    `s1.bit_count()` and `S ^ s1`.  `included` masks the members whose
-    subfile (k, S minus k) the candidate carries, 0 when it is skipped;
+    `S` is the F-AP mask of the candidate's set and `included` masks the
+    members whose subfile (k, S minus k) it carries, 0 when it is skipped;
     every entry of the record table is carried by exactly one candidate.
-    The four masks take the smallest unsigned dtype that holds K bits, as
-    cache signatures do, and `slot` the smallest that holds B.  `bits` is
-    the payload length, the longest included subfile (operands are
-    zero-padded to it), in the record table's length dtype; skipped
-    candidates hold 0.  Bit-exact runs keep the payloads back to back in
-    one uint8 `buffer`, in candidate order, so candidate i's starts where
-    the payloads before it end; they total at most the table's K * F
-    bits.  Analytic runs carry none.
+    The log stores only what the run decides: S1 (the deadline part of S)
+    and the collapsed set (its members still active) are S & due[slot]
+    and S & active[slot] from `slot_masks`, and s, chi and S2 are
+    `S.bit_count()`, `S1.bit_count()` and `S ^ S1`.  Both masks take the
+    smallest unsigned dtype that holds K bits, as cache signatures do,
+    and `slot` the smallest that holds B.  `bits` is the payload length,
+    the longest included subfile (operands are zero-padded to it), in the
+    record table's length dtype; skipped candidates hold 0.  Bit-exact
+    runs keep the payloads back to back in one uint8 `buffer`, in
+    candidate order, so candidate i's starts where the payloads before it
+    end; they total at most the table's K * F bits.  Analytic runs carry
+    none.
     """
 
     slot: np.ndarray
     S: np.ndarray
-    s1: np.ndarray
-    collapsed: np.ndarray
     included: np.ndarray
     bits: np.ndarray
     buffer: np.ndarray | None = None
@@ -190,39 +190,43 @@ def _assert_deadline_met(sets: np.ndarray, missing: np.ndarray, deadline: int, s
         raise DeadlineViolation(f"F-AP {k} still misses subfile {key} after slot {slot}")
 
 
+def slot_masks(schedule: RequestSchedule, delta_b: int) -> tuple[list[int], list[int]]:
+    """Per slot b, at index b (index 0 holds 0): `due`, the mask of the
+    F-APs whose deadline falls at b, and `active`, the mask of those that
+    have requested by b and whose deadline is not before b."""
+    due, active = [0] * (schedule.B + 1), [0]
+    for k in range(1, schedule.K + 1):
+        due[schedule.deadline_slot(k, delta_b)] |= 1 << (k - 1)
+    for b in range(1, schedule.B + 1):
+        active.append((active[-1] & ~due[b - 1]) | schedule.slot_mask(b))
+    return due, active
+
+
 def _decide(
     schedule: RequestSchedule, records: SubfileRecordTable, params: SystemParams
 ) -> tuple[np.ndarray, ...]:
     """The first pass: every slot decided on one member mask per set, as
-    the columns slot, S, s1, collapsed and included of every candidate in
-    the canonical order.  The masks take the smallest unsigned dtype that
-    holds K bits and the slots the smallest that holds B; the pass's own
-    scratch is freed before the payloads are built.  The member masks
-    start as the table's `entry_masks` and lose each entry as it is sent."""
-    K, B, delta_b = params.K, params.B, params.delta_b
+    the columns slot, S and included of every candidate in the canonical
+    order.  The masks take the smallest unsigned dtype that holds K bits
+    and the slots the smallest that holds B; the pass's own scratch is
+    freed before the payloads are built.  The member masks start as the
+    table's `entry_masks` and lose each entry as it is sent; the slots'
+    deadline and active masks come from `slot_masks`."""
     unsent = records.entry_masks()
-    masks, slot_dtype = unsent.dtype, np.min_scalar_type(B)
-    ranks = set_ranks(K)
-    due = [0] * (B + 1)
-    for k in range(1, K + 1):
-        due[schedule.deadline_slot(k, delta_b)] |= 1 << (k - 1)
+    masks, slot_dtype = unsent.dtype, np.min_scalar_type(params.B)
+    ranks = set_ranks(params.K)
+    due, active = slot_masks(schedule, params.delta_b)
     columns = []
-    active = 0
-    for b in range(1, B + 1):
-        active |= schedule.slot_mask(b)
-        if not (deadline := due[b]):
+    for b, (deadline, active_b) in enumerate(zip(due, active)):
+        if not deadline:
             continue
         sets = _candidates(deadline, ranks).astype(masks)
         missing = unsent[sets]
-        included = np.where(should_transmit(missing, deadline), missing & active, 0)
+        included = np.where(should_transmit(missing, deadline), missing & active_b, 0)
         missing ^= included
         unsent[sets] = missing
         _assert_deadline_met(sets, missing, deadline, b)
-        columns.append((
-            np.full(len(sets), b, dtype=slot_dtype), sets, sets & deadline, sets & active,
-            included,
-        ))
-        active &= ~deadline
+        columns.append((np.full(len(sets), b, dtype=slot_dtype), sets, included))
     return tuple(map(np.concatenate, zip(*columns)))
 
 
@@ -236,16 +240,18 @@ def run_delivery(
     Either kind of table is delivered the same way; a bit-exact one reads
     its operands from the library it carries.  Leaves `records`
     unchanged.  Returns every enumerated candidate (sent and skipped) plus
-    the load report over actual transmissions.
+    the load report over actual transmissions; the log keeps each
+    candidate's slot, S, included members and payload, and
+    `slot_masks(schedule, params.delta_b)` gives its S1 and collapsed set.
     """
     if schedule.K != params.K or schedule.B != params.B:
         raise InvalidParams("schedule shape does not match system parameters")
     if records.K != params.K:
         raise InvalidParams("record table does not match system parameters")
     check_delivery_size(params.K)
-    slot, S, s1, collapsed, included = _decide(schedule, records, params)
+    slot, S, included = _decide(schedule, records, params)
     bits, buffer = build_coded_content(S, included, records)
-    events = Transmissions(slot, S, s1, collapsed, included, bits, buffer)
+    events = Transmissions(slot, S, included, bits, buffer)
     return DeliveryResult(events=events, report=measured_load(events, params.F))
 
 

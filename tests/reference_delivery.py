@@ -12,6 +12,7 @@ it exactly; the tests compare the two.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -61,25 +62,31 @@ class ReferenceResult:
     report: LoadReport
 
 
-def rows_of(events: Transmissions) -> list[TransmissionRecord]:
-    """The engine's candidates as one record each, in the same order; a
-    payload starts where the ones before it end."""
+def rows_of(
+    events: Transmissions, masks: tuple[Sequence[int], Sequence[int]]
+) -> list[TransmissionRecord]:
+    """The engine's candidates as one record each, in the same order.  The
+    log holds no S1 or collapsed set: they are S & due[slot] and
+    S & active[slot], with `masks` = (due, active) indexed by slot, as
+    `delivery.slot_masks` gives them.  A payload starts where the ones
+    before it end."""
+    due, active = masks
     rows = []
     end = np.cumsum(events.bits)
-    for i, (slot, S, s1, collapsed, included) in enumerate(zip(
-        events.slot.tolist(), events.S.tolist(), events.s1.tolist(),
-        events.collapsed.tolist(), events.included.tolist(),
+    for i, (slot, S, included) in enumerate(zip(
+        events.slot.tolist(), events.S.tolist(), events.included.tolist(),
     )):
         payload = None
         if included and events.buffer is not None:
             payload = events.buffer[end[i] - events.bits[i] : end[i]]
+        s1 = S & due[slot]
         rows.append(TransmissionRecord(
             slot=slot,
             s=S.bit_count(),
             chi=s1.bit_count(),
             s1_mask=s1,
             s2_mask=S ^ s1,
-            collapsed_mask=collapsed,
+            collapsed_mask=S & active[slot],
             included=tuple((k, S & ~(1 << (k - 1))) for k in iter_ids(included)),
             payload_bits=events.bits[i].item() if included else 0,
             payload=payload,

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import re
 import sys
 import types
 from collections import Counter
@@ -394,6 +395,20 @@ class TestScheduleValidation:
     def test_rejects_gap_in_coverage(self):
         with pytest.raises(InvalidParams):
             core.RequestSchedule((frozenset({1}), frozenset({3})), {1: 1, 3: 3})
+
+    @pytest.mark.parametrize("demand", [{1: 1, 2: 2, 3: 3}, {0: 1, 1: 1, 2: 2}],
+                             ids=["surplus", "from-0"])
+    def test_rejects_demands_outside_1_to_K(self, demand):
+        # refused here, with the record table's wording, before any table
+        # builder sees the map
+        with pytest.raises(InvalidParams, match=re.escape(
+            f"demands must name F-APs 1..2, got {sorted(demand)}"
+        )):
+            core.RequestSchedule((frozenset({1}), frozenset({2})), demand)
+
+    def test_rejects_missing_demand(self):
+        with pytest.raises(InvalidParams, match="no demand recorded for F-AP 2"):
+            core.RequestSchedule((frozenset({1}), frozenset({2})), {1: 1})
 
     def test_deadline_slot(self):
         sched = core.make_fixed_L_schedule(4, 4, 1)

@@ -13,6 +13,8 @@ from fogcoded.analytics import FixedLConfig
 from fogcoded.core import iter_ids, mask_of
 from fogcoded.errors import DeadlineViolation, DecodeFailure, FogcodedError, InvalidParams
 from reference_delivery import cell, classes_of, entries, rows_of
+from reference_delivery import run_delivery as reference_run
+from test_analytics import random_schedules
 from test_reference_engine import assert_same_events
 
 
@@ -25,6 +27,13 @@ def demo_run(delta_b=2, F=16):
     schedule = core.make_fixed_L_schedule(4, 4, 1)
     records = core.analytic_subfile_table(params, schedule)
     return delivery.run_delivery(schedule, records, params)
+
+
+def demo_rows(result, delta_b=2):
+    # a demo run's candidates as records, S1 and collapsed worked out from
+    # the demo schedule's slot masks
+    masks = delivery.slot_masks(core.make_fixed_L_schedule(4, 4, 1), delta_b)
+    return rows_of(result.events, masks)
 
 
 def key(k, ids):
@@ -72,7 +81,7 @@ class TestGoldenTables:
         got = [
             (e.slot, e.s, e.chi, set(iter_ids(e.s1_mask)),
              set(iter_ids(e.s2_mask)), list(e.included))
-            for e in rows_of(result.events)
+            for e in demo_rows(result)
         ]
         expected = [
             (slot, s, chi, s1, s2, included)
@@ -83,7 +92,7 @@ class TestGoldenTables:
     def test_transmission_counts_per_slot(self):
         result = demo_run()
         sent = {}
-        for e in rows_of(result.events):
+        for e in demo_rows(result):
             if e.transmitted:
                 sent[e.slot] = sent.get(e.slot, 0) + 1
         assert sent == {2: 8, 3: 4, 4: 11}
@@ -97,7 +106,7 @@ class TestGoldenTables:
         # The deferred candidate at slot 3 and the one-operand row at slot 4.
         result = demo_run()
         by_sig = {
-            (e.slot, e.s1_mask, e.s2_mask): e for e in rows_of(result.events)
+            (e.slot, e.s1_mask, e.s2_mask): e for e in demo_rows(result)
         }
         deferred = by_sig[(3, mask_of({2}), mask_of({1, 3, 4}))]
         assert not deferred.transmitted
@@ -112,22 +121,18 @@ def live_masks(live, sets):
     return (1 << np.arange(live.shape[0])) @ live[:, sets]
 
 
-def coded_record(records, s_mask, active_mask, deadline_mask, slot=1):
-    # The transmission of encoding set S, a one-candidate Transmissions:
-    # the subfiles of its active members, put together by
-    # build_coded_content from the table's library.
+def coded_record(records, s_mask, active_mask, deadline_mask):
+    # The transmission of encoding set S in slot 1, a one-candidate
+    # Transmissions: the subfiles of its active members, put together by
+    # build_coded_content from the table's library.  Returned with the
+    # (due, active) slot masks that give its S1 and collapsed set.
     sets = np.array([s_mask])
     included = records.entry_masks()[sets] & active_mask
     bits, buffer = delivery.build_coded_content(sets, included, records)
-    return delivery.Transmissions(
-        slot=np.array([slot]),
-        S=sets,
-        s1=sets & deadline_mask,
-        collapsed=sets & active_mask,
-        included=included,
-        bits=bits,
-        buffer=buffer,
+    sent = delivery.Transmissions(
+        slot=np.array([1]), S=sets, included=included, bits=bits, buffer=buffer,
     )
+    return sent, ([0, deadline_mask], [0, active_mask])
 
 
 class TestShouldTransmit:
@@ -210,7 +215,7 @@ class TestBuildCodedContent:
 
     def test_single_operand_verbatim(self):
         records = self.synthetic_records({key(1, {2}): [1, 0, 1]})
-        [rec] = rows_of(coded_record(records, mask_of({1, 2}), mask_of({1}), mask_of({1})))
+        [rec] = rows_of(*coded_record(records, mask_of({1, 2}), mask_of({1}), mask_of({1})))
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [1, 0, 1]
 
@@ -219,7 +224,7 @@ class TestBuildCodedContent:
             {key(1, {2}): [1, 0, 1], key(2, {1}): [1, 1, 0]}
         )
         [rec] = rows_of(
-            coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+            *coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
         )
         assert rec.payload_bits == 3
         assert rec.payload.tolist() == [0, 1, 1]
@@ -229,7 +234,7 @@ class TestBuildCodedContent:
             {key(1, {2}): [1, 1, 1], key(2, {1}): [1, 0, 1, 0, 1]}
         )
         [rec] = rows_of(
-            coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
+            *coded_record(records, mask_of({1, 2}), mask_of({1, 2}), mask_of({1}))
         )
         assert rec.payload_bits == 5
         # short operand acts as if extended with zeros
@@ -267,6 +272,51 @@ class TestMeasuredLoad:
         assert (result.events.slot == 4).all()
 
 
+class TestSlotMasks:
+    def test_demo_shape(self):
+        # one F-AP per slot, two-slot delay: F-AP b - 1 is due at slot b,
+        # F-APs 3 and 4 both at the last, and each leaves the active set
+        # after its deadline
+        due, active = delivery.slot_masks(core.make_fixed_L_schedule(4, 4, 1), 2)
+        assert due == [0, 0, 0b0001, 0b0010, 0b1100]
+        assert active == [0, 0b0001, 0b0011, 0b0110, 0b1100]
+
+    @pytest.mark.parametrize("K, B, L", [(4, 4, 1), (12, 6, 2)])
+    def test_full_delay(self, K, B, L):
+        # delta_b = B: every deadline falls in the last slot, so no F-AP
+        # leaves the active set before it
+        schedule = core.make_fixed_L_schedule(K, B, L, seed=1)
+        due, active = delivery.slot_masks(schedule, B)
+        assert due == [0] * B + [(1 << K) - 1]
+        assert active == [0] + [
+            mask_of(frozenset().union(*schedule.slots[:b])) for b in range(1, B + 1)
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_schedules(max_k=7))
+    def test_matches_reference_engine(self, schedule):
+        # the reference engine keeps its own deadline and active masks; a
+        # slot's one-member sets and its full set are all candidates, so
+        # its S1 sets cover its deadline mask and its collapsed sets its
+        # active one
+        K, B = schedule.K, schedule.B
+        for delta_b in range(1, B + 1):
+            params = core.SystemParams(K=K, N=K, M=K / 2, F=64, B=B, delta_b=delta_b)
+            records = core.analytic_subfile_table(params, schedule)
+            masks = delivery.slot_masks(schedule, delta_b)
+            want = reference_run(schedule, records, params).events
+            got = delivery.run_delivery(schedule, records, params).events
+            assert_same_events(got, want, masks)
+            due, active = masks
+            for b in range(1, B + 1):
+                rows = [e for e in want if e.slot == b]
+                assert due[b] == mask_of(k for e in rows for k in iter_ids(e.s1_mask))
+                if rows:
+                    assert active[b] == mask_of(
+                        k for e in rows for k in iter_ids(e.collapsed_mask)
+                    )
+
+
 class TestCandidateCount:
     @pytest.mark.parametrize("K, B, L, delta_b, expected", [
         (4, 4, 1, 2, 28),
@@ -291,7 +341,7 @@ class TestNoRedundancy:
         for delta_b in (1, 2, 3, 4):
             result = demo_run(delta_b)
             seen = set()
-            for e in rows_of(result.events):
+            for e in demo_rows(result, delta_b):
                 for k in e.included:
                     assert k not in seen
                     seen.add(k)
@@ -304,7 +354,7 @@ class TestNoRedundancy:
                 records = core.analytic_subfile_table(params, schedule)
                 result = delivery.run_delivery(schedule, records, params)
                 seen = set()
-                for e in rows_of(result.events):
+                for e in rows_of(result.events, delivery.slot_masks(schedule, delta_b)):
                     for k in e.included:
                         assert k not in seen
                         seen.add(k)
@@ -334,15 +384,16 @@ class TestNoRedundancy:
                 assert np.array_equal(sent, live_masks(entries(records), sets))
 
     def test_record_structure(self):
-        # collapsed within S, included requesters within collapsed, payload
-        # length equal to the longest included subfile
+        # included requesters within the collapsed set S & active[slot],
+        # payload length equal to the longest included subfile
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         for delta_b in (1, 2, 3, 4):
             params = demo_params(delta_b)
             records = core.analytic_subfile_table(params, schedule)
             e = delivery.run_delivery(schedule, records, params).events
-            assert not (e.collapsed & ~e.S).any()
-            assert not (e.included & ~e.collapsed).any()
+            _, active = delivery.slot_masks(schedule, delta_b)
+            collapsed = e.S & np.array(active, dtype=e.S.dtype)[e.slot]
+            assert not (e.included & ~collapsed).any()
             for S, included, bits in zip(
                 e.S.tolist(), e.included.tolist(), e.bits.tolist()
             ):
@@ -523,7 +574,8 @@ class TestBitExactDelivery:
         schedule = core.RequestSchedule(slots, dict(enumerate(demand, 1)))
         library, caches, records, result = self.bitexact_run(params, schedule, seed)
         classes = classes_of(records)
-        sent = [e.included for e in rows_of(result.events)]
+        masks = delivery.slot_masks(schedule, delta_b)
+        sent = [e.included for e in rows_of(result.events, masks)]
         coded = {j for row in sent if len(row) > 1 for j, _ in row}
         if not coded:
             return
@@ -587,7 +639,7 @@ class TestBitExactDelivery:
         schedule = core.make_random_schedule(K, B, K)
         library, caches, records, result = self.bitexact_run(params, schedule, K)
         events = result.events
-        for mask in (events.S, events.s1, events.collapsed, events.included):
+        for mask in (events.S, events.included):
             assert mask.dtype == mask_dtype == caches.signature.dtype
         assert events.slot.dtype == np.uint8
         assert records.length.dtype == events.bits.dtype == np.int32
@@ -617,8 +669,8 @@ class TestBitExactDelivery:
         caches = core.place_caches(p, 4, (1,))
         records = core.partition_into_subfiles(library, caches, sched)
         k = (1, 0)
-        sent = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
-        assert rows_of(sent)[0].included == (k,)
+        sent, masks = coded_record(records, mask_of({1}), mask_of({1}), mask_of({1}))
+        assert rows_of(sent, masks)[0].included == (k,)
         decoded = delivery.decode_fap(1, sent, library, caches, records)
         assert np.array_equal(decoded, library.file(1))
 
@@ -670,7 +722,8 @@ class TestRepeatability:
             first = delivery.run_delivery(schedule, records, params)
             second = delivery.run_delivery(schedule, records, params)
             assert first.report.transmission_count == 23
-            assert_same_events(second.events, rows_of(first.events))
+            slots = delivery.slot_masks(schedule, params.delta_b)
+            assert_same_events(second.events, rows_of(first.events, slots), slots)
             assert second.report == first.report
             assert np.array_equal(records.length, length)
             assert np.array_equal(records.entry_masks(), masks)
@@ -679,7 +732,7 @@ class TestRepeatability:
 class TestLogDump:
     def test_transmissions_only(self):
         result = demo_run()
-        sent = [e for e in rows_of(result.events) if e.transmitted]
+        sent = [e for e in demo_rows(result) if e.transmitted]
         assert len(sent) == 23
         first = sent[0]
         assert (first.slot, first.s, first.chi) == (2, 4, 1)

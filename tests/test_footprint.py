@@ -84,12 +84,14 @@ def test_decode_footprint(traced):
 def test_per_set_footprint(traced):
     # K = 12 with F = 256: the (K, 2^K) tables and the 16,128 candidates'
     # columns dominate, not the file bits.  Per candidate, the transmissions
-    # hold a uint8 slot, four uint16 masks and int32 lengths (13 B); the
-    # table holds, per column, an int32 length for each of the 12 rows,
-    # 12 B per candidate at 3.9 candidates per column.  No offset and no
-    # live flag is stored in either.  The rest is one slot's or one row's
-    # scratch.  Measured: 38 B per candidate; with stored live flags, 41;
-    # with stored int32 offsets too, 53; with int64 columns and tables, 142.
+    # hold a uint8 slot, two uint16 masks (S and included) and an int32
+    # length, 9 B; the table holds, per column, an int32 length for each of
+    # the 12 rows, 12 B per candidate at 3.9 candidates per column.  No
+    # offset, no live flag and no mask that the schedule fixes (S1,
+    # collapsed) is stored in either.  The rest is one slot's or one row's
+    # scratch.  Measured: 33.2 B per candidate; with stored S1 and collapsed
+    # masks, 38; with stored live flags too, 41; with stored int32 offsets
+    # too, 53; with int64 columns and tables, 142.
     params, schedule, library, caches = trial(K=12, F=256, B=6)
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
@@ -97,4 +99,4 @@ def test_per_set_footprint(traced):
     events = delivery.run_delivery(schedule, table, params).events
     peak = tracemalloc.get_traced_memory()[1] - base
     assert len(events) == 16_128
-    assert peak <= 45 * len(events)
+    assert peak <= 36 * len(events)

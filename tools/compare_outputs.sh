@@ -27,6 +27,10 @@ COMMANDS=(
     "tables --k 12 --n 12 --m 3 --b 6 --l 2 --mode bitexact --f 2000"
     # analytic entries whose expected sizes underflow to 0.0 are still sent
     "tables --k 6 --n 6 --m 1e-200 --b 6 --l 1"
+    # the derived S1 and collapsed columns at both extremes of delta_b:
+    # every slot after the first due, then every deadline in the last slot
+    "tables --k 8 --n 8 --m 2 --b 4 --l 2 --delta-b 1"
+    "tables --k 8 --n 8 --m 2 --b 4 --l 2 --delta-b 4 --mode bitexact --f 512"
     # the default run, the pinned bit-exact run and the bitexact-k12 shape
     "simulate"
     "simulate --mode bitexact --k 8 --b 4 --l 2 --f 4096 --trials 3 --seed 5"
