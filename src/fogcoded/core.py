@@ -385,22 +385,18 @@ class SubfileRecordTable:
     counts (int32) in bit-exact tables, expected sizes (float64) in
     analytic ones.  Its shape gives K, and ``demand`` maps exactly the
     F-APs 1..K to their files.  Which entries exist is worked out, not
-    stored (`entry_masks`).  A bit-exact table also holds every entry's
-    bit positions, one array per row: ``bit_positions[k - 1]`` holds row
-    k's ``length[k - 1].sum()`` positions, its entries back to back by
-    ascending column, each one's positions ascending; an entry starts
-    where the lengths before it in its row end, so no offset exceeds F.
-    Positions take the smallest unsigned dtype that holds F - 1 (uint16
-    up to F = 65,536) and are written once, in place.  The bits themselves stay
-    in ``library``, the one a bit-exact table carries: entry (k, E) holds
-    ``library.file(demand[k])`` at its positions.  A table has positions
-    exactly when it has a library; analytic tables have neither.  A table
-    that breaks any of these shapes is refused when it is built.
+    stored (`entry_masks`), and so are a bit-exact entry's bits: such a
+    table carries the server's ``caches`` and the ``library`` they place,
+    and entry (k, E) holds the bits of ``library.file(demand[k])`` whose
+    signature is E, at the positions `row_positions` works out.  A table
+    has caches exactly when it has a library; analytic tables have
+    neither.  A table that breaks any of these shapes is refused when it
+    is built.
     """
 
     demand: Mapping[int, int]
     length: np.ndarray
-    bit_positions: tuple[np.ndarray, ...] | None = None
+    caches: CacheLayout | None = None
     library: Library | None = None
 
     def __post_init__(self) -> None:
@@ -408,13 +404,16 @@ class SubfileRecordTable:
             raise InvalidParams(f"record lengths must have shape (K, 2^K), got {self.length.shape}")
         if sorted(self.demand) != list(range(1, self.K + 1)):
             raise InvalidParams(f"demands must name F-APs 1..{self.K}, got {sorted(self.demand)}")
-        if (self.bit_positions is None) != (self.library is None):
-            raise InvalidParams("a record table needs both bit positions and a library, or neither")
-        if self.bit_positions is not None:
-            want = self.length.sum(axis=1).tolist()
-            have = [len(row) for row in self.bit_positions]
-            if have != want:
-                raise InvalidParams(f"bit positions per row must be {want}, got {have}")
+        if (self.caches is None) != (self.library is None):
+            raise InvalidParams("a record table needs both caches and a library, or neither")
+        if self.caches is None:
+            return
+        placed, want = (self.caches.K, self.caches.signature.shape[1]), (self.K, self.library.F)
+        if placed != want:
+            raise InvalidParams(f"caches placed for (K, F) = {placed}, the table needs {want}")
+        for n in self.demand.values():  # delivery and decoding read these files' bits
+            _row(self.library.files, n, "drawn")
+        self.caches.rows(self.demand.values())
 
     @property
     def K(self) -> int:
@@ -427,12 +426,35 @@ class SubfileRecordTable:
         analytic entry exists, even where its size underflows to 0.0, so
         column S's mask is S itself."""
         K, masks = self.K, mask_dtype(self.K)
-        if self.bit_positions is None:
+        if self.caches is None:
             return np.arange(1 << K, dtype=masks)
         entries = np.zeros(1 << K, dtype=masks)
         for k, length in enumerate(self.length):
             entries |= np.left_shift(length > 0, k, dtype=masks)
         return entries
+
+    def row_positions(self, k: int) -> np.ndarray:
+        """Row k's positions in file ``demand[k]`` (bit-exact tables): the
+        bits k does not cache, entries back to back by ascending column,
+        positions ascending.  One unique key per bit packs a flag (k caches
+        the bit), its column and its position, uint32 while K +
+        bit_length(F - 1) < 32, else uint64; one sort puts the row first,
+        returned in the smallest unsigned dtype that holds F - 1."""
+        K, F, kb = self.K, self.library.F, 1 << (k - 1)
+        signature = self.caches.signature[self.caches.rows([self.demand[k]])[0]]
+        shift = (F - 1).bit_length()
+        keys = np.empty(F, dtype=np.uint32 if K + shift < 32 else np.uint64)
+        # the flag above the column, from k's own signature bit, all in place
+        np.bitwise_and(signature, kb, out=keys)
+        keys <<= K - k + 1
+        keys |= signature
+        keys |= kb
+        keys <<= shift
+        keys |= np.arange(F, dtype=keys.dtype)
+        keys.sort()
+        positions = np.empty(self.length[k - 1].sum(), dtype=np.min_scalar_type(F - 1))
+        np.bitwise_and(keys[: positions.size], (1 << shift) - 1, out=positions, casting="unsafe")
+        return positions
 
 
 def partition_into_subfiles(
@@ -443,17 +465,13 @@ def partition_into_subfiles(
     For requester k the classes over all exclusivity sets, together with
     the bits k caches itself, partition the F bits of its file.  A bit not
     cached at k has k's signature bit clear, so its signature is the
-    exclusivity mask E of its class and E | k its column.  A first pass
-    counts each row's signatures, which gives every length.  The second
-    packs every bit of k's file into one key: a flag set when k caches
-    the bit, then its column, then its position.  The keys are unique, so
-    one unstable sort puts k's uncached bits first, by ascending column
-    with ascending positions, and their low bits are written straight
-    into k's own position array, sized by its lengths and written once,
-    in place.  The table records positions only and carries `library`,
-    which must hold every requested file: delivery reads its bits there.
+    exclusivity mask E of its class and E | k its column: one count of
+    each row's signatures gives every length.  The table, built first so
+    that inputs which do not match are refused before anything is
+    counted, carries `caches` and `library`; its `row_positions` say where
+    each entry's bits lie.
     """
-    K, F = caches.K, library.F
+    K, F = schedule.K, library.F
     check_delivery_size(K)
     # a length, and an entry's offset within its row, is at most F; but
     # the payload lengths (`Transmissions.bits`, int32 like the lengths)
@@ -462,37 +480,16 @@ def partition_into_subfiles(
     # the CLI's BITEXACT_MAX_F
     if K * F >= 1 << 31:
         raise TooLarge(f"a bit-exact table needs K * F < 2^31, got K={K}, F={F}")
-    demanded = [schedule.demand[k] for k in range(1, K + 1)]
-    rows = caches.rows(demanded)
-    for n in demanded:  # delivery and decoding read these files' bits
-        _row(library.files, n, "drawn")
+    table = SubfileRecordTable(dict(schedule.demand), np.empty((K, 1 << K), dtype=np.int32),
+                               caches, library)
+    rows = caches.rows(schedule.demand[k] for k in range(1, K + 1))
     sets = np.arange(1 << K)
-    length = np.empty((K, 1 << K), dtype=np.int32)
     for k in range(1, K + 1):
         kb = 1 << (k - 1)
         # column S of row k holds the bits whose signature is S minus k
         count = np.bincount(caches.signature[rows[k - 1]], minlength=1 << K)
-        length[k - 1] = np.where(sets & kb, count[sets ^ kb], 0)
-    shift = (F - 1).bit_length()
-    keys = np.empty(F, dtype=np.uint32 if K + shift < 32 else np.uint64)
-    index = np.arange(F, dtype=keys.dtype)
-    bit_positions = []
-    for k in range(1, K + 1):
-        signature, kb = caches.signature[rows[k - 1]], 1 << (k - 1)
-        # the flag above the column, from k's own signature bit, all in place
-        np.bitwise_and(signature, kb, out=keys)
-        keys <<= K - k + 1
-        keys |= signature
-        keys |= kb
-        keys <<= shift
-        keys |= index
-        keys.sort()
-        positions = np.empty(length[k - 1].sum(), dtype=np.min_scalar_type(F - 1))
-        np.bitwise_and(keys[: positions.size], (1 << shift) - 1, out=positions,
-                       casting="unsafe")
-        bit_positions.append(positions)
-    return SubfileRecordTable(demand=dict(schedule.demand), length=length,
-                              bit_positions=tuple(bit_positions), library=library)
+        table.length[k - 1] = np.where(sets & kb, count[sets ^ kb], 0)
+    return table
 
 
 def analytic_subfile_table(

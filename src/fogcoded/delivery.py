@@ -143,14 +143,13 @@ def build_coded_content(
     long as its longest operand and XORs the operands zero-padded to that
     length.
     Analytic tables have no payloads: the buffer is None.  A bit-exact
-    table holds positions only, so its operands are read from the library
-    it carries, one row at a time: requester k's file at row k's
-    positions.  Every entry of the row is carried, so the whole row is
-    laid out at its carriers' payload starts; columns without an entry
-    have length 0 and take no bits.  The payloads total at most K * F
-    bits, which the partition keeps below 2^31, so their int32 starts do
-    not overflow.  Each pass finds a row's carriers anew, so one row's
-    index is alive at a time.
+    table's operands are read from the library it carries, one row at a
+    time: requester k's file at `row_positions(k)`.  Every entry of the
+    row is carried, so the whole row is laid out at its carriers' payload
+    starts; columns without an entry have length 0 and take no bits.  The
+    payloads total at most K * F bits, which the partition keeps below
+    2^31, so their int32 starts do not overflow.  Each pass finds a row's
+    carriers anew, so one row's index is alive at a time.
     """
     K = records.K
     bits = np.zeros(len(sets), dtype=records.length.dtype)
@@ -158,21 +157,21 @@ def build_coded_content(
         # the candidates carrying row k, at most one per column
         at = _carrying(included, k)
         bits[at] = np.maximum(bits[at], records.length[k, sets[at]])
-    if records.bit_positions is None:
+    if records.caches is None:
         return bits, None
     start = np.cumsum(bits, dtype=bits.dtype) - bits
     buffer = np.zeros(int(bits.sum()), dtype=np.uint8)
     offset = np.zeros(1 << K, dtype=np.int64)
-    for k, (length, positions) in enumerate(zip(records.length, records.bit_positions)):
+    for k, length in enumerate(records.length):
         at = _carrying(included, k)
         if not at.size:
             continue
         # row k in table order: ascending columns, its bits back to back;
         # the targets of one row are disjoint
         offset[sets[at]] = start[at]
-        # the operands before the targets: take's intp copy of the positions
-        # is freed before _spans builds the targets' index
-        operands = np.take(records.library.file(records.demand[k + 1]), positions)
+        # the operands before the targets: the positions are freed before
+        # _spans builds the targets' index
+        operands = records.library.file(records.demand[k + 1])[records.row_positions(k + 1)]
         buffer[_spans(offset, length)] ^= operands
     return bits, buffer
 
@@ -294,10 +293,10 @@ def decode_fap(
     time as `build_coded_content` writes them, and the recovered class
     bits are placed at their original positions.  No offset is stored:
     a payload starts where the ones before it end, and an entry where the
-    entries of its row before it end, worked out for one row j at a time.
-    Decoding is the receiver's view: it reads every file through
-    `Library.file` of the `library` it is given, not the one the table
-    carries, so `library` may hold other files too.
+    entries of its row before it end, in the table's `row_positions`.
+    Decoding is the receiver's view: operands are checked against the
+    `caches` given and files read from the `library` given, which may
+    hold other files too, not from the table's.
     Raises DecodeFailure, naming the first operand in canonical order (by
     transmission, then ascending j), if an operand holds a bit k does not
     cache, or if any bit of the file is neither cached locally nor
@@ -307,7 +306,7 @@ def decode_fap(
     """
     if not 1 <= k <= records.K:
         raise InvalidParams(f"F-AP k must be in [1, K={records.K}], got k={k}")
-    if records.bit_positions is None:
+    if records.caches is None:
         raise InvalidParams("decoding needs a bit-exact record table")
     K, kb, demand = records.K, 1 << (k - 1), records.demand
     row = caches.rows([demand[i] for i in range(1, K + 1)])
@@ -325,16 +324,16 @@ def decode_fap(
     acc = events.buffer[_spans(payload_start, bits)]
     acc_start = np.cumsum(bits) - bits
     bad = []
-    for j, (length, positions) in enumerate(zip(records.length, records.bit_positions)):
-        # where each entry of row j starts in the row's positions
-        entry_start = np.cumsum(length) - length
-        if j == k - 1:
-            own_start, own_positions = entry_start[S], positions
+    for j, length in enumerate(records.length):
         # the transmissions that carry an entry of row j next to k's; each
         # carries one, so the targets of one row are disjoint
         at = _carrying(others, j)
         if not at.size:
             continue
+        # where each entry of row j starts in the row's positions, worked
+        # out before the spans' int64 index
+        positions = records.row_positions(j + 1)
+        entry_start = np.cumsum(length) - length
         first, size = entry_start[S[at]], length[S[at]]
         span = _spans(first, size)
         pos = positions[span]
@@ -348,14 +347,20 @@ def decode_fap(
             # the same spans, moved from the table to the payload copies
             span += np.repeat(acc_start[at] - first, size)
             acc[span] ^= library.file(demand[j + 1])[pos]
-            del span, pos  # one row's per-bit indexes alive at a time
+            del positions, span, pos  # one row's per-bit indexes alive at a time
     if bad:
         i, j = min(bad)
         other = (j + 1, int(S[i]) & ~(1 << j))
         raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
-    own = records.length[k - 1, S]
-    pos = own_positions[_spans(own_start, own)]
-    out[pos] = acc[_spans(acc_start, own)]
+    # k's own entries by ascending column, as its row lays them out, so
+    # the row's positions are picked by a mask, not by an int64 index; the
+    # columns are unique, and a stable argsort, as in `_candidates`, maps
+    # no more library code
+    order = np.argsort(S, kind="stable")
+    values = acc[_spans(acc_start[order], records.length[k - 1, S[order]])]
+    carried = np.bincount(S, minlength=1 << K) > 0
+    pos = records.row_positions(k)[np.repeat(carried, records.length[k - 1])]
+    out[pos] = values
     have[pos] = True
     if not have.all():
         missing = int((~have).sum())

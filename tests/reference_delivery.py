@@ -102,7 +102,7 @@ def exists(table: SubfileRecordTable | ReferenceTable, key: SubfileKey) -> bool:
     exists, even where its size underflows to 0.0."""
     if isinstance(table, ReferenceTable):
         return bool(table.live[cell(key)])
-    return table.bit_positions is None or table.length[cell(key)] > 0
+    return table.caches is None or table.length[cell(key)] > 0
 
 
 def entries(table: SubfileRecordTable | ReferenceTable) -> np.ndarray:
@@ -119,13 +119,14 @@ def entries(table: SubfileRecordTable | ReferenceTable) -> np.ndarray:
 def classes_of(table: SubfileRecordTable) -> dict[SubfileKey, tuple[np.ndarray, np.ndarray]]:
     """A bit-exact table's entries as {(k, E): (positions, contents)}, by
     ascending k, then ascending E; each row's entries lie back to back in
-    its own position array, by ascending column, and the contents are k's
+    its `row_positions`, by ascending column, and the contents are k's
     file in the table's library, read at the entry's positions."""
     start = np.cumsum(table.length, axis=1) - table.length
+    rows = [table.row_positions(k) for k in range(1, table.K + 1)]
     classes = {}
     for row, S in zip(*np.nonzero(entries(table))):
         first = start[row, S]
-        positions = table.bit_positions[row][first : first + table.length[row, S]]
+        positions = rows[row][first : first + table.length[row, S]]
         classes[(int(row) + 1, int(S) & ~(1 << int(row)))] = (
             positions, table.library.file(table.demand[int(row) + 1])[positions]
         )

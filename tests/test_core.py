@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fogcoded
-from fogcoded import core
+from fogcoded import core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams, TooLarge
 import reference_delivery as reference
@@ -498,11 +498,34 @@ class TestPartitionIntoSubfiles:
         lib = core.generate_library(p, 0, sched.demand.values())
         caches = core.place_caches(p, 1, sched.demand.values())
         table = core.partition_into_subfiles(lib, caches, sched)
-        assert isinstance(table.bit_positions, tuple) and len(table.bit_positions) == 2
-        assert all(row.dtype == dtype for row in table.bit_positions)
+        rows = [table.row_positions(k) for k in (1, 2)]
+        assert all(row.dtype == dtype for row in rows)
         # requester 1's row: every bit it does not cache, by value
-        first = table.bit_positions[0]
-        assert np.array_equal(np.sort(first), np.flatnonzero(~cached_at(caches, 1, 1)))
+        assert np.array_equal(np.sort(rows[0]), np.flatnonzero(~cached_at(caches, 1, 1)))
+
+    def test_row_positions_with_uint64_keys(self):
+        # K + bit_length(F - 1) = 16 + 16 >= 32: the packed keys take uint64.
+        # Rows against one flatnonzero per class, by ascending exclusivity
+        # mask; then decode a few F-APs
+        K, F = 16, 40_000
+        p = params(K=K, N=K, M=4.0, F=F, B=8, delta_b=2)
+        sched = core.make_fixed_L_schedule(K, 8, 2, 3)
+        files = sched.demand.values()
+        lib = core.generate_library(p, 3, files)
+        caches = core.place_caches(p, 4, files)
+        table = core.partition_into_subfiles(lib, caches, sched)
+        assert K + (F - 1).bit_length() >= 32
+        for k in (1, 9, 16):
+            signature = caches.signature[caches.rows([sched.demand[k]])[0]]
+            masks = np.unique(signature[signature & (1 << (k - 1)) == 0])
+            want = np.concatenate([np.flatnonzero(signature == E) for E in masks])
+            got = table.row_positions(k)
+            assert got.dtype == np.uint16
+            assert np.array_equal(got, want), k
+        events = delivery.run_delivery(sched, table, p).events
+        for k in (1, 8, 16):
+            decoded = delivery.decode_fap(k, events, lib, caches, table)
+            assert np.array_equal(decoded, lib.file(sched.demand[k]))
 
     def test_partition_refuses_lengths_past_int32(self, monkeypatch):
         # K * F = 2^31 would overflow the int32 lengths and starts; zero-stride
@@ -594,20 +617,34 @@ class TestSubfileRecordTable:
         caches = core.place_caches(p, 1, sched.demand.values())
         return core.partition_into_subfiles(lib, caches, sched)
 
-    @pytest.mark.parametrize("rows", [
-        lambda first, second: (first[:3], second),  # a row short of positions
-        lambda first, second: (first, np.append(second, second[:1])),  # one too many
-        lambda first, second: (first, second[:0]),  # a row left empty
-        lambda first, second: (first,),  # a row missing
-        lambda first, second: (first, second, second),  # a row too many
-    ], ids=["short", "long", "empty", "missing", "extra"])
-    def test_each_row_holds_its_entries_positions(self, rows):
-        # refused when the table is built, not deep in run_delivery with a
-        # bare numpy broadcast error
-        table = self.bitexact_table()
-        assert [len(row) for row in table.bit_positions] == [8, 8]
-        with pytest.raises(InvalidParams, match=r"bit positions per row must be \[8, 8\]"):
-            dataclasses.replace(table, bit_positions=rows(*table.bit_positions))
+    @pytest.mark.parametrize("F, caches, message", [
+        (32, core.CacheLayout(2, (1, 2), np.zeros((2, 16), dtype=np.uint8)),
+         r"caches placed for \(K, F\) = \(2, 16\), the table needs \(2, 32\)"),
+        (16, core.CacheLayout(2, (1, 2), np.zeros((2, 32), dtype=np.uint8)),
+         r"caches placed for \(K, F\) = \(2, 32\), the table needs \(2, 16\)"),
+        (16, core.CacheLayout(1, (1, 2), np.zeros((2, 16), dtype=np.uint8)),
+         r"caches placed for \(K, F\) = \(1, 16\), the table needs \(2, 16\)"),
+        (16, core.CacheLayout(3, (1, 2), np.zeros((2, 16), dtype=np.uint8)),
+         r"caches placed for \(K, F\) = \(3, 16\), the table needs \(2, 16\)"),
+        (16, core.CacheLayout(2, (2,), np.zeros((1, 16), dtype=np.uint8)),
+         r"file 1 was not placed"),
+    ], ids=["short", "long", "missing", "extra", "empty"])
+    def test_caches_must_match_the_table(self, monkeypatch, F, caches, message):
+        # refused before anything is counted, not as a bare numpy broadcast
+        # or dict error, and when a table is built with them
+        sched = core.make_fixed_L_schedule(2, 2, 1)
+        p = params(K=2, N=2, M=1.0, F=F, B=2, delta_b=1)
+        lib = core.generate_library(p, 0, (1, 2))
+        table = core.partition_into_subfiles(lib, core.place_caches(p, 1, (1, 2)), sched)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("signatures counted before the inputs were checked")
+
+        monkeypatch.setattr(np, "bincount", fail)
+        with pytest.raises(InvalidParams, match=message):
+            core.partition_into_subfiles(lib, caches, sched)
+        with pytest.raises(InvalidParams, match=message):
+            dataclasses.replace(table, caches=caches)
 
     @pytest.mark.parametrize("kind", ["analytic", "bitexact"])
     @pytest.mark.parametrize("demand", [{1: 1}, {1: 1, 2: 2, 3: 3}, {0: 1, 1: 1}, {}],

@@ -194,23 +194,27 @@ class TestBuildCodedContent:
     @staticmethod
     def synthetic_records(lengths):
         # Hand-built bit-exact table with chosen class contents, given in
-        # table order, and a library that holds each class in its
-        # requester's file (F-AP k requests file k), at the first positions
-        # that row has not used: so row k's positions are 0, 1, 2, ...
+        # table order, a library that holds each class in its requester's
+        # file (F-AP k requests file k), at the first positions that row has
+        # not used, and caches whose signatures place them there: so row k's
+        # positions are 0, 1, 2, ...  Every other bit is cached at k alone.
         K, F = 4, 16
         length = np.zeros((K, 1 << K), dtype=np.int32)
         files = np.zeros((K, F), dtype=np.uint8)
+        signature = np.repeat(1 << np.arange(K, dtype=np.uint8), F).reshape(K, F)
         used = [0] * K
-        for record_key, values in lengths.items():
-            row = record_key[0] - 1
-            files[row, used[row] : used[row] + len(values)] = values
-            used[row] += len(values)
-            length[cell(record_key)] = len(values)
+        for (k, E), values in lengths.items():
+            span = slice(used[k - 1], used[k - 1] + len(values))
+            files[k - 1, span] = values
+            signature[k - 1, span] = E
+            used[k - 1] += len(values)
+            length[cell((k, E))] = len(values)
+        ids = tuple(range(1, K + 1))
         return core.SubfileRecordTable(
-            demand={k: k for k in range(1, K + 1)},
+            demand={k: k for k in ids},
             length=length,
-            bit_positions=tuple(np.arange(n, dtype=np.uint8) for n in used),
-            library=core.Library(tuple(range(1, K + 1)), files),
+            caches=core.CacheLayout(K, ids, signature),
+            library=core.Library(ids, files),
         )
 
     def test_single_operand_verbatim(self):
@@ -516,17 +520,19 @@ class TestBitExactDelivery:
             )
 
     def test_uncached_operand_fails(self):
-        # Drop one bit of an operand F-AP 1 needs from its cache: decoding
-        # the transmission that carries it must fail, not XOR garbage.
+        # Drop one bit of an operand F-AP 1 needs from its own cache, not
+        # from the server's record of it: decoding the transmission that
+        # carries it must fail, not XOR garbage.
         params = demo_params(2, F=2048)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library, caches, records, result = self.bitexact_run(params, schedule, 17)
         other = key(2, {1})
         positions, _ = classes_of(records)[other]
+        receiver = replace(caches, signature=caches.signature.copy())
         row = caches.rows([schedule.demand[2]])[0]
-        caches.signature[row, positions[0]] &= ~np.uint8(1)
+        receiver.signature[row, positions[0]] &= ~np.uint8(1)
         with pytest.raises(DecodeFailure, match=r"operand \(2, 1\) not reconstructible"):
-            delivery.decode_fap(1, result.events, library, caches, records)
+            delivery.decode_fap(1, result.events, library, receiver, records)
 
     def test_decode_sparse_repeated_demands(self):
         # placed rows are not file ids minus one, and two F-APs share a file
@@ -584,21 +590,23 @@ class TestBitExactDelivery:
                     for o in row if o[0] != k]
         kb = 1 << (k - 1)
         clear = caches.signature.dtype.type((1 << K) - 1 - kb)
+        # k's own cache loses the bits; the server's record keeps them
+        receiver = replace(caches, signature=caches.signature.copy())
         for _ in range(data.draw(st.integers(1, 3))):
             j, E = data.draw(st.sampled_from(operands))
             positions, _ = classes[(j, E)]
             row = caches.rows([demand[j - 1]])[0]
-            caches.signature[row, data.draw(st.sampled_from(positions.tolist()))] &= clear
+            receiver.signature[row, data.draw(st.sampled_from(positions.tolist()))] &= clear
 
         def cached(operand):
-            signature = caches.signature[caches.rows([demand[operand[0] - 1]])[0]]
+            signature = receiver.signature[caches.rows([demand[operand[0] - 1]])[0]]
             return all(signature[p] & kb for p in classes[operand][0].tolist())
 
         first = next(o for o in operands if not cached(o))
         with pytest.raises(DecodeFailure, match=re.escape(
             f"operand {first} not reconstructible at F-AP {k}"
         )):
-            delivery.decode_fap(k, result.events, library, caches, records)
+            delivery.decode_fap(k, result.events, library, receiver, records)
 
     def test_undrawn_file_is_named(self):
         # the caches place files 1..4 and the library lacks file 1: the error
@@ -615,18 +623,18 @@ class TestBitExactDelivery:
                 delivery.decode_fap(k, result.events, short, caches, records)
 
     def test_table_has_positions_exactly_with_a_library(self):
-        # a bit-exact table carries the library its positions index, an
-        # analytic one neither; a table with one and not the other is
-        # refused when it is built
+        # a bit-exact table carries the caches its positions are worked out
+        # from and the library they index, an analytic one neither; a table
+        # with one and not the other is refused when it is built
         params = demo_params(2, F=64)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         library, caches, records, _ = self.bitexact_run(params, schedule, 3)
-        assert records.library is library
+        assert records.library is library and records.caches is caches
         analytic = core.analytic_subfile_table(params, schedule)
-        assert analytic.bit_positions is None and analytic.library is None
-        with pytest.raises(InvalidParams, match="both bit positions and a library, or neither"):
+        assert analytic.caches is None and analytic.library is None
+        with pytest.raises(InvalidParams, match="both caches and a library, or neither"):
             replace(records, library=None)
-        with pytest.raises(InvalidParams, match="both bit positions and a library, or neither"):
+        with pytest.raises(InvalidParams, match="both caches and a library, or neither"):
             replace(analytic, library=library)
 
     @pytest.mark.parametrize("K, B, mask_dtype", [

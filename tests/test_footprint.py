@@ -1,11 +1,13 @@
 """Memory footprint of one seeded bit-exact trial, traced with tracemalloc.
 
-The partition writes its table once, in place, with narrow positions and
-no copy of the file bits; the delivery engine decides every slot on one
+The partition only counts: its table stores lengths, no positions and no
+copy of the file bits.  The delivery engine decides every slot on one
 mask per set, then allocates the payload buffer once and XORs the files'
-bits into it one requester row at a time, so its int64 indexes cover one
-row's bits, not the run's.  The decoder reads the operands the same way,
-one row at a time.  Per-set arrays keep the width their values need.
+bits into it one requester row at a time, each row's positions worked
+out just before they are read, so its int64 indexes and packed sort keys
+cover one row's bits, not the run's.  The decoder reads the operands the
+same way, one row at a time.  Per-set arrays keep the width their values
+need.
 """
 
 import tracemalloc
@@ -25,7 +27,7 @@ def traced():
 
 
 def table_nbytes(table):
-    return table.length.nbytes + sum(row.nbytes for row in table.bit_positions)
+    return table.length.nbytes
 
 
 def trial(K=K, F=F, B=4):
@@ -44,21 +46,21 @@ def test_bitexact_trial_footprint(traced):
     base = tracemalloc.get_traced_memory()[0]
     table = core.partition_into_subfiles(library, caches, schedule)
     peak = tracemalloc.get_traced_memory()[1] - base
-    # the table itself plus one requester's packed keys and their position
-    # index, uint32 at this F: 8 B per file bit.  The count pass's int64
-    # copy of one signature row (8 B per bit) comes before any row's
-    # positions are allocated.  Measured: 8.25 B per bit; with one flat
-    # position array allocated before the sort pass, 8.4.
-    assert peak <= table_nbytes(table) + 9 * F
+    # the table's lengths plus the count pass's int64 copy of one
+    # signature row, 8 B per file bit; no positions are built.  Measured:
+    # 8.08 B per bit over the table (8.25 with the positions' sort pass)
+    assert peak <= table_nbytes(table) + 8.2 * F
 
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     delivery.run_delivery(schedule, table, params)
     peak = tracemalloc.get_traced_memory()[1] - base
     # every operand bit of the run is sent once: per operand bit, the
-    # one-byte payloads take at most 1 B, one row's int64 index and its
-    # operands, read from the library, about 1 B more (one row of K = 8);
-    # the candidate columns are narrow.  Measured: 1.94 B per operand bit.
+    # one-byte payloads take at most 1 B, and one row's packed uint32 sort
+    # keys with their position index, 8 B per file bit, about 1.3 B more
+    # (K = 8 rows of 3/4 of the file); the candidate columns are narrow.
+    # Measured: 2.15 B per operand bit (1.94 with stored positions; 2.44
+    # with np.take's intp copy of the worked-out positions).
     operand_bits = int(table.length.sum())
     assert peak <= 2.5 * operand_bits
 
@@ -73,11 +75,13 @@ def test_decode_footprint(traced):
         delivery.decode_fap(k, events, library, caches, table)
         peak = tracemalloc.get_traced_memory()[1] - base
         # per file bit: the output and its have-mask (2 B), the copies of
-        # k's payloads (about 1 B) and, at the peak, k's own positions
-        # (uint32 at this F) with one int64 index over them: 12 B per bit k
-        # does not cache, 3/4 of the file, so 9 B.  Each row's operand
-        # indexes (about 2.5 B) are freed before the next row's are built.
-        # A flat int64 index over every operand bit at once needs 20 B.
+        # k's payloads (about 1 B) and, at the peak, one row's packed uint32
+        # sort keys with their position index (8 B).  k's own row is picked
+        # from its positions by a mask; picked by an int64 index, it
+        # measured 15.1 B.  Each row's positions and operand indexes are
+        # freed before the next row's are built.  Measured: 11.84 B (12.8
+        # with stored positions); a flat int64 index over every operand bit
+        # at once needs 20 B.
         assert peak <= 14 * F
 
 

@@ -64,8 +64,8 @@ def assert_same_partition(got, want):
     assert got.length.dtype == want.length.dtype
     assert np.array_equal(got.length, want.length)
     F = got.library.F
-    assert all(row.dtype == np.min_scalar_type(F - 1) for row in got.bit_positions)
     for key, (positions, contents) in classes.items():
+        assert positions.dtype == np.min_scalar_type(F - 1), key
         assert np.array_equal(positions, want.positions[key]), key
         b = want.contents[key]
         assert contents.dtype == b.dtype and np.array_equal(contents, b), key

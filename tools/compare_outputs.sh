@@ -40,6 +40,10 @@ COMMANDS=(
     "simulate --mode bitexact --k 10 --f 5000 --trials 3"
     # the engine cap: 16 position rows, uint16 masks, 2^16 columns
     "simulate --mode bitexact --k 16 --n 16 --m 4 --b 8 --l 2 --f 2000 --trials 1 --seed 3"
+    # the row positions' packed sort keys at their width edges: uint64 keys
+    # (K + bit_length(F - 1) >= 32), then positions past uint16
+    "simulate --mode bitexact --k 16 --n 16 --m 4 --b 8 --l 2 --f 40000 --trials 1 --seed 3"
+    "simulate --mode bitexact --k 6 --b 3 --l 2 --f 70000 --trials 2 --seed 4"
     "verify --max-k 12"
     # the analytic-sweep shape, and l and m sweeps
     "sweep --sweep deltab --values 1,2,4,7 --k 14 --b 7 --l 2 --f 10000 --trials 1"
