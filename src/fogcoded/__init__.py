@@ -43,41 +43,4 @@ from .errors import (
 )
 from .partition import eta
 
-__all__ = [
-    "CacheLayout",
-    "DeadlineViolation",
-    "DecodeFailure",
-    "DeliveryResult",
-    "FixedLConfig",
-    "FogcodedError",
-    "InvalidParams",
-    "Library",
-    "LoadReport",
-    "OutOfRange",
-    "Q_count",
-    "RequestSchedule",
-    "SubfileRecordTable",
-    "SystemParams",
-    "TooLarge",
-    "Transmissions",
-    "analytic_subfile_table",
-    "b_count",
-    "brute_force_Q",
-    "closed_form_load",
-    "decode_fap",
-    "eta",
-    "generate_library",
-    "load_bounds",
-    "make_fixed_L_schedule",
-    "make_random_schedule",
-    "measured_load",
-    "mn_sync_load",
-    "partition_into_subfiles",
-    "place_caches",
-    "q_count",
-    "run_delivery",
-    "schedule_load",
-    "uncoded_load",
-]
-
 __version__ = "0.1.0"

@@ -408,9 +408,7 @@ class SubfileRecordTable:
             raise InvalidParams("a record table needs both caches and a library, or neither")
         if self.caches is None:
             return
-        placed, want = (self.caches.K, self.caches.signature.shape[1]), (self.K, self.library.F)
-        if placed != want:
-            raise InvalidParams(f"caches placed for (K, F) = {placed}, the table needs {want}")
+        self.check_caches(self.caches)
         for n in self.demand.values():  # delivery and decoding read these files' bits
             _row(self.library.files, n, "drawn")
         self.caches.rows(self.demand.values())
@@ -418,6 +416,13 @@ class SubfileRecordTable:
     @property
     def K(self) -> int:
         return len(self.length)
+
+    def check_caches(self, caches: CacheLayout) -> None:
+        """Raise InvalidParams unless `caches` are placed for this
+        bit-exact table's K F-APs and files of ``library.F`` bits."""
+        placed, want = (caches.K, caches.signature.shape[1]), (self.K, self.library.F)
+        if placed != want:
+            raise InvalidParams(f"caches placed for (K, F) = {placed}, the table needs {want}")
 
     def entry_masks(self) -> np.ndarray:
         """Per column S, the mask of the F-APs k that have an entry (k, S

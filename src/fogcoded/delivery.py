@@ -288,81 +288,88 @@ def decode_fap(
 ) -> np.ndarray:
     """Reassemble F-AP k's requested file from its cache and the log.
 
-    For every transmission whose XOR includes k's subfile, the other
-    operands are read from k's cache and XORed out, one table row j at a
-    time as `build_coded_content` writes them, and the recovered class
-    bits are placed at their original positions.  No offset is stored:
-    a payload starts where the ones before it end, and an entry where the
-    entries of its row before it end, in the table's `row_positions`.
+    The payloads of the transmissions whose XOR includes k's subfile are
+    copied back to back into `acc`.  Each carries one entry of k's row,
+    so a column S has at most one such carrier, and `offset[S]` is where
+    its copy starts.  Every entry's bits are then found by the one layout
+    rule of `build_coded_content`, with only some columns carried: for
+    table row j and the bool mask `carried` of the columns whose carrier
+    holds an entry of row j, the entries' positions in file d_j are
+    `row_positions(j + 1)[np.repeat(carried, length)]` and their bits in
+    `acc` are `_spans(offset, np.where(carried, length, 0))`.  The other
+    rows' operands are read from k's cache and XORed out, one row at a
+    time; then k's own entries are read by the same two lines and placed
+    over the bits k's cache holds.  The log stores no offsets: a payload
+    starts where the ones before it end.
     Decoding is the receiver's view: operands are checked against the
     `caches` given and files read from the `library` given, which may
     hold other files too, not from the table's.
     Raises DecodeFailure, naming the first operand in canonical order (by
     transmission, then ascending j), if an operand holds a bit k does not
     cache, or if any bit of the file is neither cached locally nor
-    recoverable from the log.  Raises InvalidParams naming k, before
-    reading anything else, for a k outside 1..K, and naming the file if
-    `caches` did not place or `library` did not draw every requested file.
+    recoverable from the log.  Raises InvalidParams: naming k, before
+    reading anything else, for a k that is not a Python or numpy integer
+    in 1..K; before any work, for an analytic table or log, a log that
+    names F-APs beyond K, or caches or a library of another K or F than
+    the table's; and naming the file if `caches` did not place or
+    `library` did not draw every requested file.
     """
-    if not 1 <= k <= records.K:
-        raise InvalidParams(f"F-AP k must be in [1, K={records.K}], got k={k}")
-    if records.caches is None:
-        raise InvalidParams("decoding needs a bit-exact record table")
-    K, kb, demand = records.K, 1 << (k - 1), records.demand
-    row = caches.rows([demand[i] for i in range(1, K + 1)])
-    have = (caches.signature[row[k - 1]] & kb) != 0
-    out = np.where(have, library.file(demand[k]), 0)
+    if not (isinstance(k, (int, np.integer)) and 1 <= k <= records.K):
+        raise InvalidParams(f"F-AP k must be an integer in [1, K={records.K}], got k={k!r}")
+    if records.caches is None or events.buffer is None:
+        raise InvalidParams("decoding needs a bit-exact record table and log")
+    K, k, demand = records.K, int(k), records.demand
+    if int(np.bitwise_or.reduce(events.S, initial=0)) >> K:
+        raise InvalidParams(f"the log's sets name F-APs beyond K={K}")
+    records.check_caches(caches)
+    if library.F != records.library.F:
+        raise InvalidParams(f"library of F = {library.F}, the table needs F = {records.library.F}")
+    kb, row = 1 << (k - 1), caches.rows([demand[i] for i in range(1, K + 1)])
+    mine = caches.signature[row[k - 1]]  # the receiver's cache of its own file
+    out = np.where(mine & kb, library.file(demand[k]), 0)
     carries = _carrying(events.included, k - 1)
     if upto_slot is not None:
         carries = carries[events.slot[carries] <= upto_slot]
-    # S indexes the table below, so it takes the index dtype once
-    S, bits = events.S[carries].astype(np.intp), events.bits[carries]
-    # k's bit is set in every carrier; ~kb is negative, so no unsigned mask
-    # dtype holds it
-    others = events.included[carries] ^ kb
-    payload_start = np.cumsum(events.bits, dtype=bits.dtype)[carries] - bits
-    acc = events.buffer[_spans(payload_start, bits)]
-    acc_start = np.cumsum(bits) - bits
+    S, bits = events.S[carries], events.bits[carries]
+    acc = events.buffer[_spans(np.cumsum(events.bits, dtype=bits.dtype)[carries] - bits, bits)]
+    # per column, the entries its carrier holds and where its copy starts
+    held = np.zeros(1 << K, dtype=events.included.dtype)
+    held[S] = events.included[carries]
+    offset = np.zeros(1 << K, dtype=np.int64)
+    offset[S] = np.cumsum(bits) - bits
     bad = []
     for j, length in enumerate(records.length):
-        # the transmissions that carry an entry of row j next to k's; each
-        # carries one, so the targets of one row are disjoint
-        at = _carrying(others, j)
-        if not at.size:
+        # the columns whose carrier holds an entry of row j next to k's;
+        # each holds one, so the targets of one row are disjoint
+        carried = (held & (1 << j)) != 0
+        if j == k - 1 or not carried.any():
             continue
-        # where each entry of row j starts in the row's positions, worked
-        # out before the spans' int64 index
-        positions = records.row_positions(j + 1)
-        entry_start = np.cumsum(length) - length
-        first, size = entry_start[S[at]], length[S[at]]
-        span = _spans(first, size)
-        pos = positions[span]
+        # the row's positions picked by a mask, before the targets' index
+        pos = records.row_positions(j + 1)[np.repeat(carried, length)]
         # every other operand must live in k's own cache of file d_j
         uncached = (caches.signature[row[j], pos] & kb) == 0
         if uncached.any():
-            # the row's first bad operand; the least over the rows is the first
-            i = np.searchsorted(size.cumsum(), uncached.argmax(), side="right")
-            bad.append((int(at[i]), j))
+            # the columns of the row's uncached operands, named by the
+            # first of k's carriers to hold one (a column has at most
+            # one); the least over the rows is the first
+            column = np.repeat(np.flatnonzero(carried), length[carried])[uncached]
+            bad.append((int(np.isin(S, column).argmax()), j))
         else:
-            # the same spans, moved from the table to the payload copies
-            span += np.repeat(acc_start[at] - first, size)
-            acc[span] ^= library.file(demand[j + 1])[pos]
-            del positions, span, pos  # one row's per-bit indexes alive at a time
+            acc[_spans(offset, np.where(carried, length, 0))] ^= library.file(demand[j + 1])[pos]
+        del pos, uncached  # one row's per-bit arrays alive at a time
     if bad:
         i, j = min(bad)
         other = (j + 1, int(S[i]) & ~(1 << j))
         raise DecodeFailure(f"operand {other} not reconstructible at F-AP {k}")
-    # k's own entries by ascending column, as its row lays them out, so
-    # the row's positions are picked by a mask, not by an int64 index; the
-    # columns are unique, and a stable argsort, as in `_candidates`, maps
-    # no more library code
-    order = np.argsort(S, kind="stable")
-    values = acc[_spans(acc_start[order], records.length[k - 1, S[order]])]
-    carried = np.bincount(S, minlength=1 << K) > 0
-    pos = records.row_positions(k)[np.repeat(carried, records.length[k - 1])]
+    # k's own entries by the same rule, over the columns that carry them;
+    # the values are read before the positions are worked out, so one
+    # int64 index is alive at a time
+    length, carried = records.length[k - 1], (held & kb) != 0
+    values = acc[_spans(offset, np.where(carried, length, 0))]
+    pos = records.row_positions(k)[np.repeat(carried, length)]
     out[pos] = values
-    have[pos] = True
-    if not have.all():
-        missing = int((~have).sum())
+    # complete when every bit the receiver's cache lacks was decoded
+    missing = np.count_nonzero((mine & kb) == 0) - np.count_nonzero((mine[pos] & kb) == 0)
+    if missing:
         raise DecodeFailure(f"F-AP {k} is missing {missing} bits after decoding")
     return out

@@ -5,7 +5,6 @@ import dataclasses
 import math
 import re
 import sys
-import types
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -15,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fogcoded
 from fogcoded import core, delivery
 from fogcoded.analytics import FixedLConfig
 from fogcoded.errors import InvalidParams, TooLarge
@@ -31,21 +29,6 @@ def fixed_l_params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
     # L = K // B keeps K = B*L whenever B divides K, so only the named
     # parameter is invalid
     return FixedLConfig(K=K, N=N, M=M, F=F, B=B, L=K // B, delta_b=delta_b)
-
-
-def test_all_exports_resolve():
-    for name in fogcoded.__all__:
-        assert hasattr(fogcoded, name), name
-
-
-def test_exports_are_unique_and_complete():
-    # __all__ names each public name the package imports exactly once
-    assert len(set(fogcoded.__all__)) == len(fogcoded.__all__)
-    public = {
-        name for name, value in vars(fogcoded).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert public == set(fogcoded.__all__)
 
 
 class TestSystemParams:

@@ -479,15 +479,99 @@ class TestBitExactDelivery:
         result = delivery.run_delivery(schedule, records, params)
         return library, caches, records, result
 
-    @pytest.mark.parametrize("k", [-1, 0, 5, 6])
+    @pytest.mark.parametrize("k", [-1, 0, 5, 6, 1.0, np.float64(2), "1", None])
     def test_decode_refuses_k_outside_1_to_K(self, k):
-        # named before anything else is read: the log, library and caches
-        # passed are None
+        # a k that is not an integer in 1..K is named before anything else
+        # is read: the log, library and caches passed are None
         params = demo_params(2, F=256)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
         _, _, records, _ = self.bitexact_run(params, schedule, 17)
-        with pytest.raises(InvalidParams, match=rf"in \[1, K=4\], got k={k}$"):
+        with pytest.raises(InvalidParams, match=rf"in \[1, K=4\], got k={re.escape(repr(k))}$"):
             delivery.decode_fap(k, None, None, None, records)
+
+    @pytest.mark.parametrize("k", [np.int64(1), np.int64(4), np.int16(2), np.int32(3)])
+    def test_decode_takes_numpy_integer_k(self, k):
+        # any Python or numpy integer names an F-AP, as any names a file
+        params = demo_params(2, F=256)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+        decoded = delivery.decode_fap(k, result.events, library, caches, records)
+        assert np.array_equal(decoded, library.file(schedule.demand[int(k)]))
+
+    @pytest.mark.parametrize("case, message", [
+        ("caches-of-another-F", r"caches placed for \(K, F\) = \(4, 128\), the table needs"),
+        ("library-of-another-F", r"library of F = 128, the table needs F = 256"),
+        ("analytic-log", r"needs a bit-exact record table and log"),
+        ("log-of-a-larger-K", r"the log's sets name F-APs beyond K=4"),
+    ])
+    def test_decode_refuses_inputs_that_do_not_match_the_table(self, case, message, monkeypatch):
+        params = demo_params(2, F=256)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+        events, other = result.events, replace(params, F=128)
+        if case == "caches-of-another-F":
+            caches = core.place_caches(other, 18, caches.files)
+        elif case == "library-of-another-F":
+            library = core.generate_library(other, 17, library.files)
+        elif case == "analytic-log":
+            analytic = core.analytic_subfile_table(params, schedule)
+            events = delivery.run_delivery(schedule, analytic, params).events
+        else:
+            wider = core.SystemParams(K=6, N=6, M=3.0, F=256, B=3, delta_b=2)
+            events = self.bitexact_run(wider, core.make_fixed_L_schedule(6, 3, 2), 17)[-1].events
+
+        def no_work(*args):
+            raise AssertionError("decoding began before the inputs were checked")
+
+        # refused before any work: finding k's carriers is the first
+        monkeypatch.setattr(delivery, "_carrying", no_work)
+        with pytest.raises(InvalidParams, match=message):
+            delivery.decode_fap(1, events, library, caches, records)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_decodes_at_the_deadline_and_never_wrongly_before(self, data):
+        # the decoder's oracle is the file itself: every F-AP decodes it bit
+        # for bit from the log up to its deadline slot, but not once its own
+        # cache has lost a bit of it; a slot earlier the decoder may fail,
+        # but never returns other bits
+        K = data.draw(st.integers(2, 9))
+        B = data.draw(st.integers(2, K))
+        delta_b = data.draw(st.integers(1, B))
+        F = data.draw(st.integers(2, 80))
+        N = data.draw(st.integers(K, 2 * K))
+        # M is drawn through its quota, so that 0 < round(M * F / N) < F
+        quota = data.draw(st.integers(1, F - 1))
+        seed = data.draw(st.integers(0, 2**16))
+        demand = data.draw(st.lists(st.integers(1, N), min_size=K, max_size=K))
+        params = core.SystemParams(K=K, N=N, M=quota * N / F, F=F, B=B, delta_b=delta_b)
+        assert params.cached_bits_per_file == quota
+        slots = core.make_random_schedule(K, B, seed).slots
+        schedule = core.RequestSchedule(slots, dict(enumerate(demand, 1)))
+        library, caches, records, result = self.bitexact_run(params, schedule, seed)
+        for k in range(1, K + 1):
+            file = library.file(demand[k - 1])
+            deadline = schedule.deadline_slot(k, delta_b)
+            decoded = delivery.decode_fap(
+                k, result.events, library, caches, records, upto_slot=deadline
+            )
+            assert np.array_equal(decoded, file)
+            # a receiver that lost a bit of its file it caches cannot decode
+            receiver = replace(caches, signature=caches.signature.copy())
+            row = caches.rows([demand[k - 1]])[0]
+            cached = np.flatnonzero(caches.signature[row] >> (k - 1) & 1).tolist()
+            receiver.signature[row, data.draw(st.sampled_from(cached))] ^= 1 << (k - 1)
+            with pytest.raises(DecodeFailure):
+                delivery.decode_fap(
+                    k, result.events, library, receiver, records, upto_slot=deadline
+                )
+            try:
+                early = delivery.decode_fap(
+                    k, result.events, library, caches, records, upto_slot=deadline - 1
+                )
+            except DecodeFailure:
+                continue
+            assert np.array_equal(early, file)
 
     def test_decode_all_faps(self):
         for delta_b in (1, 2, 3, 4):
@@ -533,6 +617,36 @@ class TestBitExactDelivery:
         receiver.signature[row, positions[0]] &= ~np.uint8(1)
         with pytest.raises(DecodeFailure, match=r"operand \(2, 1\) not reconstructible"):
             delivery.decode_fap(1, result.events, library, receiver, records)
+
+    def test_lost_own_bit_fails(self):
+        # Drop from F-AP 1's own cache one bit of its file that the server's
+        # record says it caches: no transmission carries that bit, so
+        # decoding must fail, not return a 0 in its place.
+        params = demo_params(2, F=2048)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+        receiver = replace(caches, signature=caches.signature.copy())
+        row = caches.rows([schedule.demand[1]])[0]
+        receiver.signature[row, np.flatnonzero(caches.signature[row] & 1)[0]] &= ~np.uint8(1)
+        with pytest.raises(DecodeFailure, match=r"F-AP 1 is missing 1 bits after decoding$"):
+            delivery.decode_fap(1, result.events, library, receiver, records)
+
+    def test_own_cache_fills_entries_not_yet_sent(self):
+        # A receiver that caches all of its own file needs none of its row
+        # from the log: a slot before its deadline, when part of the row is
+        # still unsent, it decodes the file from the log and its cache.
+        params = demo_params(2, F=2048)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+        early = schedule.deadline_slot(4, 2) - 1
+        with pytest.raises(DecodeFailure, match="F-AP 4 is missing"):
+            delivery.decode_fap(4, result.events, library, caches, records, upto_slot=early)
+        receiver = replace(caches, signature=caches.signature.copy())
+        receiver.signature[caches.rows([schedule.demand[4]])[0]] |= np.uint8(1 << 3)
+        decoded = delivery.decode_fap(
+            4, result.events, library, receiver, records, upto_slot=early
+        )
+        assert np.array_equal(decoded, library.file(schedule.demand[4]))
 
     def test_decode_sparse_repeated_demands(self):
         # placed rows are not file ids minus one, and two F-APs share a file

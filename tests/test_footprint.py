@@ -74,14 +74,18 @@ def test_decode_footprint(traced):
         base = tracemalloc.get_traced_memory()[0]
         delivery.decode_fap(k, events, library, caches, table)
         peak = tracemalloc.get_traced_memory()[1] - base
-        # per file bit: the output and its have-mask (2 B), the copies of
-        # k's payloads (about 1 B) and, at the peak, one row's packed uint32
-        # sort keys with their position index (8 B).  k's own row is picked
-        # from its positions by a mask; picked by an int64 index, it
-        # measured 15.1 B.  Each row's positions and operand indexes are
-        # freed before the next row's are built.  Measured: 11.84 B (12.8
-        # with stored positions); a flat int64 index over every operand bit
-        # at once needs 20 B.
+        # per file bit: the output (1 B), the copies of k's payloads (about
+        # 1 B) and, at the peak, one row's packed uint32 sort keys with
+        # their position index (8 B).  Every entry is found by the
+        # encoder's column layout: every row's positions are picked by a
+        # mask of their carried columns, k's own row its values before its
+        # positions, so one int64 index is alive at a time.  Each row's
+        # positions and operand indexes are freed before the next row's
+        # are built, and completeness is two counts, not an F-bit mask.
+        # Measured: 10.59 B (11.60 with k's positions built before its
+        # values; 11.84 with a have-mask and per-row span shifts; 12.8
+        # with stored positions); a flat int64 index over every operand
+        # bit at once needs 20 B.
         assert peak <= 14 * F
 
 

@@ -44,7 +44,10 @@ COMMANDS=(
     # (K + bit_length(F - 1) >= 32), then positions past uint16
     "simulate --mode bitexact --k 16 --n 16 --m 4 --b 8 --l 2 --f 40000 --trials 1 --seed 3"
     "simulate --mode bitexact --k 6 --b 3 --l 2 --f 70000 --trials 2 --seed 4"
+    # the verification suite, on the default seeds and on a second set
+    # (check_decodability decodes every F-AP at its deadline on both)
     "verify --max-k 12"
+    "verify --max-k 12 --seed 5"
     # the analytic-sweep shape, and l and m sweeps
     "sweep --sweep deltab --values 1,2,4,7 --k 14 --b 7 --l 2 --f 10000 --trials 1"
     "sweep --sweep deltab --values 1,2,3 --k 6 --b 3 --l 2 --f 2000 --trials 2 --mode bitexact"
