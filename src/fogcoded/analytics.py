@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import RequestSchedule, SystemParams
-from .errors import InvalidParams, OutOfRange, TooLarge
+from .errors import InvalidParams, TooLarge
 from .partition import eta as partition_eta
 
 BRUTE_FORCE_MAX_K = 20
@@ -46,6 +46,8 @@ class FixedLConfig(SystemParams):
     L: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.L, (int, np.integer)):
+            raise InvalidParams(f"L must be an integer, got {self.L!r}")
         if self.K != self.B * self.L:
             raise InvalidParams(
                 f"fixed-L schedules need K = B*L, got K={self.K}, B={self.B}, L={self.L}"
@@ -91,9 +93,9 @@ def _g_poly(Y: int, L: int) -> tuple[int, ...]:
 def b_count(Y: int, alpha: int, L: int) -> int:
     """Ways to pick alpha F-APs from Y slots of L requesters, >= 1 per slot."""
     if Y < 1 or L < 1:
-        raise OutOfRange(f"need Y >= 1 and L >= 1, got Y={Y}, L={L}")
+        raise InvalidParams(f"need Y >= 1 and L >= 1, got Y={Y}, L={L}")
     if alpha < Y or alpha > Y * L:
-        raise OutOfRange(f"alpha={alpha} outside [Y, Y*L] = [{Y}, {Y * L}]")
+        raise InvalidParams(f"alpha={alpha} outside [Y, Y*L] = [{Y}, {Y * L}]")
     return _g_poly(Y, L)[alpha]
 
 
@@ -124,7 +126,7 @@ def _q_table(B: int, L: int, delta_b: int) -> tuple[tuple[int, ...], ...]:
 
 def _table_for(s: int, config: FixedLConfig) -> tuple[tuple[int, ...], ...]:
     if not (1 <= s <= config.K):
-        raise OutOfRange(f"type s must be in [1, K], got s={s}, K={config.K}")
+        raise InvalidParams(f"type s must be in [1, K], got s={s}, K={config.K}")
     return _q_table(config.B, config.L, config.delta_b)
 
 
@@ -210,6 +212,8 @@ def hit_chance(params: SystemParams, n: int) -> float:
     p meets n given F-APs, by squaring on hit(a + b) = hit(a) + (1 - p)^a *
     hit(b): a sum of positive terms, so nothing is subtracted from a rounded
     1 - p and no digit is lost as p -> 0; exact wherever 1 - (1 - p)^n is."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise InvalidParams(f"n must be an integer >= 0, got {n!r}")
     hit, miss, step_hit, step_miss = 0.0, 1.0, params.cache_ratio, params.miss_ratio
     while n:
         if n & 1:

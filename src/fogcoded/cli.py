@@ -145,9 +145,9 @@ def _checked_params(config: ExperimentConfig) -> core.SystemParams:
     _check_seed(config.seed)
     params = config.system_params()
     if config.mode == "bitexact":
-        delivery.check_delivery_size(params.K)
+        core.check_delivery_size(params.K)
         if config.F > BITEXACT_MAX_F:
-            raise InvalidParams(
+            raise TooLarge(
                 f"bit-exact mode is limited to F <= {BITEXACT_MAX_F}; "
                 "use --mode analytic for larger files"
             )
@@ -447,7 +447,7 @@ def render_tables(config: ExperimentConfig) -> list[str]:
     if config.random_schedule:
         raise InvalidParams("tables need a fixed-L schedule (--l)")
     params = _checked_params(config)
-    delivery.check_delivery_size(params.K)
+    core.check_delivery_size(params.K)
     schedule = core.make_fixed_L_schedule(config.K, config.B, config.L)
     if config.mode == "bitexact":
         result = _bitexact_delivery(params, schedule, config.seed, 0)[-1]
@@ -476,8 +476,12 @@ def render_tables(config: ExperimentConfig) -> list[str]:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(f"config file {path} is not text: {exc}") from None
     entries: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -581,12 +585,25 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse an --out path that is a directory, or whose directory is
+    not one, before anything runs; the file is not created here."""
+    if not path or path == "-":
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise InvalidParams(f"--out {path} is a directory")
+    if not target.parent.is_dir():
+        raise InvalidParams(f"--out {path}: {target.parent} is not a directory")
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     """The run configuration of simulate, sweep or tables flags; delta_b is
     the first --delta-b value, or the subcommand's default when none was
     given.  Only sweep takes a list of them."""
     if args.command != "sweep" and len(args.delta_b_list) > 1:
         raise InvalidParams(f"{args.command} takes one --delta-b value, not a list")
+    _check_out(args.out)
     values = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     if args.delta_b_list:
         values["delta_b"] = args.delta_b_list[0]
@@ -639,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
             for line in lines:
                 print(line)
         return 0
-    except FogcodedError as exc:
+    except (FogcodedError, OSError) as exc:  # OSError: reading --config, writing --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

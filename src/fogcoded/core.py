@@ -88,6 +88,9 @@ class SystemParams:
     delta_b: int
 
     def __post_init__(self) -> None:
+        for name in ("K", "N", "F", "B", "delta_b"):
+            if not isinstance(value := getattr(self, name), (int, np.integer)):
+                raise InvalidParams(f"{name} must be an integer, got {value!r}")
         if self.K < 1:
             raise InvalidParams(f"K must be >= 1, got {self.K}")
         if self.N < self.K:
@@ -210,6 +213,11 @@ class CacheLayout:
     K: int
     files: tuple[int, ...]
     signature: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.signature.ndim != 2 or self.signature.shape[0] != len(self.files):
+            raise InvalidParams(f"cache signatures must be a 2-D array, one row per file; "
+                                f"got shape {self.signature.shape} for {len(self.files)} files")
 
     def rows(self, files) -> np.ndarray:
         """The signature row of each file id; raises InvalidParams naming
@@ -352,6 +360,8 @@ def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
     slots filled so far, chosen uniformly.  A random permutation then
     relabels the slots, which are numbered in opening order until then.
     """
+    if B < 1:
+        raise InvalidParams(f"need B >= 1, got B={B}")
     if K < B:
         raise InvalidParams(f"need K >= B for nonempty slots, got K={K}, B={B}")
     rng = np.random.Generator(np.random.PCG64(seed))

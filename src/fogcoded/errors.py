@@ -6,15 +6,12 @@ class FogcodedError(Exception):
 
 
 class InvalidParams(FogcodedError, ValueError):
-    """A system or experiment parameter violates its constraints."""
-
-
-class OutOfRange(FogcodedError, ValueError):
-    """An argument of a counting function is outside its domain."""
+    """A parameter or argument is outside its domain."""
 
 
 class TooLarge(FogcodedError, ValueError):
-    """An exhaustive enumeration was requested for an infeasible size."""
+    """A requested size is past one of the package's caps: an exhaustive
+    enumeration, the delivery engine's K, a bit-exact file."""
 
 
 class DeadlineViolation(FogcodedError, RuntimeError):

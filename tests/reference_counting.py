@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from fogcoded.core import RequestSchedule
-from fogcoded.errors import InvalidParams, OutOfRange
+from fogcoded.errors import InvalidParams
 
 
 def brute_force_b(Y: int, alpha: int, L: int) -> int:
@@ -65,9 +65,9 @@ def _comb0(n: int, k: int) -> int:
 def b_count(Y: int, alpha: int, L: int) -> int:
     """Ways to pick alpha F-APs from Y slots of L requesters, >= 1 per slot."""
     if Y < 1 or L < 1:
-        raise OutOfRange(f"need Y >= 1 and L >= 1, got Y={Y}, L={L}")
+        raise InvalidParams(f"need Y >= 1 and L >= 1, got Y={Y}, L={L}")
     if alpha < Y or alpha > Y * L:
-        raise OutOfRange(f"alpha={alpha} outside [Y, Y*L] = [{Y}, {Y * L}]")
+        raise InvalidParams(f"alpha={alpha} outside [Y, Y*L] = [{Y}, {Y * L}]")
     if Y == 1:
         return math.comb(L, alpha)
     # recursive split on how many come from the first slot; branches whose

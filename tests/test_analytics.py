@@ -6,6 +6,9 @@ one reading.
 """
 
 import math
+import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,7 +21,7 @@ import reference_counting
 import reference_partition
 from fogcoded import analytics, core, delivery
 from fogcoded.analytics import FixedLConfig
-from fogcoded.errors import InvalidParams, OutOfRange, TooLarge
+from fogcoded.errors import InvalidParams, TooLarge
 
 
 def cfg(K=4, B=4, L=1, delta_b=2, N=None, M=None, F=16):
@@ -52,9 +55,9 @@ class TestBCount:
         assert analytics.b_count(3, 6, 2) == 1
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidParams):
             analytics.b_count(2, 1, 3)
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidParams):
             analytics.b_count(2, 7, 3)
 
     def test_brute_force_grid(self):
@@ -129,9 +132,9 @@ class TestQCount:
 
     @pytest.mark.parametrize("s", [0, -1, 5])
     def test_s_outside_1_to_k_is_refused(self, s):
-        with pytest.raises(OutOfRange, match=f"got s={s}, K=4"):
+        with pytest.raises(InvalidParams, match=f"got s={s}, K=4"):
             analytics.q_count(s, 1, cfg())
-        with pytest.raises(OutOfRange, match=f"got s={s}, K=4"):
+        with pytest.raises(InvalidParams, match=f"got s={s}, K=4"):
             analytics.Q_count(s, cfg())
 
     def test_y_outside_y_range_counts_zero(self):
@@ -564,6 +567,28 @@ class TestTinyCacheRatio:
         # 1 - (1 - p)^n fits a double for these n, and so does every partial sum
         assert analytics.hit_chance(sys_params(1, 4, float(4 * p)), n) == exact_hit(p, n)
 
+    @pytest.mark.parametrize("n", [2.5, "3", None])
+    def test_hit_chance_refuses_a_non_integer_count(self, n):
+        with pytest.raises(InvalidParams, match=re.escape(f"got {n!r}")):
+            analytics.hit_chance(sys_params(1, 4, 2.0), n)
+
+    def test_hit_chance_refuses_a_negative_count(self):
+        # -1 >> 1 is -1, so an unchecked count never ends the squaring
+        # loop; the subprocess bounds the run
+        code = (
+            "from fogcoded import analytics, core\n"
+            "from fogcoded.errors import InvalidParams\n"
+            "p = core.SystemParams(K=1, N=4, M=2.0, F=1, B=2, delta_b=1)\n"
+            "try:\n"
+            "    analytics.hit_chance(p, -1)\n"
+            "except InvalidParams as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "n must be an integer >= 0, got -1\n"
+
     @pytest.mark.parametrize("M", TINY_M)
     def test_closed_form(self, M):
         c = cfg(K=8, B=4, L=2, delta_b=2, N=20, M=M)
@@ -651,6 +676,11 @@ class TestFixedLConfigValidation:
     def test_cache_range(self):
         with pytest.raises(InvalidParams):
             FixedLConfig(K=4, N=4, M=0, F=1, B=4, L=1, delta_b=1)
+
+    def test_l_must_be_an_integer(self):
+        # K = B*L holds for L = 1.0, by which no schedule can be sliced
+        with pytest.raises(InvalidParams, match="L must be an integer, got 1.0"):
+            FixedLConfig(K=4, N=4, M=2, F=1, B=4, L=1.0, delta_b=1)
 
     def test_delay_range(self):
         with pytest.raises(InvalidParams):

@@ -147,6 +147,11 @@ class TestSimulate:
         assert rc == 2
         assert "analytic" in capsys.readouterr().err
 
+    def test_file_size_cap_is_too_large(self):
+        config = ExperimentConfig(mode="bitexact", F=cli.BITEXACT_MAX_F + 1)
+        with pytest.raises(TooLarge, match=f"F <= {cli.BITEXACT_MAX_F}"):
+            cli._checked_params(config)
+
     @pytest.mark.parametrize("m, quota", [("0.001", 0), ("3.999", 100)])
     def test_bitexact_degenerate_quota_rejected(self, capsys, m, quota):
         # round(M*F/N) = round(0.025) = 0 and round(99.975) = F: the caches
@@ -428,6 +433,59 @@ class TestMalformedInput:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error:" in err and "'abc'" in err
+
+
+class TestPaths:
+    # A bad --out or --config path exits 2 with `error:`; a bad --out is
+    # refused before anything runs.
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the --out check")
+
+        for name in ("run_single", "run_sweep", "render_tables"):
+            monkeypatch.setattr(cli, name, fail)
+
+    @pytest.mark.parametrize("command, name", [("simulate", "x.csv"), ("tables", "t.txt")])
+    def test_out_in_a_missing_directory(self, no_run, tmp_path, capsys, command, name):
+        out = tmp_path / "missing" / name
+        assert cli.main([command, "--out", str(out)]) == 2
+        assert f"error: --out {out}: {out.parent} is not a directory" in capsys.readouterr().err
+
+    def test_out_is_a_directory(self, no_run, tmp_path, capsys):
+        assert cli.main(["sweep", "--sweep", "m", "--values", "2,5", "--out", str(tmp_path)]) == 2
+        assert f"error: --out {tmp_path} is a directory" in capsys.readouterr().err
+
+    def test_write_failure_exits_2(self, monkeypatch, tmp_path, capsys):
+        def full(rows, path):
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(cli, "write_csv", full)
+        assert cli.main(["simulate", "--trials", "1", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
+
+    def test_refused_run_leaves_out_untouched(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("kept\n")
+        assert cli.main(["simulate", "--trials", "0", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+
+    def test_missing_config(self, tmp_path, capsys):
+        cfg = tmp_path / "none.cfg"
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert cli.main(["simulate", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+
+    def test_config_that_is_not_text(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k=4\n\xff\xfe\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == 2
+        assert f"error: config file {cfg} is not text" in capsys.readouterr().err
 
 
 class TestDelayLists:

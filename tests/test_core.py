@@ -57,6 +57,17 @@ class TestSystemParams:
         with pytest.raises(InvalidParams):
             fixed_l_params(**kwargs)
 
+    @pytest.mark.parametrize("name, value", [
+        ("K", 2.5), ("N", 20.0), ("F", 1.5), ("B", 2.0), ("delta_b", 1.0), ("K", "4"),
+    ])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(InvalidParams, match=f"{name} must be an integer, got {value!r}"):
+            params(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        p = params(K=np.int64(4), N=np.int32(4), F=np.uint16(16))
+        assert p.cached_bits_per_file == 8
+
     def test_cache_ratio_floor(self):
         # below the smallest normal double, (1 - p)/p and N/(K*M) overflow
         floor = sys.float_info.min
@@ -216,6 +227,13 @@ class TestPlaceCaches:
         with pytest.raises(InvalidParams, match=f"file {missing} was not placed"):
             caches.rows([2, missing, 4])
 
+    @pytest.mark.parametrize("shape", [(1, 16), (3, 16), (16,)])
+    def test_layout_refuses_a_signature_of_the_wrong_shape(self, shape):
+        # one signature row per placed file, as Library has one bit row
+        signature = np.zeros(shape, dtype=np.uint8)
+        with pytest.raises(InvalidParams, match=re.escape(f"got shape {shape} for 2 files")):
+            core.CacheLayout(4, (1, 2), signature)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(min_value=1, max_value=6),
@@ -291,6 +309,11 @@ class TestFixedLSchedule:
 
 
 class TestRandomSchedule:
+    @pytest.mark.parametrize("B", [0, -2])
+    def test_refuses_no_slots(self, B):
+        with pytest.raises(InvalidParams, match=f"got B={B}"):
+            core.make_random_schedule(3, B, 1)
+
     def test_equal_k_b_forces_singletons(self):
         sched = core.make_random_schedule(5, 5, seed=0)
         assert all(len(u) == 1 for u in sched.slots)

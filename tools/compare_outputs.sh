@@ -1,81 +1,71 @@
 #!/usr/bin/env bash
-# Compare the CLI's outputs of two source trees, command by command.
+# Compare the CLI's outputs of two source trees command by command, or pin
+# this tree's outputs as its golden files.
 #
 # Usage: tools/compare_outputs.sh PARENT CHANGE
+#        tools/compare_outputs.sh --write
 #
-# PARENT and CHANGE are checkouts of the repository (each with its own
-# src/).  Every command below runs as `python -m fogcoded.cli ...` with
-# PYTHONPATH=<tree>/src in both trees; stdout, stderr and the exit code are
-# compared with cmp.  Prints `same` or `DIFF` per command and exits 1 if
-# any command differs.  Sweeps write their CSV to stdout, so nothing is
-# written into either tree.
+# The commands are the lines of tests/golden/commands.txt in the tree this
+# script lives in.  Each runs as `python -m fogcoded.cli ...` with
+# PYTHONPATH=<tree>/src.
+#
+# PARENT CHANGE: PARENT and CHANGE are checkouts of the repository (each
+# with its own src/).  stdout, stderr and the exit code of every command
+# are compared with cmp.  Prints `same` or `DIFF` per command and exits 1
+# if any command differs.
+#
+# --write: runs every command on this tree's src/ and writes its stdout,
+# stderr and exit code to tests/golden/NAME.stdout, NAME.stderr and
+# NAME.rc, where NAME is the command with each character outside
+# [A-Za-z0-9.,=-] replaced by _.  The golden files of commands no longer
+# listed are removed.  tests/test_golden.py holds the CLI to these files.
 set -u
 
-if [ $# -ne 2 ]; then
-    echo "usage: $0 PARENT CHANGE" >&2
-    exit 2
-fi
-parent=$(cd "$1" && pwd) || exit 2
-change=$(cd "$2" && pwd) || exit 2
+here=$(cd "$(dirname "$0")/.." && pwd)
+golden=$here/tests/golden
 python=${PYTHON:-python3}
 
-COMMANDS=(
-    # transmission tables: the demo, bit-exact, and K = 12 both ways
-    "tables"
-    "tables --mode bitexact"
-    "tables --k 12 --n 12 --m 3 --b 6 --l 2"
-    "tables --k 12 --n 12 --m 3 --b 6 --l 2 --mode bitexact --f 2000"
-    # analytic entries whose expected sizes underflow to 0.0 are still sent
-    "tables --k 6 --n 6 --m 1e-200 --b 6 --l 1"
-    # the derived S1 and collapsed columns at both extremes of delta_b:
-    # every slot after the first due, then every deadline in the last slot
-    "tables --k 8 --n 8 --m 2 --b 4 --l 2 --delta-b 1"
-    "tables --k 8 --n 8 --m 2 --b 4 --l 2 --delta-b 4 --mode bitexact --f 512"
-    # the default run, the pinned bit-exact run and the bitexact-k12 shape
-    "simulate"
-    "simulate --mode bitexact --k 8 --b 4 --l 2 --f 4096 --trials 3 --seed 5"
-    "simulate --mode bitexact --k 12 --b 6 --l 2 --delta-b 2 --f 20000 --trials 2 --seed 2101"
-    # random-schedule bit-exact runs
-    "simulate --mode bitexact --k 9 --b 4 --f 3000 --trials 3 --seed 7"
-    "simulate --mode bitexact --k 10 --f 5000 --trials 3"
-    # the engine cap: 16 position rows, uint16 masks, 2^16 columns
-    "simulate --mode bitexact --k 16 --n 16 --m 4 --b 8 --l 2 --f 2000 --trials 1 --seed 3"
-    # the row positions' packed sort keys at their width edges: uint64 keys
-    # (K + bit_length(F - 1) >= 32), then positions past uint16
-    "simulate --mode bitexact --k 16 --n 16 --m 4 --b 8 --l 2 --f 40000 --trials 1 --seed 3"
-    "simulate --mode bitexact --k 6 --b 3 --l 2 --f 70000 --trials 2 --seed 4"
-    # the verification suite, on the default seeds and on a second set
-    # (check_decodability decodes every F-AP at its deadline on both)
-    "verify --max-k 12"
-    "verify --max-k 12 --seed 5"
-    # the analytic-sweep shape, and l and m sweeps
-    "sweep --sweep deltab --values 1,2,4,7 --k 14 --b 7 --l 2 --f 10000 --trials 1"
-    "sweep --sweep deltab --values 1,2,3 --k 6 --b 3 --l 2 --f 2000 --trials 2 --mode bitexact"
-    "sweep --sweep l --values 1,2,3 --b 4 --delta-b 1,2 --trials 2"
-    "sweep --sweep m --values 2,5,10 --trials 3"
-    "sweep --sweep m --values 2,5,10 --k 8 --b 4 --f 2000 --trials 2 --mode bitexact"
-    # vanishing cache ratios
-    "simulate --m 1e-9"
-    "simulate --m 4.5e-307"
-    # bit-exact caches holding none, then all, of each file
-    "simulate --mode bitexact --k 4 --b 4 --l 1 --f 100 --m 0.001 --n 4"
-    "simulate --mode bitexact --k 4 --b 4 --l 1 --f 100 --m 3.999 --n 4"
-)
+if [ $# -eq 1 ] && [ "$1" = --write ]; then
+    write=1
+elif [ $# -eq 2 ]; then
+    write=0
+    parent=$(cd "$1" && pwd) || exit 2
+    change=$(cd "$2" && pwd) || exit 2
+else
+    echo "usage: $0 PARENT CHANGE | $0 --write" >&2
+    exit 2
+fi
+
+COMMANDS=()
+while IFS= read -r line; do
+    read -ra words <<<"$line"
+    [ ${#words[@]} -eq 0 ] || [ "${words[0]:0:1}" = "#" ] || COMMANDS+=("${words[*]}")
+done <"$golden/commands.txt"
+
+# run TREE CMD PREFIX: CMD's stdout, stderr and exit code on TREE's src/
+run() {
+    # shellcheck disable=SC2086  # the command is split into its arguments
+    PYTHONPATH="$1/src" "$python" -m fogcoded.cli $2 >"$3.stdout" 2>"$3.stderr"
+    echo $? >"$3.rc"
+}
+
+if [ "$write" = 1 ]; then
+    rm -f "$golden"/*.stdout "$golden"/*.stderr "$golden"/*.rc
+    for cmd in "${COMMANDS[@]}"; do
+        run "$here" "$cmd" "$golden/$(printf '%s' "$cmd" | tr -c 'A-Za-z0-9.,=-' _)"
+        printf 'wrote  %s\n' "$cmd"
+    done
+    exit 0
+fi
 
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 status=0
-for i in "${!COMMANDS[@]}"; do
-    cmd=${COMMANDS[$i]}
-    for side in parent change; do
-        tree=${!side}
-        # shellcheck disable=SC2086  # the command is split into its arguments
-        PYTHONPATH="$tree/src" "$python" -m fogcoded.cli $cmd \
-            >"$out/$side.out" 2>"$out/$side.err"
-        echo $? >"$out/$side.rc"
-    done
+for cmd in "${COMMANDS[@]}"; do
+    run "$parent" "$cmd" "$out/parent"
+    run "$change" "$cmd" "$out/change"
     verdict=same
-    for stream in out err rc; do
+    for stream in stdout stderr rc; do
         cmp -s "$out/parent.$stream" "$out/change.$stream" || verdict=DIFF
     done
     [ "$verdict" = same ] || status=1
