@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import RequestSchedule, SystemParams
+from .core import RequestSchedule, SystemParams, check_integer
 from .errors import InvalidParams, TooLarge
 from .partition import eta as partition_eta
 
@@ -46,8 +46,7 @@ class FixedLConfig(SystemParams):
     L: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.L, (int, np.integer)):
-            raise InvalidParams(f"L must be an integer, got {self.L!r}")
+        check_integer("L", self.L)
         if self.K != self.B * self.L:
             raise InvalidParams(
                 f"fixed-L schedules need K = B*L, got K={self.K}, B={self.B}, L={self.L}"
@@ -261,6 +260,8 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
     (_chain_load), and (w >> n, w - (w >> n)) for the count, which starts
     from all 2^K sets, so every split is exact."""
     sizes = list(sizes)
+    for n in sizes:
+        check_integer("slot size", n)
     if len(sizes) != params.B:
         raise InvalidParams(f"need B={params.B} slot sizes, got {len(sizes)}")
     if sum(sizes) != params.K:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -59,15 +60,6 @@ class ExperimentConfig:
     def random_schedule(self) -> bool:
         return self.L is None
 
-    def system_params(self) -> core.SystemParams:
-        """Validated system parameters; a FixedLConfig when L is set."""
-        common = dict(
-            K=self.K, N=self.N, M=self.M, F=self.F, B=self.B, delta_b=self.delta_b
-        )
-        if self.random_schedule:
-            return core.SystemParams(**common)
-        return FixedLConfig(**common, L=self.L)
-
 
 @dataclass
 class ResultRow:
@@ -102,15 +94,16 @@ def _trial_seeds(seed: int, trial: int) -> tuple[int, int, int]:
 
 def _bitexact_delivery(
     params: core.SystemParams, schedule: core.RequestSchedule, seed: int, trial: int
-) -> tuple[core.Library, core.CacheLayout, core.SubfileRecordTable, delivery.DeliveryResult]:
+) -> tuple[core.SubfileRecordTable, delivery.DeliveryResult]:
     """The bit-exact pipeline of one seeded trial: library, caches and
-    subfile records from the trial's seed streams, then delivery."""
+    subfile records from the trial's seed streams, then delivery.  The
+    record table carries the library and the caches."""
     lib_seed, place_seed, _ = _trial_seeds(seed, trial)
     files = set(schedule.demand.values())
     library = core.generate_library(params, lib_seed, files)
     caches = core.place_caches(params, place_seed, files)
     records = core.partition_into_subfiles(library, caches, schedule)
-    return library, caches, records, delivery.run_delivery(schedule, records, params)
+    return records, delivery.run_delivery(schedule, records, params)
 
 
 def _one_trial(
@@ -124,14 +117,8 @@ def _one_trial(
         schedule = core.make_fixed_L_schedule(config.K, config.B, config.L, sched_seed)
     if config.mode == "analytic":
         return analytics.schedule_load(params, map(len, schedule.slots))
-    report = _bitexact_delivery(params, schedule, config.seed, trial)[-1].report
+    report = _bitexact_delivery(params, schedule, config.seed, trial)[1].report
     return report.normalized_load, report.transmission_count
-
-
-def _check_seed(seed: int) -> None:
-    # numpy's seed sequences take no negative entropy
-    if seed < 0:
-        raise InvalidParams(f"seed must be >= 0, got {seed}")
 
 
 def _checked_params(config: ExperimentConfig) -> core.SystemParams:
@@ -142,8 +129,14 @@ def _checked_params(config: ExperimentConfig) -> core.SystemParams:
     ANALYTIC_MAX_K."""
     if config.mode not in ("analytic", "bitexact"):
         raise InvalidParams(f"unknown mode {config.mode!r}")
-    _check_seed(config.seed)
-    params = config.system_params()
+    core.check_seed(config.seed)
+    common = dict(
+        K=config.K, N=config.N, M=config.M, F=config.F, B=config.B, delta_b=config.delta_b
+    )
+    if config.random_schedule:
+        params = core.SystemParams(**common)
+    else:
+        params = FixedLConfig(**common, L=config.L)
     if config.mode == "bitexact":
         core.check_delivery_size(params.K)
         if config.F > BITEXACT_MAX_F:
@@ -221,17 +214,27 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def write_csv(rows: list[ResultRow], path: str | None) -> str:
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(row.csv_values())
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return path or "-"
+def _write(text: str, path: str | None) -> None:
+    """The one output path: `text` to the file `path`, or to stdout when
+    `path` is None, empty or -."""
+    if path and path != "-":
+        # open(), not Path.write_text, whose first call in a process costs
+        # about 70 us more: 6% of a K = 14 analytic sweep
+        with open(path, "w", newline="") as out:
+            out.write(text)
+    else:
+        # line by line: one large write to a pipe whose reader has gone can
+        # end short without an error, where the next write reports it
+        sys.stdout.writelines(text.splitlines(keepends=True))
+
+
+def write_csv(rows: list[ResultRow], path: str | None) -> None:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow(row.csv_values())
+    _write(out.getvalue(), path)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +246,6 @@ class CheckResult:
     name: str
     ok: bool | None  # None means skipped
     detail: str = ""
-
-    @property
-    def failed(self) -> bool:
-        return self.ok is False
 
 
 def _verdict(name: str, bad: list, what: str) -> CheckResult:
@@ -386,16 +385,14 @@ def check_decodability(seed: int = 0) -> CheckResult:
             params = core.SystemParams(K=k, N=k, M=k / 2, F=512, B=b, delta_b=delta_b)
             schedule = core.make_random_schedule(k, b, _trial_seeds(seed, delta_b)[2])
             try:
-                library, caches, records, result = _bitexact_delivery(
-                    params, schedule, seed, delta_b
-                )
+                records, result = _bitexact_delivery(params, schedule, seed, delta_b)
                 for fap in range(1, k + 1):
                     deadline = schedule.deadline_slot(fap, delta_b)
                     decoded = delivery.decode_fap(
-                        fap, result.events, library, caches, records,
+                        fap, result.events, records.library, records.caches, records,
                         upto_slot=deadline,
                     )
-                    if not np.array_equal(decoded, library.file(schedule.demand[fap])):
+                    if not np.array_equal(decoded, records.library.file(schedule.demand[fap])):
                         bad.append((k, b, delta_b, fap))
             except FogcodedError as exc:
                 bad.append((k, b, delta_b, str(exc)))
@@ -421,7 +418,7 @@ def run_verification(max_k: int = 8, seed: int = 0) -> list[CheckResult]:
     if max_k < 2:
         # below 2 the oracle checks vanish and the grids are empty
         raise InvalidParams(f"verify needs max_k >= 2, got {max_k}")
-    _check_seed(seed)
+    core.check_seed(seed)
     checks: list[CheckResult] = []
     checks.extend(check_counting_oracle(max_k))
     checks.append(check_window_chain(max_k, seed))
@@ -450,7 +447,7 @@ def render_tables(config: ExperimentConfig) -> list[str]:
     core.check_delivery_size(params.K)
     schedule = core.make_fixed_L_schedule(config.K, config.B, config.L)
     if config.mode == "bitexact":
-        result = _bitexact_delivery(params, schedule, config.seed, 0)[-1]
+        result = _bitexact_delivery(params, schedule, config.seed, 0)[1]
     else:
         records = core.analytic_subfile_table(params, schedule)
         result = delivery.run_delivery(schedule, records, params)
@@ -615,14 +612,13 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(argv)
         if args.command == "verify":
             checks = run_verification(max_k=args.max_k, seed=args.seed)
-            failed = 0
             for check in checks:
                 status = "PASS" if check.ok else ("SKIP" if check.ok is None else "FAIL")
-                failed += check.failed
                 line = f"{status}  {check.name}"
                 if check.detail:
                     line += f"  ({check.detail})"
                 print(line)
+            failed = sum(check.ok is False for check in checks)
             print(f"{len(checks) - failed}/{len(checks)} checks passed")
             return 1 if failed else 0
         config = _experiment_config(args)
@@ -649,12 +645,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             write_csv(run_sweep(config), config.out)
             return 0
-        lines = render_tables(config)
-        if config.out and config.out != "-":
-            Path(config.out).write_text("\n".join(lines) + "\n")
-        else:
-            for line in lines:
-                print(line)
+        _write("\n".join(render_tables(config)) + "\n", config.out)
         return 0
     except (FogcodedError, OSError) as exc:  # OSError: reading --config, writing --out
         print(f"error: {exc}", file=sys.stderr)

@@ -33,6 +33,21 @@ def check_delivery_size(K: int) -> None:
         )
 
 
+def check_integer(name: str, value, least: int | None = None) -> None:
+    """Raise InvalidParams naming `value` unless it is a Python or numpy
+    integer, and at least `least` when that is given."""
+    if not isinstance(value, (int, np.integer)):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise InvalidParams(f"{name} must be >= {least}, got {value}")
+
+
+def check_seed(seed: int) -> None:
+    """Raise InvalidParams unless `seed` is an integer >= 0: numpy's seed
+    sequences take no negative entropy."""
+    check_integer("seed", seed, 0)
+
+
 def mask_of(ids: Iterable[int]) -> int:
     m = 0
     for k in ids:
@@ -89,8 +104,7 @@ class SystemParams:
 
     def __post_init__(self) -> None:
         for name in ("K", "N", "F", "B", "delta_b"):
-            if not isinstance(value := getattr(self, name), (int, np.integer)):
-                raise InvalidParams(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         if self.K < 1:
             raise InvalidParams(f"K must be >= 1, got {self.K}")
         if self.N < self.K:
@@ -193,6 +207,7 @@ def generate_library(params: SystemParams, seed: int, files: Iterable[int]) -> L
     (n,), so its bits depend neither on N nor on which other files are
     drawn.  A trial needs only the files it demands.
     """
+    check_seed(seed)
     placed = _file_ids(params, files)
     bits = np.empty((len(placed), params.F), dtype=np.uint8)
     for row, n in zip(bits, placed):
@@ -234,6 +249,7 @@ def place_caches(params: SystemParams, seed: int, files: Iterable[int]) -> Cache
     nor on which other files are placed.  Files never requested need no
     placement: delivery and decoding read only the requested ones.
     """
+    check_seed(seed)
     quota = params.cached_bits_per_file
     check_delivery_size(params.K)
     placed = _file_ids(params, files)
@@ -265,6 +281,8 @@ class RequestSchedule:
     demand: Mapping[int, int]
 
     def __post_init__(self) -> None:
+        if not self.slots:
+            raise InvalidParams("a schedule needs at least one slot")
         seen: set[int] = set()
         for b, u in enumerate(self.slots, start=1):
             if not u:
@@ -317,7 +335,13 @@ def make_fixed_L_schedule(
 
     Without a seed, slot b holds F-APs (b-1)*L+1 .. b*L.  With a seed, the
     membership is a uniformly random partition of {1..K} into B blocks of L.
+    K, B and L must be integers, B and L at least 1, and a seed >= 0.
     """
+    check_integer("K", K)
+    check_integer("B", B, 1)
+    check_integer("L", L, 1)
+    if seed is not None:
+        check_seed(seed)
     if K != B * L:
         raise InvalidParams(f"fixed-L schedule needs K = B*L, got K={K}, B={B}, L={L}")
     ids = list(range(1, K + 1))
@@ -359,7 +383,11 @@ def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
     the surjections that do so (_open_chances), or else joins one of the
     slots filled so far, chosen uniformly.  A random permutation then
     relabels the slots, which are numbered in opening order until then.
+    K and B must be integers, 1 <= B <= K, and the seed >= 0.
     """
+    check_integer("K", K)
+    check_integer("B", B)
+    check_seed(seed)
     if B < 1:
         raise InvalidParams(f"need B >= 1, got B={B}")
     if K < B:

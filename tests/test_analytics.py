@@ -346,6 +346,12 @@ class TestScheduleQ:
             assert count == sum(Q), (K, B, delta_b)
             assert load == pytest.approx(analytics.load_of(params, Q), rel=1e-12)
 
+    def test_refuses_non_integer_slot_sizes(self):
+        # the count's split w >> n needs an integer n
+        params = core.SystemParams(K=4, N=4, M=2, F=1, B=2, delta_b=1)
+        with pytest.raises(InvalidParams, match="slot size must be an integer, got 2.0"):
+            analytics.schedule_load(params, [2.0, 2.0])
+
     @settings(max_examples=30, deadline=None)
     @given(random_schedules(max_k=7), st.sampled_from([0.25, 0.5, 0.75]))
     def test_matches_delivery_engine(self, schedule, ratio):

@@ -488,6 +488,35 @@ class TestPaths:
         assert f"error: config file {cfg} is not text" in capsys.readouterr().err
 
 
+class TestWritePath:
+    # --out PATH writes to PATH; - or an empty value writes to stdout, the
+    # same for every subcommand.
+    SWEEP = ["sweep", "--sweep", "m", "--values", "2,5", "--trials", "2"]
+
+    def test_empty_out_sweep_writes_stdout(self, capsys):
+        assert cli.main(self.SWEEP) == 0
+        plain = capsys.readouterr()
+        assert plain.out.startswith(",".join(CSV_COLUMNS) + "\n")
+        assert cli.main([*self.SWEEP, "--out", ""]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_write_csv_file_matches_stdout(self, tmp_path, capsys):
+        rows = cli.run_sweep(ExperimentConfig(sweep="m", values=(2.0, 5.0), trials=2))
+        out = tmp_path / "rows.csv"
+        cli.write_csv(rows, str(out))
+        for path in (None, "", "-"):
+            assert cli.write_csv(rows, path) is None
+            assert capsys.readouterr().out.encode() == out.read_bytes()
+
+    def test_tables_file_matches_stdout(self, tmp_path, capsys):
+        assert cli.main(["tables", "--mode", "bitexact"]) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "t.txt"
+        assert cli.main(["tables", "--mode", "bitexact", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode()
+
+
 class TestDelayLists:
     # Only the l and m sweeps run one cell per --delta-b value; everywhere
     # else a list would be cut to its first value.

@@ -282,6 +282,17 @@ class TestExpectedSubfileSize:
             expected_size(params(), 5)
 
 
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Fail every PCG64 bit generator built while the test runs (`core`
+    draws only through them), so a refusal is seen to come before the
+    first draw."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a generator was built before the inputs were checked")
+
+    monkeypatch.setattr(core.np.random, "PCG64", fail)
+
+
 class TestFixedLSchedule:
     def test_canonical_singletons(self):
         sched = core.make_fixed_L_schedule(4, 4, 1)
@@ -307,12 +318,48 @@ class TestFixedLSchedule:
         assert all(len(u) == 2 for u in a.slots)
         assert frozenset().union(*a.slots) == frozenset(range(1, 9))
 
+    def test_refuses_a_non_integer_count(self, no_draw):
+        with pytest.raises(InvalidParams, match="L must be an integer, got 1.0"):
+            core.make_fixed_L_schedule(4, 4, 1.0)
+
+    @pytest.mark.parametrize("K, B, L", [(0, 0, 1), (-2, -1, 2)])
+    def test_refuses_no_slots(self, no_draw, K, B, L):
+        # K = B*L holds: each built an empty schedule before
+        with pytest.raises(InvalidParams, match=f"B must be >= 1, got {B}"):
+            core.make_fixed_L_schedule(K, B, L, seed=1)
+
+
+class TestSeedChecks:
+    # numpy's seed sequences end a negative seed in their own ValueError
+    @pytest.mark.parametrize("call", [
+        lambda: core.generate_library(params(), -1, [1]),
+        lambda: core.place_caches(params(), -1, [1]),
+        lambda: core.make_fixed_L_schedule(4, 2, 2, seed=-1),
+        lambda: core.make_random_schedule(4, 2, -1),
+    ], ids=["generate_library", "place_caches", "fixed-L", "random"])
+    def test_negative_seed_refused_before_any_draw(self, no_draw, call):
+        with pytest.raises(InvalidParams, match="seed must be >= 0, got -1"):
+            call()
+
 
 class TestRandomSchedule:
     @pytest.mark.parametrize("B", [0, -2])
     def test_refuses_no_slots(self, B):
         with pytest.raises(InvalidParams, match=f"got B={B}"):
             core.make_random_schedule(3, B, 1)
+
+    @pytest.mark.parametrize("K, B, seed, message", [
+        (2.5, 2, 1, "K must be an integer, got 2.5"),
+        (3, 2.0, 1, "B must be an integer, got 2.0"),
+        (4, 2, 1.5, "seed must be an integer, got 1.5"),
+    ])
+    def test_refuses_non_integers(self, no_draw, K, B, seed, message):
+        with pytest.raises(InvalidParams, match=re.escape(message)):
+            core.make_random_schedule(K, B, seed)
+
+    def test_numpy_integers_accepted(self):
+        sched = core.make_random_schedule(np.int64(6), np.int32(3), np.uint8(4))
+        assert sched.slots == core.make_random_schedule(6, 3, 4).slots
 
     def test_equal_k_b_forces_singletons(self):
         sched = core.make_random_schedule(5, 5, seed=0)
@@ -390,6 +437,10 @@ class TestRandomSchedule:
 
 
 class TestScheduleValidation:
+    def test_rejects_no_slots(self):
+        with pytest.raises(InvalidParams, match="a schedule needs at least one slot"):
+            core.RequestSchedule((), {})
+
     def test_rejects_empty_slot(self):
         with pytest.raises(InvalidParams):
             core.RequestSchedule((frozenset({1}), frozenset()), {1: 1})

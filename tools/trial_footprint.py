@@ -57,16 +57,16 @@ def main(seed: int = 1) -> int:
     for stage in STAGES:
         timed(*stage)
     start = time.perf_counter()
-    library, caches, records, result = cli._bitexact_delivery(params, schedule, seed, 0)
+    records, result = cli._bitexact_delivery(params, schedule, seed, 0)
     print(f"{'trial':<10} {time.perf_counter() - start:8.3f} s")
     print(f"{'peak RSS':<10} {peak_rss_mb():8.1f} MB after the trial")
     start = time.perf_counter()
     for k in range(1, params.K + 1):
         decoded = delivery.decode_fap(
-            k, result.events, library, caches, records,
+            k, result.events, records.library, records.caches, records,
             upto_slot=schedule.deadline_slot(k, params.delta_b),
         )
-        if not (decoded == library.file(schedule.demand[k])).all():
+        if not (decoded == records.library.file(schedule.demand[k])).all():
             print(f"F-AP {k} decoded wrong bits", file=sys.stderr)
             return 1
     print(f"{'decode':<10} {time.perf_counter() - start:8.3f} s for {params.K} F-APs")
