@@ -14,12 +14,13 @@ subcommand's defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -87,6 +88,7 @@ class ResultRow:
 
 def _trial_seeds(seed: int, trial: int) -> tuple[int, int, int]:
     # One root seed split into independent library/placement/schedule streams.
+    core.check_seed(seed)
     ss = np.random.SeedSequence([seed, trial])
     lib, place, sched = (int(x) for x in ss.generate_state(3))
     return lib, place, sched
@@ -214,27 +216,27 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-def _write(text: str, path: str | None) -> None:
-    """The one output path: `text` to the file `path`, or to stdout when
-    `path` is None, empty or -."""
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The one output path: the file `path`, opened for writing, or stdout
+    when `path` is None, empty or -.  Write to it line by line: one large
+    write to a pipe whose reader has gone can end short without an error,
+    where the next write reports it."""
     if path and path != "-":
-        # open(), not Path.write_text, whose first call in a process costs
+        # open(), not pathlib, whose first call in a process costs
         # about 70 us more: 6% of a K = 14 analytic sweep
         with open(path, "w", newline="") as out:
-            out.write(text)
+            yield out
     else:
-        # line by line: one large write to a pipe whose reader has gone can
-        # end short without an error, where the next write reports it
-        sys.stdout.writelines(text.splitlines(keepends=True))
+        yield sys.stdout
 
 
 def write_csv(rows: list[ResultRow], path: str | None) -> None:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(row.csv_values())
-    _write(out.getvalue(), path)
+    with _output(path) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for row in rows:
+            writer.writerow(row.csv_values())
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +402,7 @@ def check_decodability(seed: int = 0) -> CheckResult:
 
 
 def check_delay_monotonicity(seed: int = 0) -> CheckResult:
+    core.check_seed(seed)
     bad = []
     for trial in range(5):
         schedule = core.make_random_schedule(8, 4, seed * 100 + trial)
@@ -439,8 +442,10 @@ def format_fap_set(mask: int) -> str:
     return "{" + ",".join(str(k) for k in core.iter_ids(mask)) + "}"
 
 
-def render_tables(config: ExperimentConfig) -> list[str]:
-    """One tab-separated line per enumerated candidate; S1 and collapsed from `slot_masks`."""
+def render_tables(config: ExperimentConfig) -> Iterator[str]:
+    """One tab-separated, newline-terminated line per enumerated candidate,
+    formatted as it is read; S1 and collapsed from `slot_masks`.  Every
+    refusal, and the delivery, come at the call."""
     if config.random_schedule:
         raise InvalidParams("tables need a fixed-L schedule (--l)")
     params = _checked_params(config)
@@ -452,20 +457,22 @@ def render_tables(config: ExperimentConfig) -> list[str]:
         records = core.analytic_subfile_table(params, schedule)
         result = delivery.run_delivery(schedule, records, params)
     e, (due, active) = result.events, delivery.slot_masks(schedule, params.delta_b)
-    lines = ["slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits\tcontent"]
-    for slot, S, included, bits in zip(
-        e.slot.tolist(), e.S.tolist(), e.included.tolist(), e.bits.tolist()
-    ):
-        s1 = S & due[slot]
-        content = "^".join(
-            f"W[{k},{format_fap_set(S & ~(1 << (k - 1)))}]" for k in core.iter_ids(included)
-        )
-        lines.append("\t".join([
-            str(slot), str(S.bit_count()), str(s1.bit_count()), format_fap_set(s1),
-            format_fap_set(S ^ s1), format_fap_set(S & active[slot]),
-            str(bits) if included else "0", content or "-",
-        ]))
-    return lines
+
+    def lines() -> Iterator[str]:
+        yield "slot\ts\tchi\tS1\tS2\tcollapsed\tpayload_bits\tcontent\n"
+        for slot, S, included, bits in zip(
+            e.slot.tolist(), e.S.tolist(), e.included.tolist(), e.bits.tolist()
+        ):
+            s1 = S & due[slot]
+            content = "^".join(
+                f"W[{k},{format_fap_set(S & ~(1 << (k - 1)))}]" for k in core.iter_ids(included)
+            )
+            yield "\t".join([
+                str(slot), str(S.bit_count()), str(s1.bit_count()), format_fap_set(s1),
+                format_fap_set(S ^ s1), format_fap_set(S & active[slot]),
+                str(bits) if included else "0", content or "-",
+            ]) + "\n"
+    return lines()
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +652,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             write_csv(run_sweep(config), config.out)
             return 0
-        _write("\n".join(render_tables(config)) + "\n", config.out)
+        lines = render_tables(config)  # runs, or refuses, before --out is opened
+        with _output(config.out) as out:
+            out.writelines(lines)
         return 0
     except (FogcodedError, OSError) as exc:  # OSError: reading --config, writing --out
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -354,36 +353,17 @@ def make_fixed_L_schedule(
     return RequestSchedule(slots, _worst_case_demand(K))
 
 
-@lru_cache(maxsize=1)
-def _open_chances(K: int, B: int) -> np.ndarray:
-    """chance[e, j] = e * c(e - 1, j) / c(e, j), that the next F-AP opens a
-    slot when e slots are empty and e + j F-APs are left, where c(e, j) =
-    (B - e) * c(e, j - 1) + e * c(e - 1, j) counts the ways to finish and
-    c(0, j) = B^j.  Row e comes from row e - 1 in log floats, summed along
-    j as sum_i (B - e)^(j - i) * e * c(e - 1, i).  Cached for one shape."""
-    j = np.arange(K - B + 1)
-    log_ways = j * math.log(B)
-    chance = np.zeros((B + 1, j.size))
-    for e in range(1, B + 1):
-        opened = math.log(e) + log_ways
-        if e < B:
-            stays = j * math.log(B - e)
-            log_ways = stays + np.logaddexp.accumulate(opened - stays)
-        else:
-            log_ways = opened
-        chance[e] = np.exp(opened - log_ways)
-    chance.flags.writeable = False
-    return chance
-
-
 def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
     """Uniformly random surjective assignment of the K F-APs to B slots.
 
-    Drawn exactly, F-AP by F-AP: each opens a new slot with the share of
-    the surjections that do so (_open_chances), or else joins one of the
-    slots filled so far, chosen uniformly.  A random permutation then
-    relabels the slots, which are numbered in opening order until then.
-    K and B must be integers, 1 <= B <= K, and the seed >= 0.
+    The slot sizes of a uniform surjection are B i.i.d. zero-truncated
+    Poisson(lam) counts conditioned on summing to K (Arratia and Tavare,
+    1994): P(sizes = n) is proportional to prod 1/n_b!.  Tries of B sizes
+    are drawn 16 at a time until one sums to K.  A uniform permutation of
+    1..K, cut at the cumulative sizes, then gives slot b the b-th piece:
+    each of the K!/prod n_b! surjections with sizes n is cut from equally
+    many permutations.  K and B must be integers, 1 <= B <= K, and the
+    seed >= 0.
     """
     check_integer("K", K)
     check_integer("B", B)
@@ -393,20 +373,31 @@ def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
     if K < B:
         raise InvalidParams(f"need K >= B for nonempty slots, got K={K}, B={B}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    chance = _open_chances(K, B)
-    e, j, slot = B, K - B, []
-    for u, v in rng.random((K, 2)).tolist():
-        if u < chance.item(e, j):
-            slot.append(B - e)  # the next slot in opening order
-            e -= 1
+    # every lam > 0 gives the same law; lam only sets the number of tries,
+    # fewest where the truncated mean lam / (1 - e^-lam) is K / B (lam = 0
+    # at K = B)
+    mean, lam, hi = K / B, 0.0, K / B
+    for _ in range(64):
+        mid = (lam + hi) / 2
+        if mid < -mean * math.expm1(-mid):
+            lam = mid
         else:
-            slot.append(int(v * (B - e)))  # one of the B - e filled ones
-            j -= 1
-    label = rng.permutation(B).tolist()
-    members: list[list[int]] = [[] for _ in range(B)]
-    for k, b in enumerate(slot, 1):
-        members[label[b]].append(k)
-    return RequestSchedule(tuple(map(frozenset, members)), _worst_case_demand(K))
+            hi = mid
+    while True:
+        # 1 + Poisson(lam - t), t the first arrival in [0, lam] of a rate-1
+        # Poisson process given that one arrives: exactly zero-truncated
+        # Poisson(lam), with no redraw as lam -> 0; lam - t is clipped at 0
+        # against rounding.  16 tries a batch: a draw at small K needs 4 to
+        # 10, and a batch per try took 2 to 3 times as long
+        first = -np.log1p(rng.random((16, B)) * math.expm1(-lam))
+        sizes = 1 + rng.poisson(np.maximum(lam - first, 0.0))
+        hits = np.flatnonzero(sizes.sum(axis=1) == K)
+        if hits.size:
+            break
+    ids = (rng.permutation(K) + 1).tolist()
+    ends = np.cumsum(sizes[hits[0]]).tolist()
+    slots = tuple(frozenset(ids[a:b]) for a, b in zip([0] + ends, ends))
+    return RequestSchedule(slots, _worst_case_demand(K))
 
 
 @dataclass

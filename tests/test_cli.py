@@ -508,6 +508,20 @@ class TestWritePath:
             assert cli.write_csv(rows, path) is None
             assert capsys.readouterr().out.encode() == out.read_bytes()
 
+    def test_closed_pipe_exits_2(self):
+        # the reader takes one line of about 24,000 and goes: a later write
+        # to the pipe fails, and the CLI says so
+        argv = ["tables", "--k", "12", "--n", "12", "--m", "3", "--b", "6", "--l", "2"]
+        with subprocess.Popen([sys.executable, "-m", "fogcoded.cli", *argv], text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                assert proc.stdout.readline().startswith("slot\t")
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 2
+                assert "error: [Errno 32] Broken pipe" in proc.stderr.read()
+            finally:
+                proc.kill()
+
     def test_tables_file_matches_stdout(self, tmp_path, capsys):
         assert cli.main(["tables", "--mode", "bitexact"]) == 0
         printed = capsys.readouterr().out
@@ -673,6 +687,21 @@ class TestVerify:
             cli.run_verification(seed=-1)
         assert cli.main(["verify", "--seed", "-1"]) == 2
         assert "error: seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", [
+        cli.check_window_chain, cli.check_delivery_closed_form,
+        cli.check_decodability, cli.check_delay_monotonicity,
+    ], ids=lambda check: check.__name__)
+    def test_check_refuses_a_negative_seed_before_any_draw(self, monkeypatch, check):
+        # called on its own, not through run_verification's seed check; the
+        # message names the seed given, not one derived from it
+        def fail(*args, **kwargs):
+            raise AssertionError("a seed stream was built before the seed check")
+
+        monkeypatch.setattr("numpy.random.SeedSequence", fail)
+        monkeypatch.setattr("numpy.random.PCG64", fail)
+        with pytest.raises(InvalidParams, match="seed must be >= 0, got -1$"):
+            check(seed=-1)
 
     def test_too_large_request_is_skipped_and_reported(self):
         results = cli.check_counting_oracle(shapes=[(25, 1)])

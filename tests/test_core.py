@@ -5,6 +5,8 @@ import dataclasses
 import math
 import re
 import sys
+import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +25,11 @@ from reference_delivery import cell, classes_of
 
 def params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
     return core.SystemParams(K=K, N=N, M=M, F=F, B=B, delta_b=delta_b)
+
+
+def surjections(K, B):
+    """The number of maps of K F-APs onto B slots, none empty."""
+    return sum((-1) ** i * math.comb(B, i) * (B - i) ** K for i in range(B + 1))
 
 
 def fixed_l_params(K=4, N=4, M=2.0, F=16, B=4, delta_b=2):
@@ -383,14 +390,14 @@ class TestRandomSchedule:
     # the slot of F-AP k, one hex digit per F-AP; the ids name only the
     # shape and the seed, so that a re-pin keeps them
     PINNED = [
-        (3, 2, 0, "122"),
-        (6, 3, 1, "231323"),
-        (8, 5, 2, "24351255"),
-        (10, 4, 3, "3314311421"),
-        (9, 8, 6, "822736145"),
-        (13, 12, 4, "a75bc86512349"),
-        (16, 5, 7, "5312333122451413"),
-        (14, 14, 8, "da291bc34765e8"),
+        (3, 2, 0, "221"),
+        (6, 3, 1, "111123"),
+        (8, 5, 2, "12452443"),
+        (10, 4, 3, "3444411223"),
+        (9, 8, 6, "521348672"),
+        (13, 12, 4, "8c34256ab1179"),
+        (16, 5, 7, "3552455135113344"),
+        (14, 14, 8, "986145ebc2d73a"),
     ]
 
     @pytest.mark.parametrize(
@@ -400,7 +407,11 @@ class TestRandomSchedule:
         sched = core.make_random_schedule(K, B, seed)
         assert "".join(format(sched.slot_of(k), "x") for k in range(1, K + 1)) == slots
 
-    @pytest.mark.parametrize("K, B, draws", [(5, 3, 3000), (6, 4, 23_400)])
+    @pytest.mark.parametrize("K, B, draws", [
+        (5, 3, 3000), (6, 4, 23_400),
+        (4, 4, 360),  # K = B: lam = 0, every slot size is 1
+        (5, 4, 3600),  # lam -> 0: one slot of 2
+    ])
     def test_uniform_over_surjections(self, K, B, draws):
         # chi-square over all B! S(K, B) surjections, 15 or more expected
         # draws each: every one must be drawn, and the z-score of the
@@ -409,11 +420,50 @@ class TestRandomSchedule:
         seen = Counter(
             tuple(core.make_random_schedule(K, B, seed).slots) for seed in range(draws)
         )
-        cells = sum((-1) ** i * math.comb(B, i) * (B - i) ** K for i in range(B + 1))
+        cells = surjections(K, B)
         assert len(seen) == cells
         expected = draws / cells
         chi2 = sum((n - expected) ** 2 / expected for n in seen.values())
         assert abs(chi2 - (cells - 1)) / math.sqrt(2 * (cells - 1)) < 4
+
+    def test_slot_size_law(self):
+        # past enumeration (8,400 surjections at K = 12, B = 4): slot 1
+        # holds n F-APs with chance C(K, n) Surj(K - n, B - 1) / Surj(K, B).
+        # Chi-square over n, the tail pooled until it expects 5 draws, with
+        # the z < 4 rule above
+        K, B, draws = 12, 4, 4000
+        seen = Counter(len(core.make_random_schedule(K, B, seed).slots[0])
+                       for seed in range(draws))
+        expected = {n: draws * math.comb(K, n) * surjections(K - n, B - 1) / surjections(K, B)
+                    for n in range(1, K - B + 2)}
+        pooled, tail = [0, 0.0], sorted(expected, reverse=True)
+        while pooled[1] < 5:
+            n = tail.pop(0)
+            pooled = [pooled[0] + seen[n], pooled[1] + expected[n]]
+        cells = [pooled] + [[seen[n], expected[n]] for n in tail]
+        assert min(e for _, e in cells) >= 5 and len(cells) >= 5
+        chi2 = sum((n - e) ** 2 / e for n, e in cells)
+        assert abs(chi2 - (len(cells) - 1)) / math.sqrt(2 * (len(cells) - 1)) < 4
+
+    def test_large_draw_holds_no_table(self):
+        # O(B) memory: a table of the (B + 1)(K - B + 1) completion chances
+        # would take 191 MiB here
+        tracemalloc.start()
+        try:
+            sched = core.make_random_schedule(10_000, 5000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sched.K == 10_000 and sched.B == 5000
+        assert peak < 16e6, f"one draw peaked at {peak / 1e6:.1f} MB"
+
+    def test_near_bijection_at_scale_is_fast(self):
+        # lam -> 0: redrawing zero sizes would take seconds per draw here
+        started = time.perf_counter()
+        sched = core.make_random_schedule(10_000, 9999, 2)
+        elapsed = time.perf_counter() - started
+        assert sorted(map(len, sched.slots)) == [1] * 9998 + [2]
+        assert elapsed < 1.0, f"one draw took {elapsed:.2f}s"
 
     def test_valid_one_slot_short_of_bijection(self):
         for seed in range(3):
