@@ -70,7 +70,6 @@ class Transmissions:
 class LoadReport:
     total_bits: float
     normalized_load: float
-    per_slot_bits: dict[int, float]
     transmission_count: int
 
 
@@ -258,22 +257,16 @@ def measured_load(events: Transmissions, F: int) -> LoadReport:
     """Sum transmitted payload lengths in canonical order and normalize by
     the file size.
 
-    The sent rows come slot by slot, and cumsum adds in order, so each
-    slot's sum and the total round as a loop over the rows would.
+    cumsum adds in order, so the total rounds as a loop over the sent
+    rows would.  Per-slot loads are read from the log:
+    `np.bincount(events.slot[sent], weights=events.bits[sent])`.
     """
     sent = events.included != 0
-    slots, bits = events.slot[sent], events.bits[sent]
-    cuts = np.flatnonzero(np.diff(slots)) + 1
-    per_slot = {
-        int(in_slot[0]): np.cumsum(block)[-1].item()
-        for in_slot, block in zip(np.split(slots, cuts), np.split(bits, cuts))
-        if block.size
-    }
+    bits = events.bits[sent]
     total = np.cumsum(bits, dtype=np.float64)[-1].item() if bits.size else 0.0
     return LoadReport(
         total_bits=total,
         normalized_load=total / F,
-        per_slot_bits=per_slot,
         transmission_count=int(sent.sum()),
     )
 

@@ -297,19 +297,16 @@ def run_delivery(
 
 def measured_load(events: list[TransmissionRecord], F: int) -> LoadReport:
     """Sum transmitted payload lengths and normalize by the file size."""
-    per_slot: dict[int, float] = {}
     total = 0.0
     count = 0
     for e in events:
         if not e.transmitted:
             continue
-        per_slot[e.slot] = per_slot.get(e.slot, 0) + e.payload_bits
         total += e.payload_bits
         count += 1
     return LoadReport(
         total_bits=total,
         normalized_load=total / F,
-        per_slot_bits=per_slot,
         transmission_count=count,
     )
 

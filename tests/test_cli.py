@@ -253,6 +253,46 @@ class TestSimulate:
         ))
         assert row.measured_load >= row.mean_load
 
+    def test_bitexact_load_above_its_bound_says_why(self, capsys):
+        # at delta_b = B the bounds meet, so any zero padding passes them
+        shape = ["--k", "6", "--b", "3", "--l", "2", "--delta-b", "3", "--f", "2000"]
+        assert cli.main(["simulate", "--mode", "bitexact", *shape, "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "measured load (worst case): 2.5875\n" in out
+        assert "bounds:                     [2.466064453125, 2.466064453125]\n" in out
+        [note] = [line for line in out.splitlines() if line.startswith("note: ")]
+        assert "above the upper bound" in note
+        assert "F*f(s)" in note and "longest operand" in note
+        # the note is printed only: the CSV error column stays empty
+        row = cli.run_single(ExperimentConfig(
+            K=6, N=20, M=5.0, F=2000, B=3, delta_b=3, L=2, mode="bitexact", trials=2,
+        ))
+        assert row.measured_load > row.upper_bound and row.error == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "analytic", "--k", "6", "--b", "3", "--l", "2", "--delta-b", "3"],
+        ["--mode", "bitexact", "--k", "8", "--b", "4", "--l", "2", "--f", "4096",
+         "--trials", "3", "--seed", "5"],
+    ], ids=["analytic", "bitexact-within-bounds"])
+    def test_load_within_its_bounds_prints_no_note(self, capsys, argv):
+        assert cli.main(["simulate", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        loads = dict(line.split(":", 1) for line in lines[1:])
+        upper = float(loads["bounds"].strip(" []").split(",")[1])
+        assert float(loads["measured load (worst case)"]) <= upper
+        assert not any(line.startswith("note:") for line in lines)
+
+    def test_analytic_counts_stay_printable(self):
+        # an analytic count is below K * 2^K, so at K = ANALYTIC_MAX_K it has
+        # at most this many digits; str() refuses an int with more than the
+        # interpreter's limit (none before Python 3.10.7, or when set to 0)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit == 0:
+            pytest.skip("this interpreter prints ints of any length")
+        k = cli.ANALYTIC_MAX_K
+        digits = math.floor(math.log10(k) + k * math.log10(2)) + 1
+        assert digits < limit, (k, digits, limit)
+
 
 class TestSweep:
     def test_csv_contract_and_determinism(self, tmp_path):
@@ -703,11 +743,24 @@ class TestVerify:
         with pytest.raises(InvalidParams, match="seed must be >= 0, got -1$"):
             check(seed=-1)
 
-    def test_too_large_request_is_skipped_and_reported(self):
-        results = cli.check_counting_oracle(shapes=[(25, 1)])
-        assert len(results) == 1
-        assert results[0].ok is None
-        assert "TooLarge" in results[0].detail
+    def test_max_k_past_the_brute_force_limit_rejected_before_any_check(
+        self, monkeypatch, capsys
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a check ran before the max_k check")
+
+        monkeypatch.setattr(cli, "check_counting_oracle", fail)
+        with pytest.raises(TooLarge, match="max_k <= 20.*got 21$"):
+            cli.run_verification(max_k=21)
+        assert cli.main(["verify", "--max-k", "21"]) == 2
+        captured = capsys.readouterr()
+        assert "checks passed" not in captured.out
+        assert captured.err.startswith("error: ")
+        assert "21" in captured.err and "20" in captured.err
+
+    def test_too_large_shape_raises(self):
+        with pytest.raises(TooLarge, match="K must be <= 20"):
+            cli.check_counting_oracle(shapes=[(25, 1)])
 
     def test_moved_q_split_fails_counting_oracle(self, monkeypatch):
         # moving sets between two subset counts keeps sum_Y q = C(K, s)

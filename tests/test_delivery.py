@@ -261,14 +261,15 @@ class TestMeasuredLoad:
         assert report.total_bits == 0
         assert report.normalized_load == 0
         assert report.transmission_count == 0
-        assert report.per_slot_bits == {}
 
     def test_demo_value(self):
         result = demo_run()
         assert result.report.normalized_load == pytest.approx(23 / 16)
-        assert result.report.per_slot_bits == pytest.approx(
-            {2: 8.0, 3: 4.0, 4: 11.0}
-        )
+        # the per-slot loads, read from the log
+        events = result.events
+        sent = events.included != 0
+        per_slot = np.bincount(events.slot[sent], weights=events.bits[sent])
+        assert per_slot.tolist() == pytest.approx([0, 0, 8, 4, 11])
 
     def test_full_delay_value(self):
         result = demo_run(delta_b=4)

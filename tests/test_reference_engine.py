@@ -42,14 +42,11 @@ def assert_same_events(got, want, masks):
 
 
 def assert_same_report(got, want):
-    """Two LoadReports bit for bit, number types included: bit-exact
-    per-slot sums are ints, totals are floats."""
+    """Two LoadReports bit for bit, number types included: totals are
+    floats, the count an int."""
     assert got == want
     for name in ("total_bits", "normalized_load", "transmission_count"):
         assert type(getattr(got, name)) is type(getattr(want, name)), name
-    assert list(got.per_slot_bits) == list(want.per_slot_bits)
-    for slot, bits in got.per_slot_bits.items():
-        assert type(bits) is type(want.per_slot_bits[slot]), slot
 
 
 def assert_same_partition(got, want):
