@@ -184,10 +184,8 @@ def brute_force_eta_histogram(schedule: RequestSchedule) -> np.ndarray:
             [slot_masks, slot_masks | (1 << (schedule.slot_of(k) - 1))]
         )
     # one count per distinct (slot mask, size) pair of the nonempty sets
-    keys = np.sort(slot_masks[1:] * (K + 1) + sizes[1:])
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    masks, sizes = np.divmod(keys[starts], K + 1)
-    sets = np.diff(starts, append=keys.size)
+    keys, sets = np.unique(slot_masks[1:] * (K + 1) + sizes[1:], return_counts=True)
+    masks, sizes = np.divmod(keys, K + 1)
     counts = np.zeros((B, K + 1, K + 1), dtype=np.int64)
     # eta's scan holds a few (delays, masks) arrays: take the delays in
     # groups that keep them within the largest enumeration allowed

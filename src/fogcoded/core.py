@@ -322,9 +322,12 @@ class RequestSchedule:
         return min(self.slot_of(k) + delta_b - 1, self.B)
 
 
-def _worst_case_demand(K: int) -> dict[int, int]:
-    # All-distinct demands maximize the load; file ids simply mirror F-AP ids.
-    return {k: k for k in range(1, K + 1)}
+def _cut(ids: list[int], sizes: list[int] | np.ndarray) -> RequestSchedule:
+    """Slot b holds the b-th piece of ids, cut at the cumulative sizes.
+    All-distinct demands maximize the load; file ids simply mirror F-AP ids."""
+    ends = np.cumsum(sizes).tolist()
+    slots = tuple(frozenset(ids[a:b]) for a, b in zip([0] + ends, ends))
+    return RequestSchedule(slots, {k: k for k in range(1, len(ids) + 1)})
 
 
 def make_fixed_L_schedule(
@@ -345,12 +348,8 @@ def make_fixed_L_schedule(
         raise InvalidParams(f"fixed-L schedule needs K = B*L, got K={K}, B={B}, L={L}")
     ids = list(range(1, K + 1))
     if seed is not None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        ids = [int(x) for x in rng.permutation(K) + 1]
-    slots = tuple(
-        frozenset(ids[(b - 1) * L : b * L]) for b in range(1, B + 1)
-    )
-    return RequestSchedule(slots, _worst_case_demand(K))
+        ids = (np.random.Generator(np.random.PCG64(seed)).permutation(K) + 1).tolist()
+    return _cut(ids, [L] * B)
 
 
 def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
@@ -394,10 +393,7 @@ def make_random_schedule(K: int, B: int, seed: int) -> RequestSchedule:
         hits = np.flatnonzero(sizes.sum(axis=1) == K)
         if hits.size:
             break
-    ids = (rng.permutation(K) + 1).tolist()
-    ends = np.cumsum(sizes[hits[0]]).tolist()
-    slots = tuple(frozenset(ids[a:b]) for a, b in zip([0] + ends, ends))
-    return RequestSchedule(slots, _worst_case_demand(K))
+    return _cut((rng.permutation(K) + 1).tolist(), sizes[hits[0]])
 
 
 @dataclass
