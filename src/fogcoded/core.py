@@ -506,8 +506,7 @@ def partition_into_subfiles(
     # a length, and an entry's offset within its row, is at most F; but
     # the payload lengths (`Transmissions.bits`, int32 like the lengths)
     # and the payload starts worked out from them total at most K * F,
-    # which int32 holds: at most 16 * 2 * 10^6 under MAX_DELIVERY_K and
-    # the CLI's BITEXACT_MAX_F
+    # so K * F must stay below 2^31 for int32 to hold them
     if K * F >= 1 << 31:
         raise TooLarge(f"a bit-exact table needs K * F < 2^31, got K={K}, F={F}")
     table = SubfileRecordTable(dict(schedule.demand), np.empty((K, 1 << K), dtype=np.int32),

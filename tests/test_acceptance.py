@@ -29,14 +29,6 @@ def criterion(number, name):
     return deco
 
 
-def fixed_l_shapes(max_k):
-    return [
-        (b, l)
-        for b in range(2, max_k + 1)
-        for l in range(1, max_k // b + 1)
-    ]
-
-
 @criterion(1, "golden transmission tables")
 def test_golden_tables(capsys):
     started = time.perf_counter()
@@ -122,24 +114,14 @@ def test_demo_load_ladder():
 
 @criterion(5, "counting formula matches exhaustive oracle up to K=12")
 def test_oracle_equivalence_grid():
+    # every fixed-L shape up to K = 12 at M = K/2: Q, each per-Y q,
+    # sum_Y q = C(K, s) and the window chain's load and count against
+    # exhaustive enumeration
     started = time.perf_counter()
-    for b, l in fixed_l_shapes(12):
-        k = b * l
-        schedule = core.make_fixed_L_schedule(k, b, l)
-        histogram = analytics.brute_force_eta_histogram(schedule)
-        for delta_b, counts in enumerate(histogram, 1):
-            cfg = FixedLConfig(K=k, N=k, M=k / 2, F=1, B=b, L=l, delta_b=delta_b)
-            for s in range(1, k + 1):
-                brute_total = sum(counts[s, y] * y for y in range(k + 1))
-                assert analytics.Q_count(s, cfg) == brute_total, (b, l, delta_b, s)
-                assert sum(
-                    analytics.q_count(s, y, cfg) for y in analytics.y_range(s, cfg)
-                ) == math.comb(k, s), (b, l, delta_b, s)
-                for y in analytics.y_range(s, cfg):
-                    assert analytics.q_count(s, y, cfg) == counts[s, y], (
-                        b, l, delta_b, s, y,
-                    )
+    results = cli.check_counting_oracle(12)
     elapsed = time.perf_counter() - started
+    failed = [(r.name, r.detail) for r in results if not r.ok]
+    assert results and not failed, failed
     assert elapsed < 60.0, f"oracle grid took {elapsed:.2f}s"
 
 

@@ -557,20 +557,6 @@ class TestDelayLists:
 
 
 class TestTables:
-    def test_default_demo_counts(self, capsys):
-        assert cli.main(["tables"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0].split("\t") == [
-            "slot", "s", "chi", "S1", "S2", "collapsed", "payload_bits", "content",
-        ]
-        body = [line.split("\t") for line in lines[1:]]
-        sent = [row for row in body if row[7] != "-"]
-        assert len(body) == 28
-        assert len(sent) == 23
-        assert lines[1] == (
-            "2\t4\t1\t{1}\t{2,3,4}\t{1,2}\t1.0\tW[1,{2,3,4}]^W[2,{1,3,4}]"
-        )
-
     def test_underflowed_entries_are_still_sent(self, capsys):
         # At M=1e-120 the type-4 sizes underflow to 0.0, yet those entries
         # exist: every send decision is the demo's and only the payload
@@ -766,6 +752,47 @@ class TestVerify:
         result = cli.check_delivery_closed_form(seed=0)
         assert result.ok is False
         assert "(3, 1, 1)" in result.detail
+
+    def test_off_by_one_b_count_fails_its_check(self, monkeypatch):
+        original = analytics.b_count
+        monkeypatch.setattr(analytics, "b_count", lambda y, alpha, l: (
+            original(y, alpha, l) + ((y, alpha, l) == (2, 3, 2))
+        ))
+        result = cli.check_b_count()
+        assert result.ok is False
+        assert result.detail.endswith(": [(2, 3, 2)]")
+
+    def test_perturbed_sync_load_fails_sync_equality_check(self, monkeypatch):
+        original = analytics.mn_sync_load
+        monkeypatch.setattr(analytics, "mn_sync_load", lambda c: original(c) * (1 + 1e-9))
+        result = cli.check_sync_equality(max_k=4)
+        assert result.ok is False
+        assert "(2, 1, 0.25)" in result.detail
+
+    def test_raised_lower_bound_fails_sandwich_check(self, monkeypatch):
+        original = analytics.load_bounds
+
+        def raised(params):
+            lower, upper = original(params)
+            return lower * 1.001, upper
+
+        monkeypatch.setattr(analytics, "load_bounds", raised)
+        result = cli.check_bounds_sandwich(max_k=4)
+        assert result.ok is False
+        assert "(2, 1, 0.25, 2)" in result.detail
+
+    def test_load_growing_with_delay_fails_monotonicity_check(self, monkeypatch):
+        original = delivery.run_delivery
+
+        def scaled(schedule, records, params):
+            result = original(schedule, records, params)
+            result.report.normalized_load *= params.delta_b
+            return result
+
+        monkeypatch.setattr(delivery, "run_delivery", scaled)
+        result = cli.check_delay_monotonicity(seed=0)
+        assert result.ok is False
+        assert "(0, 2)" in result.detail
 
     def test_inverted_skip_rule_fails_decodability_check(self, monkeypatch):
         from fogcoded import delivery

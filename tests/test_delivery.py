@@ -1,4 +1,4 @@
-"""Delivery state machine tests: goldens, skip rule, decoding, loads."""
+"""Delivery state machine tests: skip rule, slot masks, decoding, loads."""
 
 import re
 from dataclasses import replace
@@ -40,79 +40,12 @@ def key(k, ids):
     return (k, mask_of(ids))
 
 
-# The expected per-slot enumeration for the four-F-AP demo configuration
-# (one request per slot, two-slot delay, worst-case demands).  Skipped
-# candidates carry an empty operand list.
-GOLDEN_EVENTS = [
-    (2, 4, 1, {1}, {2, 3, 4}, [key(1, {2, 3, 4}), key(2, {1, 3, 4})]),
-    (2, 3, 1, {1}, {2, 3}, [key(1, {2, 3}), key(2, {1, 3})]),
-    (2, 3, 1, {1}, {2, 4}, [key(1, {2, 4}), key(2, {1, 4})]),
-    (2, 3, 1, {1}, {3, 4}, [key(1, {3, 4})]),
-    (2, 2, 1, {1}, {2}, [key(1, {2}), key(2, {1})]),
-    (2, 2, 1, {1}, {3}, [key(1, {3})]),
-    (2, 2, 1, {1}, {4}, [key(1, {4})]),
-    (2, 1, 1, {1}, set(), [key(1, set())]),
-    (3, 4, 1, {2}, {1, 3, 4}, []),
-    (3, 3, 1, {2}, {1, 3}, []),
-    (3, 3, 1, {2}, {1, 4}, []),
-    (3, 3, 1, {2}, {3, 4}, [key(2, {3, 4}), key(3, {2, 4})]),
-    (3, 2, 1, {2}, {1}, []),
-    (3, 2, 1, {2}, {3}, [key(2, {3}), key(3, {2})]),
-    (3, 2, 1, {2}, {4}, [key(2, {4})]),
-    (3, 1, 1, {2}, set(), [key(2, set())]),
-    (4, 4, 2, {3, 4}, {1, 2}, [key(3, {1, 2, 4}), key(4, {1, 2, 3})]),
-    (4, 3, 1, {3}, {1, 2}, [key(3, {1, 2})]),
-    (4, 3, 1, {4}, {1, 2}, [key(4, {1, 2})]),
-    (4, 3, 2, {3, 4}, {1}, [key(3, {1, 4}), key(4, {1, 3})]),
-    (4, 3, 2, {3, 4}, {2}, [key(4, {2, 3})]),
-    (4, 2, 1, {3}, {1}, [key(3, {1})]),
-    (4, 2, 1, {3}, {2}, []),
-    (4, 2, 1, {4}, {1}, [key(4, {1})]),
-    (4, 2, 1, {4}, {2}, [key(4, {2})]),
-    (4, 2, 2, {3, 4}, set(), [key(3, {4}), key(4, {3})]),
-    (4, 1, 1, {3}, set(), [key(3, set())]),
-    (4, 1, 1, {4}, set(), [key(4, set())]),
-]
-
-
 class TestGoldenTables:
-    def test_event_sequence(self):
-        result = demo_run()
-        got = [
-            (e.slot, e.s, e.chi, set(iter_ids(e.s1_mask)),
-             set(iter_ids(e.s2_mask)), list(e.included))
-            for e in demo_rows(result)
-        ]
-        expected = [
-            (slot, s, chi, s1, s2, included)
-            for slot, s, chi, s1, s2, included in GOLDEN_EVENTS
-        ]
-        assert got == expected
-
-    def test_transmission_counts_per_slot(self):
-        result = demo_run()
-        sent = {}
-        for e in demo_rows(result):
-            if e.transmitted:
-                sent[e.slot] = sent.get(e.slot, 0) + 1
-        assert sent == {2: 8, 3: 4, 4: 11}
-        assert result.report.transmission_count == 23
-
+    # the demo's table at delta_b = 2 is pinned byte for byte by
+    # tests/golden/tables.stdout
     def test_no_transmissions_before_accumulation_ends(self):
         result = demo_run(delta_b=3)
         assert (result.events.slot >= 3).all()
-
-    def test_skip_examples(self):
-        # The deferred candidate at slot 3 and the one-operand row at slot 4.
-        result = demo_run()
-        by_sig = {
-            (e.slot, e.s1_mask, e.s2_mask): e for e in demo_rows(result)
-        }
-        deferred = by_sig[(3, mask_of({2}), mask_of({1, 3, 4}))]
-        assert not deferred.transmitted
-        ride_along = by_sig[(4, mask_of({3, 4}), mask_of({2}))]
-        assert ride_along.included == (key(4, {2, 3}),)
-        assert ride_along.transmitted
 
 
 def live_masks(live, sets):
@@ -850,19 +783,6 @@ class TestRepeatability:
             assert second.report == first.report
             assert np.array_equal(records.length, length)
             assert np.array_equal(records.entry_masks(), masks)
-
-
-class TestLogDump:
-    def test_transmissions_only(self):
-        result = demo_run()
-        sent = [e for e in demo_rows(result) if e.transmitted]
-        assert len(sent) == 23
-        first = sent[0]
-        assert (first.slot, first.s, first.chi) == (2, 4, 1)
-        assert set(iter_ids(first.s1_mask)) == {1}
-        assert set(iter_ids(first.s2_mask)) == {2, 3, 4}
-        assert set(iter_ids(first.collapsed_mask)) == {1, 2}
-        assert first.payload_bits == 1.0
 
 
 class TestRunDeliveryValidation:
