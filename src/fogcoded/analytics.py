@@ -260,6 +260,7 @@ def schedule_load(params: SystemParams, sizes: Iterable[int]) -> tuple[float, in
     sizes = list(sizes)
     for n in sizes:
         check_integer("slot size", n)
+    sizes = [int(n) for n in sizes]  # a numpy int would overflow in w >> n
     if len(sizes) != params.B:
         raise InvalidParams(f"need B={params.B} slot sizes, got {len(sizes)}")
     if sum(sizes) != params.K:

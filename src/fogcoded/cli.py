@@ -190,6 +190,8 @@ def _sweep_configs(config: ExperimentConfig) -> list[ExperimentConfig]:
         raise InvalidParams("sweep needs --values")
     if config.sweep == "deltab" and config.delta_b_list:
         raise InvalidParams("--sweep deltab takes its delays from --values, not --delta-b")
+    if config.sweep == "l" and config.L is not None:
+        raise InvalidParams("--sweep l takes L from --values, not --l")
     delta_bs = config.delta_b_list or (config.delta_b,)
     cells = []
     for v in config.values:

@@ -520,14 +520,17 @@ class TestWritePath:
 
 class TestDelayLists:
     # Only the l and m sweeps run one cell per --delta-b value; everywhere
-    # else a list would be cut to its first value.
+    # else a list would be cut to its first value.  Each refusal, and that
+    # of an --l on the l axis, comes before any cell runs.
     @pytest.fixture
     def no_schedule(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("a schedule was drawn before the --delta-b check")
+            raise AssertionError("a cell ran before the flags were checked")
 
         monkeypatch.setattr(core, "make_random_schedule", fail)
         monkeypatch.setattr(core, "make_fixed_L_schedule", fail)
+        # an analytic fixed-L cell draws no schedule
+        monkeypatch.setattr(cli, "run_single", fail)
 
     @pytest.mark.parametrize("command", ["simulate", "tables"])
     def test_flag_list_outside_sweep_exits_2(self, no_schedule, capsys, command):
@@ -554,6 +557,18 @@ class TestDelayLists:
         for extra in (["--delta-b", "3"], ["--config", str(cfg)]):
             assert cli.main(["sweep", "--sweep", "deltab", "--values", "1,2", *extra]) == 2
             assert "--sweep deltab takes its delays from --values" in capsys.readouterr().err
+
+    def test_explicit_l_on_l_axis_exits_2(self, no_schedule, tmp_path, capsys):
+        # an L by flag or config line is refused, not dropped; --random overrides the line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l=3\n")
+        for extra in (["--l", "3"], ["--config", str(cfg)]):
+            assert cli.main(["sweep", "--sweep", "l", "--values", "1,2", *extra]) == 2
+            assert "--sweep l takes L from --values, not --l" in capsys.readouterr().err
+        args = cli._parse_args(["sweep", "--sweep", "l", "--values", "1,2",
+                                "--config", str(cfg), "--random"])
+        cells = cli._sweep_configs(cli._experiment_config(args))
+        assert [cell.L for cell in cells] == [1, 2]
 
 
 class TestTables:
@@ -633,13 +648,6 @@ class TestTables:
 
 
 class TestVerify:
-    def test_all_checks_pass(self, capsys):
-        rc = cli.main(["verify", "--max-k", "6"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "FAIL" not in out
-        assert "checks passed" in out
-
     @pytest.mark.parametrize("max_k", [1, 0, -3])
     def test_max_k_below_two_rejected(self, capsys, max_k):
         with pytest.raises(InvalidParams, match="max_k"):

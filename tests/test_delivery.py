@@ -341,26 +341,6 @@ class TestNoRedundancy:
 
 
 class TestClosedFormAgreement:
-    def test_fixed_l_grid(self):
-        for b, l in ((3, 1), (4, 1), (5, 1), (3, 2), (4, 2)):
-            k = b * l
-            for ratio in (0.25, 0.5, 0.75):
-                for delta_b in range(1, b + 1):
-                    params = core.SystemParams(
-                        K=k, N=k, M=ratio * k, F=100, B=b, delta_b=delta_b
-                    )
-                    schedule = core.make_fixed_L_schedule(k, b, l, seed=delta_b)
-                    records = core.analytic_subfile_table(params, schedule)
-                    result = delivery.run_delivery(schedule, records, params)
-                    expected = analytics.closed_form_load(
-                        FixedLConfig(
-                            K=k, N=k, M=ratio * k, F=100, B=b, L=l, delta_b=delta_b
-                        )
-                    )
-                    assert result.report.normalized_load == pytest.approx(
-                        expected, rel=1e-9
-                    )
-
     def test_full_delay_reduces_to_sync_baseline(self):
         for k, b in ((4, 4), (6, 3), (5, 5)):
             l = k // b
