@@ -91,6 +91,8 @@ def _g_poly(Y: int, L: int) -> tuple[int, ...]:
 
 def b_count(Y: int, alpha: int, L: int) -> int:
     """Ways to pick alpha F-APs from Y slots of L requesters, >= 1 per slot."""
+    for name, value in (("Y", Y), ("alpha", alpha), ("L", L)):
+        check_integer(name, value)
     if Y < 1 or L < 1:
         raise InvalidParams(f"need Y >= 1 and L >= 1, got Y={Y}, L={L}")
     if alpha < Y or alpha > Y * L:
@@ -124,6 +126,7 @@ def _q_table(B: int, L: int, delta_b: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _table_for(s: int, config: FixedLConfig) -> tuple[tuple[int, ...], ...]:
+    check_integer("s", s)
     if not (1 <= s <= config.K):
         raise InvalidParams(f"type s must be in [1, K], got s={s}, K={config.K}")
     return _q_table(config.B, config.L, config.delta_b)
@@ -132,10 +135,12 @@ def _table_for(s: int, config: FixedLConfig) -> tuple[tuple[int, ...], ...]:
 def q_count(s: int, Y: int, config: FixedLConfig) -> int:
     """Number of type-s encoding sets that split into exactly Y subsets."""
     table = _table_for(s, config)
+    check_integer("Y", Y)
     return table[Y][s] if 0 <= Y < len(table) else 0
 
 
 def y_range(s: int, config: FixedLConfig) -> range:
+    check_integer("s", s)
     lo = -(-s // (config.delta_b * config.L))
     hi = min(-(-config.B // config.delta_b), s)
     return range(lo, hi + 1)
@@ -209,8 +214,7 @@ def hit_chance(params: SystemParams, n: int) -> float:
     p meets n given F-APs, by squaring on hit(a + b) = hit(a) + (1 - p)^a *
     hit(b): a sum of positive terms, so nothing is subtracted from a rounded
     1 - p and no digit is lost as p -> 0; exact wherever 1 - (1 - p)^n is."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise InvalidParams(f"n must be an integer >= 0, got {n!r}")
+    check_integer("n", n, 0)
     hit, miss, step_hit, step_miss = 0.0, 1.0, params.cache_ratio, params.miss_ratio
     while n:
         if n & 1:

@@ -147,6 +147,7 @@ class SystemParams:
         others, so each bit lands in it with probability
         (M/N)^(s-1) * (1 - M/N)^(K-(s-1)).
         """
+        check_integer("s", s)
         if not (1 <= s <= self.K):
             raise InvalidParams(f"type s must be in [1, K], got {s}")
         return (self.cache_ratio ** (s - 1)) * (self.miss_ratio ** (self.K - (s - 1)))
@@ -319,6 +320,11 @@ class RequestSchedule:
         raise KeyError(k)
 
     def deadline_slot(self, k: int, delta_b: int) -> int:
+        """The slot by whose end F-AP k must hold its file: delta_b - 1
+        slots after its request, clipped at the last slot."""
+        check_integer("delta_b", delta_b)
+        if not (1 <= delta_b <= self.B):
+            raise InvalidParams(f"delta_b must be in [1, B], got delta_b={delta_b}, B={self.B}")
         return min(self.slot_of(k) + delta_b - 1, self.B)
 
 

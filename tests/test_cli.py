@@ -70,13 +70,6 @@ class TestSimulate:
         assert math.isfinite(worst)
         assert lower <= upper <= uncoded
 
-    def test_full_delay_matches_sync_baseline(self):
-        row = cli.run_single(ExperimentConfig(
-            K=4, N=4, M=2.0, F=16, B=4, delta_b=4, L=1,
-            mode="analytic", trials=1, seed=0,
-        ))
-        assert row.measured_load == pytest.approx(row.mn_sync_load, rel=1e-12)
-
     def test_shape_error_exit_code(self, capsys):
         rc = cli.main([
             "simulate", "--k", "5", "--b", "3", "--l", "2", "--n", "20",
@@ -456,17 +449,6 @@ class TestPaths:
         out.write_text("kept\n")
         assert cli.main(["simulate", "--trials", "0", "--out", str(out)]) == 2
         assert out.read_text() == "kept\n"
-
-    def test_missing_config(self, tmp_path, capsys):
-        cfg = tmp_path / "none.cfg"
-        assert cli.main(["simulate", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(cfg) in err
-
-    def test_config_is_a_directory(self, tmp_path, capsys):
-        assert cli.main(["simulate", "--config", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_config_that_is_not_text(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

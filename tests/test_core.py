@@ -523,6 +523,19 @@ class TestScheduleValidation:
         assert sched.deadline_slot(4, 2) == 4
         assert sched.deadline_slot(3, 3) == 4  # clipped at B
 
+    @pytest.mark.parametrize("delta_b, message", [
+        (0, "delta_b must be in [1, B], got delta_b=0, B=4"),
+        (9, "delta_b must be in [1, B], got delta_b=9, B=4"),
+        (2.0, "delta_b must be an integer, got 2.0"),
+    ], ids=["zero", "past-B", "float"])
+    def test_deadline_slot_refuses_delta_b_outside_1_to_B(self, delta_b, message):
+        # delta_b = 0 would put F-AP k's deadline before its request
+        sched = core.make_fixed_L_schedule(4, 4, 1)
+        with pytest.raises(InvalidParams, match=re.escape(message)):
+            sched.deadline_slot(1, delta_b)
+        with pytest.raises(InvalidParams, match=re.escape(message)):
+            delivery.slot_masks(sched, delta_b)
+
 
 class TestPartitionIntoSubfiles:
     def test_single_fap(self):

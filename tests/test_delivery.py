@@ -13,8 +13,6 @@ from fogcoded.analytics import FixedLConfig
 from fogcoded.core import iter_ids, mask_of
 from fogcoded.errors import DeadlineViolation, DecodeFailure, FogcodedError, InvalidParams
 from reference_delivery import cell, classes_of, entries, rows_of
-from reference_delivery import run_delivery as reference_run
-from test_analytics import random_schedules
 from test_reference_engine import assert_same_events
 
 
@@ -27,13 +25,6 @@ def demo_run(delta_b=2, F=16):
     schedule = core.make_fixed_L_schedule(4, 4, 1)
     records = core.analytic_subfile_table(params, schedule)
     return delivery.run_delivery(schedule, records, params)
-
-
-def demo_rows(result, delta_b=2):
-    # a demo run's candidates as records, S1 and collapsed worked out from
-    # the demo schedule's slot masks
-    masks = delivery.slot_masks(core.make_fixed_L_schedule(4, 4, 1), delta_b)
-    return rows_of(result.events, masks)
 
 
 def key(k, ids):
@@ -204,11 +195,6 @@ class TestMeasuredLoad:
         per_slot = np.bincount(events.slot[sent], weights=events.bits[sent])
         assert per_slot.tolist() == pytest.approx([0, 0, 8, 4, 11])
 
-    def test_full_delay_value(self):
-        result = demo_run(delta_b=4)
-        assert result.report.normalized_load == pytest.approx(15 / 16)
-        assert (result.events.slot == 4).all()
-
 
 class TestSlotMasks:
     def test_demo_shape(self):
@@ -229,30 +215,6 @@ class TestSlotMasks:
         assert active == [0] + [
             mask_of(frozenset().union(*schedule.slots[:b])) for b in range(1, B + 1)
         ]
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_schedules(max_k=7))
-    def test_matches_reference_engine(self, schedule):
-        # the reference engine keeps its own deadline and active masks; a
-        # slot's one-member sets and its full set are all candidates, so
-        # its S1 sets cover its deadline mask and its collapsed sets its
-        # active one
-        K, B = schedule.K, schedule.B
-        for delta_b in range(1, B + 1):
-            params = core.SystemParams(K=K, N=K, M=K / 2, F=64, B=B, delta_b=delta_b)
-            records = core.analytic_subfile_table(params, schedule)
-            masks = delivery.slot_masks(schedule, delta_b)
-            want = reference_run(schedule, records, params).events
-            got = delivery.run_delivery(schedule, records, params).events
-            assert_same_events(got, want, masks)
-            due, active = masks
-            for b in range(1, B + 1):
-                rows = [e for e in want if e.slot == b]
-                assert due[b] == mask_of(k for e in rows for k in iter_ids(e.s1_mask))
-                if rows:
-                    assert active[b] == mask_of(
-                        k for e in rows for k in iter_ids(e.collapsed_mask)
-                    )
 
 
 class TestCandidateCount:
@@ -275,28 +237,6 @@ class TestCandidateCount:
 
 
 class TestNoRedundancy:
-    def test_each_key_sent_at_most_once(self):
-        for delta_b in (1, 2, 3, 4):
-            result = demo_run(delta_b)
-            seen = set()
-            for e in demo_rows(result, delta_b):
-                for k in e.included:
-                    assert k not in seen
-                    seen.add(k)
-
-    def test_random_schedules(self):
-        for seed in range(5):
-            schedule = core.make_random_schedule(7, 4, seed)
-            for delta_b in (1, 2, 3, 4):
-                params = core.SystemParams(K=7, N=7, M=2.0, F=64, B=4, delta_b=delta_b)
-                records = core.analytic_subfile_table(params, schedule)
-                result = delivery.run_delivery(schedule, records, params)
-                seen = set()
-                for e in rows_of(result.events, delivery.slot_masks(schedule, delta_b)):
-                    for k in e.included:
-                        assert k not in seen
-                        seen.add(k)
-
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_every_entry_sent_exactly_once(self, data):
@@ -487,27 +427,6 @@ class TestBitExactDelivery:
                 continue
             assert np.array_equal(early, file)
 
-    def test_decode_all_faps(self):
-        for delta_b in (1, 2, 3, 4):
-            params = demo_params(delta_b, F=2048)
-            schedule = core.make_fixed_L_schedule(4, 4, 1)
-            library, caches, records, result = self.bitexact_run(params, schedule, 17)
-            for k in range(1, 5):
-                decoded = delivery.decode_fap(
-                    k, result.events, library, caches, records
-                )
-                assert np.array_equal(decoded, library.file(schedule.demand[k]))
-
-    def test_decode_by_deadline_only(self):
-        # F-AP 1's file must already be complete from its deadline slot.
-        params = demo_params(2, F=2048)
-        schedule = core.make_fixed_L_schedule(4, 4, 1)
-        library, caches, records, result = self.bitexact_run(params, schedule, 23)
-        decoded = delivery.decode_fap(
-            1, result.events, library, caches, records, upto_slot=2
-        )
-        assert np.array_equal(decoded, library.file(1))
-
     def test_truncated_log_fails(self):
         params = demo_params(2, F=2048)
         schedule = core.make_fixed_L_schedule(4, 4, 1)
@@ -563,7 +482,10 @@ class TestBitExactDelivery:
         assert np.array_equal(decoded, library.file(schedule.demand[4]))
 
     def test_decode_sparse_repeated_demands(self):
-        # placed rows are not file ids minus one, and two F-APs share a file
+        # placed rows are not file ids minus one, and two F-APs share a file.
+        # The one deterministic test that compares decoded bits from such a
+        # library: reading operand rows as library.bits[demand[j + 1] - 1]
+        # fails it, and otherwise only hypothesis properties catch that.
         params = core.SystemParams(K=4, N=10, M=4.0, F=2048, B=4, delta_b=2)
         slots = core.make_fixed_L_schedule(4, 4, 1).slots
         schedule = core.RequestSchedule(slots, {1: 9, 2: 3, 3: 9, 4: 6})
@@ -709,12 +631,6 @@ class TestBitExactDelivery:
         assert rows_of(sent, masks)[0].included == (k,)
         decoded = delivery.decode_fap(1, sent, library, caches, records)
         assert np.array_equal(decoded, library.file(1))
-
-    def test_gap_to_analytic_shrinks(self):
-        params = demo_params(2, F=100_000)
-        schedule = core.make_fixed_L_schedule(4, 4, 1)
-        _, _, _, result = self.bitexact_run(params, schedule, 5)
-        assert result.report.normalized_load == pytest.approx(23 / 16, rel=0.05)
 
     def test_gap_small_at_k8(self):
         params = core.SystemParams(K=8, N=8, M=4.0, F=100_000, B=4, delta_b=2)
