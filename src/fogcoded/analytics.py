@@ -139,13 +139,6 @@ def q_count(s: int, Y: int, config: FixedLConfig) -> int:
     return table[Y][s] if 0 <= Y < len(table) else 0
 
 
-def y_range(s: int, config: FixedLConfig) -> range:
-    check_integer("s", s)
-    lo = -(-s // (config.delta_b * config.L))
-    hi = min(-(-config.B // config.delta_b), s)
-    return range(lo, hi + 1)
-
-
 def Q_count(s: int, config: FixedLConfig) -> int:
     """Total number of subsets all type-s encoding sets split into."""
     return sum(Y * row[s] for Y, row in enumerate(_table_for(s, config)))

@@ -307,17 +307,12 @@ class RequestSchedule:
     def K(self) -> int:
         return sum(len(u) for u in self.slots)
 
-    def requesters(self, b: int) -> FapSet:
-        return self.slots[b - 1]
-
-    def slot_mask(self, b: int) -> int:
-        return mask_of(self.slots[b - 1])
-
     def slot_of(self, k: int) -> int:
-        for b, u in enumerate(self.slots, start=1):
-            if k in u:
-                return b
-        raise KeyError(k)
+        """The slot of F-AP k's request; raises InvalidParams naming k for
+        a k that is not a Python or numpy integer in 1..K."""
+        if not (isinstance(k, (int, np.integer)) and 1 <= k <= self.K):
+            raise InvalidParams(f"F-AP k must be an integer in [1, K={self.K}], got k={k!r}")
+        return next(b for b, u in enumerate(self.slots, start=1) if k in u)
 
     def deadline_slot(self, k: int, delta_b: int) -> int:
         """The slot by whose end F-AP k must hold its file: delta_b - 1

@@ -29,6 +29,8 @@ from .core import (
     SubfileRecordTable,
     SystemParams,
     check_delivery_size,
+    check_integer,
+    mask_of,
     set_ranks,
 )
 from .errors import DeadlineViolation, DecodeFailure, InvalidParams
@@ -195,8 +197,8 @@ def slot_masks(schedule: RequestSchedule, delta_b: int) -> tuple[list[int], list
     due, active = [0] * (schedule.B + 1), [0]
     for k in range(1, schedule.K + 1):
         due[schedule.deadline_slot(k, delta_b)] |= 1 << (k - 1)
-    for b in range(1, schedule.B + 1):
-        active.append((active[-1] & ~due[b - 1]) | schedule.slot_mask(b))
+    for b, u in enumerate(schedule.slots, start=1):
+        active.append((active[-1] & ~due[b - 1]) | mask_of(u))
     return due, active
 
 
@@ -302,13 +304,16 @@ def decode_fap(
     cache, or if any bit of the file is neither cached locally nor
     recoverable from the log.  Raises InvalidParams: naming k, before
     reading anything else, for a k that is not a Python or numpy integer
-    in 1..K; before any work, for an analytic table or log, a log that
-    names F-APs beyond K, or caches or a library of another K or F than
-    the table's; and naming the file if `caches` did not place or
-    `library` did not draw every requested file.
+    in 1..K; before any work, for an `upto_slot` that is neither None nor
+    an integer >= 1, an analytic table or log, a log that names F-APs
+    beyond K, or caches or a library of another K or F than the table's;
+    and naming the file if `caches` did not place or `library` did not
+    draw every requested file.
     """
     if not (isinstance(k, (int, np.integer)) and 1 <= k <= records.K):
         raise InvalidParams(f"F-AP k must be an integer in [1, K={records.K}], got k={k!r}")
+    if upto_slot is not None:
+        check_integer("upto_slot", upto_slot, 1)
     if records.caches is None or events.buffer is None:
         raise InvalidParams("decoding needs a bit-exact record table and log")
     K, k, demand = records.K, int(k), records.demand

@@ -280,9 +280,9 @@ def run_delivery(
     state = DeliveryState(records=records)
     for b in range(1, B + 1):
         state.slot = b
-        state.active_mask |= schedule.slot_mask(b)
+        state.active_mask |= mask_of(schedule.slots[b - 1])
         if delta_b < B and delta_b <= b < B:
-            state.deadline_mask = schedule.slot_mask(b - delta_b + 1)
+            state.deadline_mask = mask_of(schedule.slots[b - delta_b])
             _emit_slot(state, params.K)
             _assert_deadline_met(state)
             state.active_mask &= ~state.deadline_mask

@@ -68,14 +68,14 @@ def partition_encoding_set(
     remaining = set(s)
     subsets: list[FapSet] = []
     while remaining:
-        while not (schedule.requesters(beta + 1) & remaining):
+        while not (schedule.slots[beta] & remaining):
             beta += 1
         if gamma - beta >= delta_b:
             span = range(beta + 1, beta + delta_b + 1)
             beta += delta_b
         else:
             span = range(beta + 1, gamma + 1)
-        part = frozenset().union(*(schedule.requesters(b) & remaining for b in span))
+        part = frozenset().union(*(schedule.slots[b - 1] & remaining for b in span))
         subsets.append(part)
         remaining -= part
     return PartitionResult(tuple(subsets))

@@ -114,9 +114,9 @@ def test_demo_load_ladder():
 
 @criterion(5, "counting formula matches exhaustive oracle up to K=12")
 def test_oracle_equivalence_grid():
-    # every fixed-L shape up to K = 12 at M = K/2: Q, each per-Y q,
-    # sum_Y q = C(K, s) and the window chain's load and count against
-    # exhaustive enumeration
+    # every fixed-L shape up to K = 12 at M = K/2: Q, q at every Y in
+    # 0..K and the window chain's load and count against exhaustive
+    # enumeration
     started = time.perf_counter()
     results = cli.check_counting_oracle(12)
     elapsed = time.perf_counter() - started

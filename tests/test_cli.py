@@ -414,6 +414,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "error:" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: cli.run_single(ExperimentConfig(trials=2.5)),
+         "trials must be an integer, got 2.5"),
+        (lambda: cli.run_single(ExperimentConfig(K=8, B=4, L=2, trials=2.5)),
+         "trials must be an integer, got 2.5"),
+        (lambda: cli.run_verification(max_k=8.0), "max_k must be an integer, got 8.0"),
+    ], ids=["random-trials", "fixed-l-trials", "max-k"])
+    def test_non_integer_count_through_the_api_is_refused(self, call, message):
+        # random and fixed-L runs take different trial paths
+        with pytest.raises(InvalidParams, match=f"^{message}$"):
+            call()
+
 
 class TestPaths:
     # A bad --out or --config path exits 2 with `error:`; a bad --out is
@@ -682,7 +694,7 @@ class TestVerify:
             cli.check_counting_oracle(shapes=[(25, 1)])
 
     def test_moved_q_split_fails_counting_oracle(self, monkeypatch):
-        # moving sets between two subset counts keeps sum_Y q = C(K, s)
+        # moving sets between two subset counts keeps the row's total
         original = analytics.q_count
 
         def moved(s, Y, config):
@@ -692,7 +704,20 @@ class TestVerify:
         monkeypatch.setattr(analytics, "q_count", moved)
         [result] = cli.check_counting_oracle(shapes=[(4, 1)])
         assert result.ok is False
-        assert "('q', 2, 2)" in result.detail and "sum_q" not in result.detail
+        assert "('q', 2, 2)" in result.detail
+
+    def test_q_count_wrong_at_an_unreachable_y_fails_counting_oracle(self, monkeypatch):
+        # at delta_b = 2 no 4-set of four singleton slots splits into one
+        # subset: every Y, not only those that can occur, is compared
+        original = analytics.q_count
+
+        def wrong(s, Y, config):
+            return original(s, Y, config) + ((s, Y, config.delta_b) == (4, 1, 2))
+
+        monkeypatch.setattr(analytics, "q_count", wrong)
+        [result] = cli.check_counting_oracle(shapes=[(4, 1)])
+        assert result.ok is False
+        assert "('q', 4, 2)" in result.detail
 
     @pytest.mark.parametrize("kind, shift", [("load", (1e-9, 0)), ("count", (0, 1))])
     def test_perturbed_point_evaluation_fails_counting_oracle(self, monkeypatch, kind, shift):

@@ -303,16 +303,12 @@ def no_draw(monkeypatch):
 class TestFixedLSchedule:
     def test_canonical_singletons(self):
         sched = core.make_fixed_L_schedule(4, 4, 1)
-        assert [sched.requesters(b) for b in range(1, 5)] == [
-            frozenset({b}) for b in range(1, 5)
-        ]
+        assert sched.slots == tuple(frozenset({b}) for b in range(1, 5))
         assert sched.demand == {k: k for k in range(1, 5)}
 
     def test_canonical_blocks(self):
         sched = core.make_fixed_L_schedule(6, 3, 2)
-        assert sched.requesters(1) == {1, 2}
-        assert sched.requesters(2) == {3, 4}
-        assert sched.requesters(3) == {5, 6}
+        assert sched.slots == (frozenset({1, 2}), frozenset({3, 4}), frozenset({5, 6}))
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidParams):
@@ -535,6 +531,17 @@ class TestScheduleValidation:
             sched.deadline_slot(1, delta_b)
         with pytest.raises(InvalidParams, match=re.escape(message)):
             delivery.slot_masks(sched, delta_b)
+
+    @pytest.mark.parametrize("call, k", [
+        (lambda s: s.slot_of(0), "0"),
+        (lambda s: s.slot_of(5), "5"),
+        (lambda s: s.slot_of(1.0), "1.0"),
+        (lambda s: s.deadline_slot(9, 2), "9"),
+    ], ids=["zero", "past-K", "float", "deadline-past-K"])
+    def test_slot_of_refuses_k_outside_1_to_K(self, call, k):
+        sched = core.make_fixed_L_schedule(4, 4, 1)
+        with pytest.raises(InvalidParams, match=re.escape(f"in [1, K=4], got k={k}") + "$"):
+            call(sched)
 
 
 class TestPartitionIntoSubfiles:

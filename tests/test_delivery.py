@@ -230,7 +230,7 @@ class TestCandidateCount:
         schedule = core.make_fixed_L_schedule(K, B, L, seed=1)
         records = core.analytic_subfile_table(params, schedule)
         result = delivery.run_delivery(schedule, records, params)
-        due = [len(schedule.requesters(b - delta_b + 1)) for b in range(delta_b, B)]
+        due = [len(schedule.slots[b - delta_b]) for b in range(delta_b, B)]
         due.append(K - sum(due))
         assert sum((1 << K) - (1 << (K - d)) for d in due) == expected
         assert len(result.events) == expected
@@ -382,6 +382,23 @@ class TestBitExactDelivery:
         with pytest.raises(InvalidParams, match=message):
             delivery.decode_fap(1, events, library, caches, records)
 
+    @pytest.mark.parametrize("upto_slot, message", [
+        (-1, "upto_slot must be >= 1, got -1"),
+        (0, "upto_slot must be >= 1, got 0"),
+        (2.5, "upto_slot must be an integer, got 2.5"),
+    ], ids=["negative", "zero", "float"])
+    def test_decode_refuses_a_bad_upto_slot_before_any_work(self, upto_slot, message, monkeypatch):
+        params = demo_params(2, F=64)
+        schedule = core.make_fixed_L_schedule(4, 4, 1)
+        library, caches, records, result = self.bitexact_run(params, schedule, 17)
+
+        def no_work(*args):
+            raise AssertionError("decoding began before upto_slot was checked")
+
+        monkeypatch.setattr(delivery, "_carrying", no_work)
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            delivery.decode_fap(1, result.events, library, caches, records, upto_slot=upto_slot)
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_decodes_at_the_deadline_and_never_wrongly_before(self, data):
@@ -419,6 +436,8 @@ class TestBitExactDelivery:
                 delivery.decode_fap(
                     k, result.events, library, receiver, records, upto_slot=deadline
                 )
+            if deadline == 1:
+                continue  # no slot comes before the first
             try:
                 early = delivery.decode_fap(
                     k, result.events, library, caches, records, upto_slot=deadline - 1
